@@ -137,6 +137,8 @@ def _train_config(args) -> TrainConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as f:
             overrides = json.load(f)
+        if not isinstance(overrides, dict):
+            raise ValueError("config file must hold a JSON object of training fields")
         field_names = set(values)
         unknown = sorted(set(overrides) - field_names)
         if unknown:

@@ -14,6 +14,13 @@ Gate algebra per step (elementwise *):
 
 The new state is a convex combination of h_prev and c, so states stay in
 [-1, 1] from a zero start.
+
+Batches run packed and time-major (`pack_batch`): rows are stable-sorted by
+length, longest first, so the rows still reading at step t are a prefix of
+that order, and each real token owns one packed row. A step projects only
+those rows, with the three gates stacked per call into one input and one
+recurrent weight stack (`stack_gates`), so it costs two matmul calls and no
+PAD work. `GruParams` keeps the nine named arrays that checkpoints store.
 """
 
 import json
@@ -168,7 +175,7 @@ def parameter_arrays(m: Model, include_embedding: bool = True) -> dict[str, np.n
 def gru_step(p: GruParams, x_t: np.ndarray, h_prev: np.ndarray):
     """One recurrence step; also works on (B, d) / (B, h) batches.
 
-    Returns the new state and the intermediate values the backward pass needs.
+    Returns the new state and the step's intermediates (x, h_prev, r, z, c, U_h h_prev).
     """
     if x_t.shape[-1] != p.d or h_prev.shape[-1] != p.h:
         raise ValueError(
@@ -275,32 +282,140 @@ def make_dropout_masks(m: Model, batch_size: int, max_len: int, rng: np.random.G
     return DropoutMasks(embed=embed, gru_in=gru_in, out=out)
 
 
+def stack_gates(p: GruParams):
+    """One direction's gates stacked on a leading gate axis for batched GEMMs.
+
+    Returns W (3, d, h) holding W_r, W_z, W_h transposed, U (3, h, h)
+    holding U_h, U_r, U_z transposed, and b (3, 1, h) holding b_r, b_z,
+    b_h. x @ W and h_prev @ U are then one matmul each, with every gate's
+    result a contiguous block; U's gate order is that of `GruTape.gates`.
+    """
+    return (
+        np.stack([p.W_r.T, p.W_z.T, p.W_h.T]),
+        np.stack([p.U_h.T, p.U_r.T, p.U_z.T]),
+        np.stack([p.b_r, p.b_z, p.b_h])[:, None, :],
+    )
+
+
+@dataclass
+class Packing:
+    """Time-major packed layout of the real tokens of a (B, T) id batch.
+
+    Sorted row i is batch row order[i]; rows are stable-sorted by length,
+    longest first. Step t covers sorted rows 0..counts[t]-1 (the rows longer
+    than t) and owns packed rows offsets[t] .. offsets[t] + counts[t]. Packed
+    row k holds position steps[k] of batch row rows[k].
+    """
+
+    order: np.ndarray  # (B,) batch row of each sorted row
+    counts: list[int]  # per step t < longest length
+    offsets: list[int]  # len(counts) + 1 entries; the last is the token count
+    rows: np.ndarray  # (N,) batch row of each packed token
+    steps: np.ndarray  # (N,) position of each packed token
+
+    @property
+    def live(self) -> np.ndarray:
+        """Batch rows with at least one token, in sorted order."""
+        return self.order[: self.counts[0]] if self.counts else self.order[:0]
+
+
+def pack_batch(lengths: np.ndarray, width: int) -> Packing:
+    """Packing for rows of the given lengths, each cut to `width` steps."""
+    lengths = np.clip(np.asarray(lengths), 0, width)
+    order = np.argsort(-lengths, kind="stable")
+    sorted_len = lengths[order]
+    longest = int(sorted_len[0]) if sorted_len.size else 0
+    active = sorted_len[None, :] > np.arange(longest)[:, None]  # (steps, B)
+    steps, sorted_rows = np.nonzero(active)  # row-major: time-major packing
+    counts = active.sum(axis=1)
+    return Packing(
+        order=order,
+        counts=counts.tolist(),
+        offsets=[0, *np.cumsum(counts).tolist()],
+        rows=order[sorted_rows],
+        steps=steps,
+    )
+
+
+@dataclass
+class GruTape:
+    """Per-token values of one direction that BPTT reads back, in packed rows.
+
+    `gates` holds U_h h_prev, r, z and c for every token, one (N, h) block
+    per gate. The backward pass overwrites the blocks with the gradients
+    d(U_h h_prev), d a_r, d a_z and d a_c, a being the gate pre-activations.
+    """
+
+    h_prev: np.ndarray  # (N, h) state entering the step
+    gates: np.ndarray  # (4, N, h)
+
+    @classmethod
+    def empty(cls, n: int, h: int, dtype) -> "GruTape":
+        return cls(h_prev=np.empty((n, h), dtype=dtype), gates=np.empty((4, n, h), dtype=dtype))
+
+
 @dataclass
 class ForwardCache:
-    """Everything the backward pass reuses from one batched forward run."""
+    """What the backward pass reuses from one batched forward run.
 
-    ids: np.ndarray  # (B, T) int
-    step_mask: np.ndarray  # (B, T) bool, True where t < length
-    X: np.ndarray  # (B, T, d) embedded inputs after input dropout
-    fwd_steps: list
-    bwd_steps: list
+    Token-level arrays are in the packed time-major order of `pack`; only
+    real tokens are stored, never PAD positions.
+    """
+
+    pack: Packing
+    tokens: np.ndarray  # (N,) embedding row of each packed token
+    X: np.ndarray  # (N, d) packed inputs after input dropout
+    fwd: GruTape
+    bwd: GruTape
     u_drop: np.ndarray  # (B, 2h) summary after output dropout
     preds: np.ndarray  # (B,)
     masks: DropoutMasks | None
 
 
-def _run_gru_batch(p: GruParams, X, step_mask, reverse: bool, want_cache: bool):
-    B, T, _ = X.shape
-    h = np.zeros((B, p.h), dtype=X.dtype)
-    steps = [] if want_cache else None
-    order = range(T - 1, -1, -1) if reverse else range(T)
-    for t in order:
-        h_prev = h
-        h_new, (_, _, r, z, c, uh) = gru_step(p, X[:, t, :], h_prev)
-        h = np.where(step_mask[:, t][:, None], h_new, h_prev)
-        if want_cache:
-            steps.append((t, h_prev, r, z, c, uh))
-    return h, steps
+def _run_gru_batch(p: GruParams, X, pack: Packing, reverse: bool, tape: GruTape | None):
+    """Final states (live rows, h) of one direction, in sorted row order.
+
+    The forward direction starts every live row at step 0; the reverse one
+    starts a row at step length - 1. Either way the rows a step updates are
+    a prefix of the sorted rows, so `h` is updated in place on that prefix.
+    Fills `tape` when given; without one, each step's gates reuse the front
+    rows of one step-sized buffer.
+    """
+    W, U, b = stack_gates(p)
+    h = np.zeros((len(pack.live), p.h), dtype=X.dtype)
+    gates = tape.gates if tape is not None else np.empty((4, len(h), p.h), dtype=X.dtype)
+    order = range(len(pack.counts))
+    # exp overflow for very negative pre-activations saturates the gate to exactly 0
+    with np.errstate(over="ignore"):
+        for t in reversed(order) if reverse else order:
+            n = pack.counts[t]
+            s = slice(pack.offsets[t], pack.offsets[t] + n)
+            g = gates[:, s] if tape is not None else gates[:, :n]
+            h_prev = h[:n]
+            np.matmul(h_prev, U, out=g[:3])  # U_h h, U_r h, U_z h
+            a = X[s] @ W
+            rz = g[1:3]
+            rz += a[:2]
+            rz += b[:2]
+            # rz = sigmoid(rz), in place
+            np.negative(rz, out=rz)
+            np.exp(rz, out=rz)
+            rz += 1.0
+            np.reciprocal(rz, out=rz)
+            c = g[3]
+            np.multiply(g[1], g[0], out=c)
+            c += a[2]
+            c += b[2]
+            np.tanh(c, out=c)
+            if tape is not None:
+                tape.h_prev[s] = h_prev
+            # h = (1 - z) * h_prev + z * c, written over h_prev
+            z = g[2]
+            keep = 1.0 - z
+            keep *= h_prev
+            np.multiply(z, c, out=h_prev)
+            h_prev += keep
+    return h
 
 
 def forward_batch(
@@ -315,28 +430,29 @@ def forward_batch(
     Equivalent to `predict` per row when `masks` is None.
     """
     ids = np.asarray(ids)
-    lengths = np.asarray(lengths)
     B, T = ids.shape
-    step_mask = np.arange(T)[None, :] < lengths[:, None]
-    X = m.embedding.matrix[ids]
+    pack = pack_batch(lengths, T)
+    tokens = ids[pack.rows, pack.steps]
+    X = m.embedding.matrix[tokens]
     if masks is not None and masks.embed is not None:
-        X = X * masks.embed
+        X *= masks.embed[pack.rows, pack.steps]
     if masks is not None and masks.gru_in is not None:
-        X = X * masks.gru_in
-    h_fwd, fwd_steps = _run_gru_batch(m.fwd, X, step_mask, False, want_cache)
-    h_bwd, bwd_steps = _run_gru_batch(m.bwd, X, step_mask, True, want_cache)
-    u = np.concatenate([h_fwd, h_bwd], axis=1)
+        X *= masks.gru_in[pack.rows, 0]
+    tapes = [GruTape.empty(len(tokens), m.h, X.dtype) if want_cache else None for _ in range(2)]
+    u = np.zeros((B, 2 * m.h), dtype=X.dtype)
+    u[pack.live, : m.h] = _run_gru_batch(m.fwd, X, pack, False, tapes[0])
+    u[pack.live, m.h :] = _run_gru_batch(m.bwd, X, pack, True, tapes[1])
     if masks is not None and masks.out is not None:
         u = u * masks.out
     preds = sigmoid(u @ m.head.w + m.head.b[0])
     if not want_cache:
         return preds, None
     return preds, ForwardCache(
-        ids=ids,
-        step_mask=step_mask,
+        pack=pack,
+        tokens=tokens,
         X=X,
-        fwd_steps=fwd_steps,
-        bwd_steps=bwd_steps,
+        fwd=tapes[0],
+        bwd=tapes[1],
         u_drop=u,
         preds=preds,
         masks=masks,

@@ -16,9 +16,10 @@ from .errors import NumericError
 from .ingest import LabeledDataset
 from .nn import (
     DropoutMasks,
-    ForwardCache,
     GruParams,
+    GruTape,
     Model,
+    Packing,
     copy_model,
     forward_batch,
     init_model,
@@ -31,6 +32,10 @@ from .text import PAD_ID, EmbeddingTable, TokenSequence, Vocabulary, encode, tok
 
 CLIP_LIMIT = 5.0
 TEXT_FIELDS = ("postText", "targetDescription", "targetTitle")
+INT_FIELDS = ("batch_size", "epochs", "d", "h", "max_len", "seed")
+FLOAT_FIELDS = (
+    "learning_rate", "rho", "epsilon", "dropout_embed", "dropout_gru_in", "dropout_gru_out",
+)
 
 
 @dataclass
@@ -50,12 +55,28 @@ class TrainConfig:
     text_field: str = "postText"
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in FLOAT_FIELDS:
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        for name in ("batch_size", "d", "h", "max_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0.0 <= self.rho < 1.0:
+            raise ValueError(f"rho must be in [0, 1), got {self.rho}")
+        if self.epsilon <= 0:
+            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("dropout_embed", "dropout_gru_in", "dropout_gru_out"):
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
@@ -67,13 +88,41 @@ class TrainConfig:
 
 
 @dataclass
+class RowSparseGrad:
+    """Gradient of a (V, d) table that is exactly zero outside `rows`.
+
+    values[i] is the gradient of row rows[i]; rows are unique and ascending.
+    numpy sees it as the dense array (`__array__`).
+    """
+
+    rows: np.ndarray  # (k,) int
+    values: np.ndarray  # (k, d)
+    shape: tuple[int, ...]
+
+    def __array__(self, dtype=None, copy=None):
+        out = np.zeros(self.shape, dtype=self.values.dtype if dtype is None else dtype)
+        out[self.rows] = self.values
+        return out
+
+
+@dataclass
 class RmsPropState:
-    """Squared-gradient accumulators, one per parameter array, lazily zeroed."""
+    """Squared-gradient accumulators, one per parameter array, created at first use.
+
+    A row-sparse gradient updates only its rows' accumulators. Rows it skips
+    saw g = 0, which decays the accumulator by rho and leaves the parameter
+    unchanged, so the decay rho^k for the k skipped steps is applied when
+    the row is next touched. `last_step[name][i]` is the step that last
+    brought row i up to date; between its updates a row's entry in `acc` is
+    stale. A parameter gets either sparse or dense gradients, never both.
+    """
 
     acc: dict[str, np.ndarray] = field(default_factory=dict)
+    last_step: dict[str, np.ndarray] = field(default_factory=dict)
+    step: int = 0
 
 
-GradientSet = dict[str, np.ndarray]
+GradientSet = dict[str, "np.ndarray | RowSparseGrad"]
 
 
 def mse_loss(preds, targets) -> float:
@@ -103,42 +152,80 @@ def _stack_batch(batch, pad_to: int | None = None):
     return ids, lengths, targets
 
 
-def _gru_backward(p: GruParams, X, step_mask, steps, dh, grads: GradientSet, prefix: str):
-    """Reverse accumulation through one direction; adds into `grads`, returns dX.
+def _gru_backward(p: GruParams, X, pack: Packing, tape: GruTape, dh, reverse: bool,
+                  grads: GradientSet, prefix: str):
+    """Reverse accumulation through one packed direction; sets its gradients in
+    `grads` and returns dX (N, d).
 
-    `steps` is in processing order, so walking it backwards visits timesteps in
-    the reverse of how the forward pass consumed them for either direction.
-    Rows whose step was masked (t >= length) pass dh through untouched.
+    `dh` is the gradient of the final states (live rows, h) in sorted row
+    order. Steps run in the reverse of the forward pass's order; the rows a
+    step covers are a prefix of the sorted rows, so rows that are not
+    reading at that step keep their dh untouched. The loop carries only the
+    dh recurrence and turns each token's tape entries into its gate
+    gradients (see `GruTape`); the weight gradients and dX are formed over
+    all tokens at once after it.
     """
-    dX = np.zeros_like(X)
-    for t, h_prev, r, z, c, uh in reversed(steps):
-        m = step_mask[:, t][:, None]
-        dh_step = np.where(m, dh, 0.0)
-        dh_skip = np.where(m, 0.0, dh)
-        x_t = X[:, t, :]
+    U = np.stack([p.U_h, p.U_r, p.U_z])  # the tape's gate order
+    dh = dh.copy()
+    order = range(len(pack.counts))
+    for t in order if reverse else reversed(order):
+        n = pack.counts[t]
+        s = slice(pack.offsets[t], pack.offsets[t] + n)
+        dh_t = dh[:n]
+        g = tape.gates[:, s]
+        uh, rz, c = g[0], g[1:3], g[3]
         # h = (1 - z) * h_prev + z * c
-        dz = dh_step * (c - h_prev)
-        dc = dh_step * z
-        dh_prev = dh_step * (1.0 - z)
         # c = tanh(W_h x + r * uh + b_h), uh = U_h h_prev
-        da_c = dc * (1.0 - c * c)
-        dr = da_c * uh
-        duh = da_c * r
-        da_r = dr * r * (1.0 - r)
-        da_z = dz * z * (1.0 - z)
-        grads[f"{prefix}.W_h"] += da_c.T @ x_t
-        grads[f"{prefix}.U_h"] += duh.T @ h_prev
-        grads[f"{prefix}.b_h"] += da_c.sum(axis=0)
-        grads[f"{prefix}.W_r"] += da_r.T @ x_t
-        grads[f"{prefix}.U_r"] += da_r.T @ h_prev
-        grads[f"{prefix}.b_r"] += da_r.sum(axis=0)
-        grads[f"{prefix}.W_z"] += da_z.T @ x_t
-        grads[f"{prefix}.U_z"] += da_z.T @ h_prev
-        grads[f"{prefix}.b_z"] += da_z.sum(axis=0)
-        dh_prev += duh @ p.U_h + da_r @ p.U_r + da_z @ p.U_z
-        dX[:, t, :] = da_c @ p.W_h + da_r @ p.W_r + da_z @ p.W_z
-        dh = dh_prev + dh_skip
+        d_rz = np.empty_like(rz)  # dr, dz
+        np.subtract(c, tape.h_prev[s], out=d_rz[1])
+        d_rz[1] *= dh_t
+        dc_da = c * c
+        np.subtract(1.0, dc_da, out=dc_da)
+        np.multiply(dh_t, g[2], out=c)
+        c *= dc_da  # d a_c
+        np.multiply(c, uh, out=d_rz[0])
+        np.multiply(c, g[1], out=uh)  # d uh
+        one_minus = 1.0 - rz
+        dh_t *= one_minus[1]
+        # dr, dz -> d a_r, d a_z through the sigmoid
+        rz *= d_rz
+        rz *= one_minus
+        # dh_t becomes the gradient of h_prev
+        dh_t += np.matmul(g[:3], U).sum(axis=0)
+    G = tape.gates
+    dW = np.matmul(G[1:].transpose(0, 2, 1), X)
+    dU = np.matmul(G[:3].transpose(0, 2, 1), tape.h_prev)
+    db = G[1:].sum(axis=1)
+    for i, gate in enumerate("rzh"):
+        grads[f"{prefix}.W_{gate}"] = dW[i]
+        grads[f"{prefix}.b_{gate}"] = db[i]
+    for i, gate in enumerate("hrz"):
+        grads[f"{prefix}.U_{gate}"] = dU[i]
+    dX = G[3] @ p.W_h
+    dX += G[1] @ p.W_r
+    dX += G[2] @ p.W_z
     return dX
+
+
+def _embedding_grad(tokens, dX, pack: Packing, vocab_size: int) -> RowSparseGrad:
+    """Row-sparse gradient of the embedding table: dX summed per token id.
+
+    Each row's sum runs in (batch row, position) order, the order a dense
+    scatter over the (B, T) id grid would add in.
+    """
+    d = dX.shape[1]
+    if not len(tokens):
+        return RowSparseGrad(np.empty(0, dtype=np.intp), dX[:0], (vocab_size, d))
+    width = int(pack.steps.max()) + 1
+    key = (tokens.astype(np.int64) * len(pack.order) + pack.rows) * width + pack.steps
+    by_key = np.argsort(key)
+    sorted_ids = tokens[by_key]
+    starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+    return RowSparseGrad(
+        rows=sorted_ids[starts],
+        values=np.add.reduceat(dX[by_key], starts, axis=0),
+        shape=(vocab_size, d),
+    )
 
 
 def backprop(
@@ -160,34 +247,38 @@ def backprop(
     loss = mse_loss(preds, targets)
 
     params = parameter_arrays(m)
-    grads: GradientSet = {name: np.zeros_like(arr) for name, arr in params.items()}
+    grads: GradientSet = dict.fromkeys(params)
     h = m.h
     B = len(batch)
+    pack = cache.pack
 
     dp = (2.0 / B) * (preds - targets.astype(preds.dtype))
     da = dp * preds * (1.0 - preds)
-    grads["head.w"] += da @ cache.u_drop
-    grads["head.b"] += da.sum(keepdims=True)
+    grads["head.w"] = da @ cache.u_drop
+    grads["head.b"] = da.sum(keepdims=True)
     du = np.outer(da, m.head.w)
     if masks is not None and masks.out is not None:
         du = du * masks.out
-    dX = _gru_backward(m.fwd, cache.X, cache.step_mask, cache.fwd_steps, du[:, :h], grads, "fwd")
-    dX += _gru_backward(m.bwd, cache.X, cache.step_mask, cache.bwd_steps, du[:, h:], grads, "bwd")
+    du = du[pack.live]
+    dX = _gru_backward(m.fwd, cache.X, pack, cache.fwd, du[:, :h], False, grads, "fwd")
+    dX += _gru_backward(m.bwd, cache.X, pack, cache.bwd, du[:, h:], True, grads, "bwd")
 
     if m.embedding.trainable:
         if masks is not None and masks.gru_in is not None:
-            dX = dX * masks.gru_in
+            dX *= masks.gru_in[pack.rows, 0]
         if masks is not None and masks.embed is not None:
-            dX = dX * masks.embed
-        np.add.at(grads["embedding"], ids, dX)
+            dX *= masks.embed[pack.rows, pack.steps]
+        grads["embedding"] = _embedding_grad(cache.tokens, dX, pack, len(m.embedding.matrix))
 
+    # a row-sparse gradient is zero off its rows, so its values are all there is to check
+    stored = {name: g.values if isinstance(g, RowSparseGrad) else g for name, g in grads.items()}
     if clip is not None:
-        for g in grads.values():
+        for g in stored.values():
             np.clip(g, -clip, clip, out=g)
 
     if not math.isfinite(loss):
-        raise NumericError(f"non-finite loss: {_first_nonfinite(params, grads)}")
-    for name, g in grads.items():
+        raise NumericError(f"non-finite loss: {_first_nonfinite(params, stored)}")
+    for name, g in stored.items():
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in {name}")
     return loss, grads
@@ -209,7 +300,13 @@ def rmsprop_update(
     state: RmsPropState,
     cfg: TrainConfig,
 ) -> None:
-    """In-place RMSprop step: acc <- rho*acc + (1-rho)*g^2, p <- p - lr*g/(sqrt(acc)+eps)."""
+    """In-place RMSprop step: acc <- rho*acc + (1-rho)*g^2, p <- p - lr*g/(sqrt(acc)+eps).
+
+    A `RowSparseGrad` updates its rows only, decaying each row's accumulator
+    for the steps it skipped (see `RmsPropState`); in exact arithmetic that
+    equals the dense step on the densified gradient.
+    """
+    state.step += 1
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -217,6 +314,19 @@ def rmsprop_update(
         acc = state.acc.get(name)
         if acc is None:
             acc = state.acc[name] = np.zeros_like(p)
+        if isinstance(g, RowSparseGrad):
+            last = state.last_step.get(name)
+            if last is None:
+                last = state.last_step[name] = np.full(p.shape[0], state.step - 1)
+            rows, g = g.rows, g.values
+            elapsed = state.step - last[rows]
+            last[rows] = state.step
+            a = acc[rows]
+            a *= (cfg.rho ** elapsed).reshape((-1,) + (1,) * (p.ndim - 1))
+            a += (1.0 - cfg.rho) * g * g
+            acc[rows] = a
+            p[rows] -= cfg.learning_rate * g / (np.sqrt(a) + cfg.epsilon)
+            continue
         acc *= cfg.rho
         acc += (1.0 - cfg.rho) * g * g
         p -= cfg.learning_rate * g / (np.sqrt(acc) + cfg.epsilon)
@@ -358,7 +468,7 @@ def grad_check(
     for name, arr in parameter_arrays(m).items():
         worst = 0.0
         flat = arr.reshape(-1)
-        a_flat = analytic[name].reshape(-1)
+        a_flat = np.asarray(analytic[name]).reshape(-1)
         for i in range(flat.size):
             saved = flat[i]
             flat[i] = saved + step

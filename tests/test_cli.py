@@ -183,6 +183,32 @@ class TestTrain:
         assert code == 1
         assert "hidden_size" in err
 
+    @pytest.mark.parametrize(
+        "config, flags, named",
+        [
+            ({"epochs": "2"}, [], "epochs"),
+            ({"rho": 1.5}, [], "rho"),
+            ([4], [], "JSON object"),
+            ({}, ["--hidden", "0"], "h must be"),
+        ],
+    )
+    def test_bad_config_value_is_usage_error(self, work, tmp_path, capsys, config, flags, named):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code, _, err = run(
+            capsys,
+            "train", str(work / "data"), str(work / "data"),
+            "--glove", str(work / "glove.txt"),
+            "--out", str(tmp_path / "run"),
+            "--config", str(cfg_path),
+            "--dim", "8",
+            *flags,
+        )
+        assert code == 1
+        assert err.startswith("usage error") and named in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "run").exists()
+
     def test_glove_dim_mismatch_is_data_error(self, work, tmp_path, capsys):
         code, _, err = run(
             capsys,

@@ -20,6 +20,7 @@ from clickbait_gru.nn import (
     init_model,
     load_model,
     make_dropout_masks,
+    pack_batch,
     parameter_arrays,
     predict,
     predict_batch,
@@ -251,10 +252,35 @@ class TestForwardBatch:
 
     def test_predict_batch_chunking_preserves_order(self):
         m = tiny_model(seed=4)
-        seqs = [seq_of([2 + (i % 7), 3, 4], length=3) for i in range(23)]
-        all_at_once = predict_batch(m, seqs, chunk=512)
-        chunked = predict_batch(m, seqs, chunk=5)
-        np.testing.assert_array_equal(all_at_once, chunked)
+        same_length = [seq_of([2 + (i % 7), 3, 4], length=3) for i in range(23)]
+        mixed_lengths = [
+            seq_of([2 + (i % 7), 3, 4, 5, 6], length=(i * 3) % 6) for i in range(23)
+        ]
+        for seqs in (same_length, mixed_lengths):
+            all_at_once = predict_batch(m, seqs, chunk=512)
+            chunked = predict_batch(m, seqs, chunk=5)
+            np.testing.assert_array_equal(all_at_once, chunked)
+
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 9), width=st.integers(1, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_packing_invariance(self, seed, batch, width):
+        """Any mix and order of lengths, all-empty batches and full rows included,
+        gives per-row `predict` results, and permuting rows permutes them exactly."""
+        rng = np.random.default_rng(seed)
+        m = tiny_model(seed=seed % 50)
+        ids = rng.integers(1, 10, size=(batch, width)).astype(np.int32)
+        case = seed % 4
+        if case == 0:
+            lengths = np.zeros(batch, dtype=np.int64)
+        else:
+            lengths = rng.integers(0, width + 1, size=batch)
+            lengths[rng.integers(batch)] = width
+        preds, _ = forward_batch(m, ids, lengths)
+        singles = [predict(m, seq_of(row, length=n)) for row, n in zip(ids, lengths)]
+        np.testing.assert_allclose(preds, singles, rtol=0, atol=1e-12)
+        perm = rng.permutation(batch)
+        permuted, _ = forward_batch(m, ids[perm], lengths[perm])
+        np.testing.assert_array_equal(permuted, preds[perm])
 
     def test_dropout_masks_change_training_forward_only(self):
         m = tiny_model(seed=4, dropout_embed=0.3, dropout_gru_in=0.3, dropout_gru_out=0.5)
@@ -264,6 +290,24 @@ class TestForwardBatch:
         masks = make_dropout_masks(m, 1, 3, named_rng(0, "dropout"))
         noisy, _ = forward_batch(m, ids, lengths, masks=masks)
         assert not np.array_equal(clean, noisy)
+
+
+class TestPackBatch:
+    def test_time_major_layout(self):
+        pack = pack_batch(np.array([2, 0, 3, 2]), width=4)
+        np.testing.assert_array_equal(pack.order, [2, 0, 3, 1])
+        assert pack.counts == [3, 3, 1]
+        assert pack.offsets == [0, 3, 6, 7]
+        np.testing.assert_array_equal(pack.rows, [2, 0, 3, 2, 0, 3, 2])
+        np.testing.assert_array_equal(pack.steps, [0, 0, 0, 1, 1, 1, 2])
+        np.testing.assert_array_equal(pack.live, [2, 0, 3])
+
+    def test_lengths_cut_to_width_and_empty_batch(self):
+        pack = pack_batch(np.array([9, 1]), width=2)
+        assert pack.counts == [2, 1]
+        empty = pack_batch(np.array([0, 0]), width=3)
+        assert empty.counts == [] and empty.offsets == [0]
+        assert empty.rows.size == 0 and empty.live.size == 0
 
 
 class TestInit:

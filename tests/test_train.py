@@ -21,6 +21,7 @@ from clickbait_gru.rng import named_rng
 from clickbait_gru.text import EmbeddingTable, TokenSequence
 from clickbait_gru.train import (
     RmsPropState,
+    RowSparseGrad,
     TrainConfig,
     backprop,
     encode_dataset,
@@ -172,8 +173,65 @@ class TestBackprop:
                 minus = loss_now()
                 flat[i] = saved
                 numeric = (plus - minus) / (2 * step)
-                analytic = grads[name].reshape(-1)[i]
+                analytic = np.asarray(grads[name]).reshape(-1)[i]
                 assert abs(analytic - numeric) < 1e-6, f"{name}[{i}]"
+
+    def test_embedding_gradient_is_segment_sum_of_token_gradients(self):
+        """Repeated ids, within a post and across posts, with dropout masks on.
+
+        Reference: the same model with one embedding row per token occurrence,
+        whose row gradients are the per-token gradients; np.add.at folds them
+        back onto the shared ids.
+        """
+        m = tiny_model(seed=6, dropout_embed=0.3, dropout_gru_in=0.3, dropout_gru_out=0.5)
+        ids = np.array([[2, 5, 2, 7, 0], [5, 5, 3, 0, 0], [2, 0, 0, 0, 0]], dtype=np.int32)
+        lengths = np.array([4, 3, 1])
+        batch = [(seq_of(row, length=n), y) for row, n, y in zip(ids, lengths, (0.9, 0.1, 0.6))]
+        masks = make_dropout_masks(m, len(batch), ids.shape[1], named_rng(4, "dropout"))
+        _, grads = backprop(m, batch, masks=masks, clip=None)
+        g = grads["embedding"]
+        assert isinstance(g, RowSparseGrad)
+        np.testing.assert_array_equal(g.rows, [2, 3, 5, 7])
+
+        # one private row per occurrence, appended after the shared table
+        vocab = m.embedding.matrix.shape[0]
+        spread_ids = ids.copy()
+        shared = []
+        for b, n in enumerate(lengths):
+            for t in range(n):
+                spread_ids[b, t] = vocab + len(shared)
+                shared.append(ids[b, t])
+        spread = tiny_model(seed=6, dropout_embed=0.3, dropout_gru_in=0.3, dropout_gru_out=0.5)
+        spread.embedding.matrix = np.concatenate([m.embedding.matrix, m.embedding.matrix[shared]])
+        spread_batch = [
+            (seq_of(row, length=n), y) for row, (_, y), n in zip(spread_ids, batch, lengths)
+        ]
+        _, spread_grads = backprop(spread, spread_batch, masks=masks, clip=None)
+        per_token = np.asarray(spread_grads["embedding"])[vocab:]
+
+        reference = np.zeros_like(m.embedding.matrix)
+        np.add.at(reference, shared, per_token)
+        np.testing.assert_allclose(np.asarray(g), reference, rtol=1e-13, atol=1e-16)
+        untouched = np.setdiff1d(np.arange(vocab), g.rows)
+        np.testing.assert_array_equal(np.asarray(g)[untouched], 0.0)
+
+        # central differences on every touched row
+        def loss_now():
+            preds, _ = forward_batch(m, ids, lengths, masks=masks)
+            return mse_loss(preds, [y for _, y in batch])
+
+        step = 1e-6
+        dense = np.asarray(g)
+        for row in g.rows:
+            for j in range(m.d):
+                saved = m.embedding.matrix[row, j]
+                m.embedding.matrix[row, j] = saved + step
+                plus = loss_now()
+                m.embedding.matrix[row, j] = saved - step
+                minus = loss_now()
+                m.embedding.matrix[row, j] = saved
+                numeric = (plus - minus) / (2 * step)
+                assert abs(dense[row, j] - numeric) < 1e-6, f"embedding[{row}, {j}]"
 
 
 class TestGradCheck:
@@ -261,6 +319,36 @@ class TestRmsprop:
             rmsprop_update(params, grads, state, TrainConfig())
             assert state.acc["p"][0] >= 0.0
 
+    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_lazy_sparse_update_matches_dense(self, dtype, rtol):
+        """Rows skipped for 1, 3 and 7 steps: after every step the parameters and
+        the accumulators of the rows it touched match dense RMSprop on the
+        densified gradients. float32 differs from dense only by the rounding of
+        one rho**k against k multiplications by rho, a few ulp per step."""
+        cfg = TrainConfig()
+        rng = np.random.default_rng(0)
+        vocab, d, steps = 12, 3, 15
+        start = rng.normal(0.0, 1.0, (vocab, d)).astype(dtype)
+        lazy_p, dense_p = {"embedding": start.copy()}, {"embedding": start.copy()}
+        lazy_state, dense_state = RmsPropState(), RmsPropState()
+        # row 0 every step; row 1 every 2nd (skips 1); row 2 every 4th (skips 3);
+        # row 3 every 8th (skips 7); rows 4.. now and then; row 11 never
+        every = {0: 1, 1: 2, 2: 4, 3: 8}
+        for step in range(steps):
+            rows = [r for r, k in every.items() if step % k == 0]
+            rows += [r for r in range(4, 11) if rng.random() < 0.3]
+            rows = np.array(sorted(rows))
+            values = rng.normal(0.0, 2.0, (len(rows), d)).astype(dtype)
+            g = RowSparseGrad(rows=rows, values=values, shape=(vocab, d))
+            rmsprop_update(lazy_p, {"embedding": g}, lazy_state, cfg)
+            rmsprop_update(dense_p, {"embedding": np.asarray(g)}, dense_state, cfg)
+            np.testing.assert_allclose(lazy_p["embedding"], dense_p["embedding"], rtol=rtol)
+            np.testing.assert_allclose(
+                lazy_state.acc["embedding"][rows], dense_state.acc["embedding"][rows], rtol=rtol
+            )
+        np.testing.assert_array_equal(lazy_p["embedding"][11], start[11])
+        assert lazy_state.acc["embedding"].dtype == dtype
+
     def test_shape_mismatch_rejected(self):
         params = {"p": np.zeros(3)}
         grads = {"p": np.zeros(4)}
@@ -283,6 +371,20 @@ class TestTrainConfig:
             {"epochs": -1},
             {"dropout_embed": 1.0},
             {"text_field": "postMedia"},
+            {"epochs": "2"},
+            {"epochs": 2.0},
+            {"batch_size": True},
+            {"seed": -1},
+            {"h": 0},
+            {"d": 0},
+            {"max_len": 0},
+            {"rho": 1.5},
+            {"rho": 1.0},
+            {"rho": -0.1},
+            {"epsilon": 0.0},
+            {"learning_rate": "1e-3"},
+            {"learning_rate": float("nan")},
+            {"dropout_gru_out": None},
         ):
             with pytest.raises(ValueError):
                 TrainConfig(**kwargs)
