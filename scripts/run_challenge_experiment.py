@@ -18,11 +18,11 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from clickbait_gru.cli import train_and_save
 from clickbait_gru.ingest import load_dataset, stratified_split
 from clickbait_gru.metrics import evaluate
-from clickbait_gru.nn import predict_batch, save_model
-from clickbait_gru.text import build_vocab, load_glove, tokenize
-from clickbait_gru.train import TrainConfig, encode_dataset, fit, write_history
+from clickbait_gru.nn import predict_batch
+from clickbait_gru.train import TrainConfig, encode_dataset
 
 
 def parse_args():
@@ -48,25 +48,13 @@ def main() -> int:
     print(f"records: train {len(train)}, valid {len(valid)}, test {len(test)}")
 
     cfg = TrainConfig(epochs=args.epochs, d=args.dim, h=args.hidden, seed=args.seed)
-    vocab = build_vocab(
-        tokenize(record.field_text(cfg.text_field)) for record, _ in train
-    )
-    with open(args.glove, encoding="utf-8") as f:
-        embeddings, matched = load_glove(f, vocab, cfg.d, seed=cfg.seed)
+    model, vocab, history, matched = train_and_save(train, valid, cfg, args.glove, args.out)
     print(f"vocabulary: {vocab.size} ids, {matched} with pretrained vectors")
-
-    model, history = fit(train, valid, cfg, vocab, embeddings)
     best = min(history, key=lambda row: row.valid_mse)
     print(f"best validation mse {best.valid_mse!r} at epoch {best.epoch}/{cfg.epochs}")
 
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "model.ckpt"), "wb") as f:
-        save_model(model, vocab, f, max_len=cfg.max_len, text_field=cfg.text_field)
-    with open(os.path.join(args.out, "history.csv"), "w", encoding="utf-8", newline="") as f:
-        write_history(history, f)
-
-    test_pairs = encode_dataset(test, vocab, cfg.max_len, cfg.text_field)
-    preds = predict_batch(model, [seq for seq, _ in test_pairs])
+    ids, lengths, _ = encode_dataset(test, vocab, cfg.max_len, cfg.text_field)
+    preds = predict_batch(model, ids, lengths)
     report = evaluate(list(preds), [judgment for _, judgment in test])
     text = report.to_json()
     print(text)

@@ -7,10 +7,14 @@ the same flags produce byte-identical artifacts.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import math
 import os
 import sys
+
+import numpy as np
 
 from .analytics import write_analytics
 from .errors import DataError, NumericError, ParseError
@@ -151,22 +155,33 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig(**values)
 
 
+def train_and_save(train_ds, valid_ds, cfg: TrainConfig, glove_path: str, out_dir: str):
+    """Vocabulary from the training posts, GloVe-initialized embeddings, `fit`,
+    then the best-epoch checkpoint and the history CSV written under out_dir.
+
+    Returns (model, vocab, history, matched), matched being the number of
+    vocabulary tokens the GloVe file had vectors for.
+    """
+    vocab = build_vocab(
+        tokenize(record.field_text(cfg.text_field)) for record, _ in train_ds
+    )
+    with open(glove_path, encoding="utf-8") as f:
+        embeddings, matched = load_glove(f, vocab, cfg.d, seed=cfg.seed)
+    model, history = fit(train_ds, valid_ds, cfg, vocab, embeddings)
+
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, CHECKPOINT_FILENAME), "wb") as f:
+        save_model(model, vocab, f, max_len=cfg.max_len, text_field=cfg.text_field)
+    with open(os.path.join(out_dir, HISTORY_FILENAME), "w", encoding="utf-8", newline="") as f:
+        write_history(history, f)
+    return model, vocab, history, matched
+
+
 def cmd_train(args) -> int:
     cfg = _train_config(args)
     train_ds = load_dataset(args.train_dir, name=os.path.basename(args.train_dir))
     valid_ds = load_dataset(args.valid_dir, name=os.path.basename(args.valid_dir))
-    vocab = build_vocab(
-        tokenize(record.field_text(cfg.text_field)) for record, _ in train_ds
-    )
-    with open(args.glove, encoding="utf-8") as f:
-        embeddings, matched = load_glove(f, vocab, cfg.d, seed=cfg.seed)
-    model, history = fit(train_ds, valid_ds, cfg, vocab, embeddings)
-
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, CHECKPOINT_FILENAME), "wb") as f:
-        save_model(model, vocab, f, max_len=cfg.max_len, text_field=cfg.text_field)
-    with open(os.path.join(args.out, HISTORY_FILENAME), "w", encoding="utf-8", newline="") as f:
-        write_history(history, f)
+    _, vocab, history, matched = train_and_save(train_ds, valid_ds, cfg, args.glove, args.out)
 
     best = min(history, key=lambda row: row.valid_mse)
     print(f"embeddings matched: {matched}/{vocab.size - 2}")
@@ -179,11 +194,12 @@ def cmd_predict(args) -> int:
         model, vocab, meta = load_model(f)
     with open(args.instances, encoding="utf-8") as f:
         records = parse_instances(f)
-    seqs = [
-        encode(tokenize(r.field_text(meta["text_field"])), vocab, meta["max_len"])
-        for r in records
-    ]
-    scores = predict_batch(model, seqs)
+    ids = np.empty((len(records), meta["max_len"]), dtype=np.int32)
+    lengths = np.empty(len(records), dtype=np.int64)
+    for i, r in enumerate(records):
+        seq = encode(tokenize(r.field_text(meta["text_field"])), vocab, meta["max_len"])
+        ids[i], lengths[i] = seq.ids, seq.length
+    scores = predict_batch(model, ids, lengths)
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         for record, score in zip(records, scores):
             f.write(json.dumps({"id": record.id, "clickbaitScore": float(score)}))
@@ -206,8 +222,18 @@ def _parse_results(stream) -> dict[str, float]:
         rec_id = str(obj["id"])
         if rec_id in scores:
             raise ParseError(f"duplicate result id {rec_id!r}", line=lineno)
-        scores[rec_id] = float(obj["clickbaitScore"])
+        scores[rec_id] = _finite_score(obj["clickbaitScore"], lineno)
     return scores
+
+
+def _finite_score(value, lineno: int) -> float:
+    """A JSON number that is finite as a float; bools, strings and null are not scores."""
+    if type(value) is float and math.isfinite(value):
+        return value
+    if type(value) is int:  # not bool; an int beyond the float range is not finite
+        with contextlib.suppress(OverflowError):
+            return float(value)
+    raise ParseError(f"clickbaitScore must be a finite number, got {value!r}", line=lineno)
 
 
 def cmd_evaluate(args) -> int:

@@ -32,11 +32,17 @@ import numpy as np
 
 from .errors import DataError
 from .rng import named_rng
-from .text import EmbeddingTable, TokenSequence, Vocabulary
+from .text import EmbeddingTable, Vocabulary
 
 CHECKPOINT_MAGIC = b"CBGRUCKPT1\n"
 CHECKPOINT_FORMAT = "cbgru-checkpoint"
 CHECKPOINT_VERSION = 1
+HEADER_KEYS = (
+    "d", "h", "max_len", "text_field", "dropout_embed", "dropout_gru_in", "dropout_gru_out",
+    "trainable_embedding", "vocab_tokens", "arrays",
+)
+# a header is the vocabulary plus about 2 KiB; a corrupt length must not size a read
+MAX_HEADER_BYTES = 1 << 28
 
 
 def sigmoid(x):
@@ -62,10 +68,6 @@ class GruParams:
     @property
     def h(self) -> int:
         return int(self.W_r.shape[0])
-
-    @property
-    def d(self) -> int:
-        return int(self.W_r.shape[1])
 
 
 @dataclass
@@ -156,10 +158,10 @@ def init_model(
 GRU_FIELDS = ("W_r", "W_z", "W_h", "U_r", "U_z", "U_h", "b_r", "b_z", "b_h")
 
 
-def parameter_arrays(m: Model, include_embedding: bool = True) -> dict[str, np.ndarray]:
+def parameter_arrays(m: Model) -> dict[str, np.ndarray]:
     """Learnable arrays by stable name; the optimizer and checkpoints key off these."""
     params: dict[str, np.ndarray] = {}
-    if include_embedding and m.embedding.trainable:
+    if m.embedding.trainable:
         params["embedding"] = m.embedding.matrix
     for prefix, gru in (("fwd", m.fwd), ("bwd", m.bwd)):
         for name in GRU_FIELDS:
@@ -169,96 +171,13 @@ def parameter_arrays(m: Model, include_embedding: bool = True) -> dict[str, np.n
     return params
 
 
-# --- single-sequence forward -------------------------------------------------
-
-
-def gru_step(p: GruParams, x_t: np.ndarray, h_prev: np.ndarray):
-    """One recurrence step; also works on (B, d) / (B, h) batches.
-
-    Returns the new state and the step's intermediates (x, h_prev, r, z, c, U_h h_prev).
-    """
-    if x_t.shape[-1] != p.d or h_prev.shape[-1] != p.h:
-        raise ValueError(
-            f"shape mismatch: x {x_t.shape}, h {h_prev.shape} vs d={p.d}, h={p.h}"
-        )
-    r = sigmoid(x_t @ p.W_r.T + h_prev @ p.U_r.T + p.b_r)
-    z = sigmoid(x_t @ p.W_z.T + h_prev @ p.U_z.T + p.b_z)
-    uh = h_prev @ p.U_h.T
-    c = np.tanh(x_t @ p.W_h.T + r * uh + p.b_h)
-    h_t = (1.0 - z) * h_prev + z * c
-    return h_t, (x_t, h_prev, r, z, c, uh)
-
-
-def run_direction(p: GruParams, xs: np.ndarray, reverse: bool = False) -> np.ndarray:
-    """All states of one direction over a (T, d) sequence, aligned to positions.
-
-    Forward mode returns the state after reading x_1..x_t at position t;
-    reverse mode reads x_T..x_t, so position 0 holds the full right-to-left
-    summary. A zero-length input yields the single zero initial state.
-    """
-    xs = np.asarray(xs)
-    n = xs.shape[0]
-    dtype = p.W_r.dtype
-    if n == 0:
-        return np.zeros((1, p.h), dtype=dtype)
-    states = np.empty((n, p.h), dtype=dtype)
-    h = np.zeros(p.h, dtype=dtype)
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    for t in order:
-        h, _ = gru_step(p, xs[t], h)
-        states[t] = h
-    return states
+# --- forward ------------------------------------------------------------------
 
 
 def inverted_dropout_mask(shape, rate: float, rng: np.random.Generator, dtype) -> np.ndarray:
     """Keep mask scaled by 1/(1-rate) so expectations match inference."""
     keep = rng.random(shape) >= rate
     return keep.astype(dtype) / dtype.type(1.0 - rate)
-
-
-def encode_post(
-    m: Model,
-    seq: TokenSequence,
-    mode: str = "infer",
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Summary vector [fwd final state, bwd final state] of length 2h.
-
-    In train mode, inverted dropout is applied to the embedded sequence
-    (per-position mask, then one input mask shared across timesteps) and to
-    the concatenated summary. Infer mode applies no dropout or rescaling.
-    """
-    if mode not in ("train", "infer"):
-        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    train = mode == "train"
-    if train and rng is None:
-        raise ValueError("train mode needs an rng for dropout masks")
-    dtype = m.dtype
-    length = seq.length
-    if length == 0:
-        u = np.zeros(2 * m.h, dtype=dtype)
-    else:
-        X = m.embedding.matrix[np.asarray(seq.ids)[:length]]
-        if train:
-            if m.dropout_embed > 0.0:
-                X = X * inverted_dropout_mask(X.shape, m.dropout_embed, rng, dtype)
-            if m.dropout_gru_in > 0.0:
-                X = X * inverted_dropout_mask((m.d,), m.dropout_gru_in, rng, dtype)
-        h_fwd = run_direction(m.fwd, X)[-1]
-        h_bwd = run_direction(m.bwd, X, reverse=True)[0]
-        u = np.concatenate([h_fwd, h_bwd])
-    if train and m.dropout_gru_out > 0.0:
-        u = u * inverted_dropout_mask(u.shape, m.dropout_gru_out, rng, dtype)
-    return u
-
-
-def predict(m: Model, seq: TokenSequence) -> float:
-    """Clickbait score in (0, 1); deterministic (no dropout)."""
-    u = encode_post(m, seq, mode="infer")
-    return float(sigmoid(u @ m.head.w + m.head.b[0]))
-
-
-# --- batched forward ----------------------------------------------------------
 
 
 @dataclass
@@ -427,7 +346,9 @@ def forward_batch(
 ) -> tuple[np.ndarray, ForwardCache | None]:
     """Predictions for a (B, T) id batch; PAD steps beyond each length are skipped.
 
-    Equivalent to `predict` per row when `masks` is None.
+    With `masks` None this is inference; `tests/oracle.py` recomputes each
+    row with scalar loops. `want_cache` also returns what `train.backprop`
+    reads back.
     """
     ids = np.asarray(ids)
     B, T = ids.shape
@@ -459,29 +380,17 @@ def forward_batch(
     )
 
 
-def predict_batch(m: Model, seqs: list[TokenSequence], chunk: int = 512) -> np.ndarray:
-    """Scores for many sequences, in input order."""
-    out = np.empty(len(seqs), dtype=np.float64)
-    for start in range(0, len(seqs), chunk):
-        part = seqs[start : start + chunk]
-        ids = np.stack([s.ids for s in part])
-        lengths = np.array([s.length for s in part])
-        preds, _ = forward_batch(m, ids, lengths)
-        out[start : start + len(part)] = preds
+def predict_batch(m: Model, ids: np.ndarray, lengths: np.ndarray, chunk: int = 512) -> np.ndarray:
+    """Scores for the rows of an (N, T) id array, in row order, `chunk` rows per batch."""
+    out = np.empty(len(ids), dtype=np.float64)
+    for start in range(0, len(ids), chunk):
+        part = slice(start, start + chunk)
+        preds, _ = forward_batch(m, ids[part], lengths[part])
+        out[part] = preds
     return out
 
 
 # --- checkpointing ------------------------------------------------------------
-
-
-def _array_manifest(m: Model) -> dict[str, np.ndarray]:
-    arrays = {"embedding": m.embedding.matrix}
-    for prefix, gru in (("fwd", m.fwd), ("bwd", m.bwd)):
-        for name in GRU_FIELDS:
-            arrays[f"{prefix}.{name}"] = getattr(gru, name)
-    arrays["head.w"] = m.head.w
-    arrays["head.b"] = m.head.b
-    return arrays
 
 
 def save_model(
@@ -492,7 +401,7 @@ def save_model(
     text_field: str = "postText",
 ) -> None:
     """Write a self-describing binary checkpoint with deterministic bytes."""
-    arrays = _array_manifest(m)
+    arrays = {"embedding": m.embedding.matrix, **parameter_arrays(m)}
     manifest = [
         {
             "name": name,
@@ -523,27 +432,88 @@ def save_model(
         out.write(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes())
 
 
-def load_model(inp: BinaryIO) -> tuple[Model, Vocabulary, dict]:
-    """Read a checkpoint; bit-exact inverse of save_model."""
-    magic = inp.read(len(CHECKPOINT_MAGIC))
-    if magic != CHECKPOINT_MAGIC:
-        raise DataError("not a model checkpoint (bad magic bytes)")
-    (header_len,) = struct.unpack("<Q", inp.read(8))
-    header = json.loads(inp.read(header_len).decode("utf-8"))
+def _array_shapes(vocab_size: int, d: int, h: int) -> dict[str, tuple[int, ...]]:
+    """Shape of every checkpoint array by name, in the order save_model writes them."""
+    gate_shapes = {"W": (h, d), "U": (h, h), "b": (h,)}
+    shapes = {"embedding": (vocab_size, d)}
+    for prefix in ("fwd", "bwd"):
+        for name in GRU_FIELDS:
+            shapes[f"{prefix}.{name}"] = gate_shapes[name[0]]
+    shapes["head.w"] = (2 * h,)
+    shapes["head.b"] = (1,)
+    return shapes
+
+
+def _read_header(inp: BinaryIO) -> dict:
+    """The JSON header after the magic bytes, with every key load_model reads."""
+    prefix = inp.read(8)
+    if len(prefix) != 8:
+        raise DataError("checkpoint truncated in its header length")
+    (header_len,) = struct.unpack("<Q", prefix)
+    if header_len > MAX_HEADER_BYTES:
+        raise DataError(f"checkpoint header length {header_len} exceeds {MAX_HEADER_BYTES}")
+    blob = inp.read(header_len)
+    if len(blob) != header_len:
+        raise DataError("checkpoint truncated in its header")
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise DataError(f"checkpoint header is not UTF-8 JSON: {e}") from e
+    if not isinstance(header, dict):
+        raise DataError("checkpoint header is not a JSON object")
     if header.get("format") != CHECKPOINT_FORMAT or header.get("version") != CHECKPOINT_VERSION:
         raise DataError(
             f"unsupported checkpoint format/version: "
             f"{header.get('format')!r} v{header.get('version')!r}"
         )
+    missing = [key for key in HEADER_KEYS if key not in header]
+    if missing:
+        raise DataError(f"checkpoint header lacks {', '.join(missing)}")
+    if not all(type(header[key]) is int and header[key] >= 1 for key in ("d", "h", "max_len")):
+        raise DataError("checkpoint d, h and max_len must be positive integers")
+    tokens = header["vocab_tokens"]
+    if not isinstance(tokens, list) or set(map(type, tokens)) - {str}:
+        raise DataError("checkpoint vocab_tokens must be a list of strings")
+    return header
+
+
+def load_model(inp: BinaryIO) -> tuple[Model, Vocabulary, dict]:
+    """Read a checkpoint; bit-exact inverse of save_model.
+
+    A checkpoint that is cut short, whose header is not the v1 JSON, or whose
+    arrays are not the ones save_model writes for the header's d, h and
+    vocabulary, raises DataError.
+    """
+    magic = inp.read(len(CHECKPOINT_MAGIC))
+    if magic != CHECKPOINT_MAGIC:
+        raise DataError("not a model checkpoint (bad magic bytes)")
+    header = _read_header(inp)
+    shapes = _array_shapes(len(header["vocab_tokens"]) + 2, header["d"], header["h"])
+    entries = header["arrays"] if isinstance(header["arrays"], list) else []
+    names = [entry.get("name") if isinstance(entry, dict) else None for entry in entries]
+    if names != list(shapes):
+        absent = [name for name in shapes if name not in names]
+        raise DataError(
+            f"checkpoint arrays are not the saved model's in order: "
+            f"{len(names)} listed, missing {absent}"
+        )
     arrays = {}
-    for entry in header["arrays"]:
+    for entry in entries:
+        name, shape = entry["name"], shapes[entry["name"]]
+        if entry.get("shape") != list(shape):
+            raise DataError(
+                f"checkpoint array {name!r} has shape {entry.get('shape')}, not {list(shape)}"
+            )
+        if entry.get("dtype") not in ("<f4", "<f8"):
+            raise DataError(
+                f"checkpoint array {name!r} has dtype {entry.get('dtype')!r}, not <f4 or <f8"
+            )
         dtype = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = int(np.prod(shape))
         data = inp.read(count * dtype.itemsize)
         if len(data) != count * dtype.itemsize:
-            raise DataError(f"checkpoint truncated while reading {entry['name']!r}")
-        arrays[entry["name"]] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+            raise DataError(f"checkpoint truncated while reading {name!r}")
+        arrays[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
 
     vocab = Vocabulary.from_tokens(header["vocab_tokens"])
     embedding = EmbeddingTable(

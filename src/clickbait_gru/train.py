@@ -28,7 +28,7 @@ from .nn import (
     predict_batch,
 )
 from .rng import named_rng
-from .text import PAD_ID, EmbeddingTable, TokenSequence, Vocabulary, encode, tokenize
+from .text import EmbeddingTable, Vocabulary, encode, tokenize
 
 CLIP_LIMIT = 5.0
 TEXT_FIELDS = ("postText", "targetDescription", "targetTitle")
@@ -136,22 +136,6 @@ def mse_loss(preds, targets) -> float:
     return math.fsum((p - t) ** 2 for p, t in zip(preds, targets)) / len(preds)
 
 
-def _stack_batch(batch, pad_to: int | None = None):
-    """Pad sequences to a common width and return (ids, lengths, targets)."""
-    width = max(len(seq.ids) for seq, _ in batch)
-    if pad_to is not None:
-        width = max(width, pad_to)
-    ids = np.full((len(batch), width), PAD_ID, dtype=np.int32)
-    lengths = np.empty(len(batch), dtype=np.int64)
-    targets = np.empty(len(batch), dtype=np.float64)
-    for i, (seq, target) in enumerate(batch):
-        n = len(seq.ids)
-        ids[i, :n] = seq.ids
-        lengths[i] = min(seq.length, width)
-        targets[i] = target
-    return ids, lengths, targets
-
-
 def _gru_backward(p: GruParams, X, pack: Packing, tape: GruTape, dh, reverse: bool,
                   grads: GradientSet, prefix: str):
     """Reverse accumulation through one packed direction; sets its gradients in
@@ -230,26 +214,28 @@ def _embedding_grad(tokens, dX, pack: Packing, vocab_size: int) -> RowSparseGrad
 
 def backprop(
     m: Model,
-    batch: list[tuple[TokenSequence, float]],
+    ids: np.ndarray,
+    lengths: np.ndarray,
+    targets: np.ndarray,
     masks: DropoutMasks | None = None,
     clip: float | None = CLIP_LIMIT,
 ) -> tuple[float, GradientSet]:
     """Batch MSE and its exact gradient for every parameter array.
 
-    Gradients are accumulated over the batch, then clipped elementwise to
-    [-clip, clip] (pass clip=None to disable, e.g. for finite-difference
-    comparison).
+    The batch is a (B, T) id array, its (B,) lengths and its (B,) float
+    targets, as `encode_dataset` returns them. Gradients are accumulated
+    over the batch, then clipped elementwise to [-clip, clip] (pass
+    clip=None to disable, e.g. for finite-difference comparison).
     """
-    if not batch:
+    if len(ids) == 0:
         raise ValueError("batch must be non-empty")
-    ids, lengths, targets = _stack_batch(batch)
     preds, cache = forward_batch(m, ids, lengths, masks=masks, want_cache=True)
     loss = mse_loss(preds, targets)
 
     params = parameter_arrays(m)
     grads: GradientSet = dict.fromkeys(params)
     h = m.h
-    B = len(batch)
+    B = len(ids)
     pack = cache.pack
 
     dp = (2.0 / B) * (preds - targets.astype(preds.dtype))
@@ -334,18 +320,16 @@ def rmsprop_update(
 
 def encode_dataset(
     ds: LabeledDataset, vocab: Vocabulary, max_len: int, text_field: str = "postText"
-) -> list[tuple[TokenSequence, float]]:
-    """(sequence, judgment-mean target) pairs in dataset order."""
-    pairs = []
-    for record, judgment in ds:
-        tokens = tokenize(record.field_text(text_field))
-        pairs.append((encode(tokens, vocab, max_len), judgment.mean))
-    return pairs
-
-
-def _dataset_mse(m: Model, pairs) -> float:
-    preds = predict_batch(m, [seq for seq, _ in pairs])
-    return mse_loss(preds, [t for _, t in pairs])
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dataset as arrays, in dataset order: (N, max_len) ids, (N,) lengths
+    and (N,) judgment-mean targets."""
+    ids = np.empty((len(ds), max_len), dtype=np.int32)
+    lengths = np.empty(len(ds), dtype=np.int64)
+    targets = np.empty(len(ds), dtype=np.float64)
+    for i, (record, judgment) in enumerate(ds):
+        seq = encode(tokenize(record.field_text(text_field)), vocab, max_len)
+        ids[i], lengths[i], targets[i] = seq.ids, seq.length, judgment.mean
+    return ids, lengths, targets
 
 
 @dataclass
@@ -373,8 +357,12 @@ def fit(
     if embeddings.d != cfg.d:
         raise ValueError(f"embedding dim {embeddings.d} != configured d {cfg.d}")
 
-    train_pairs = encode_dataset(train, vocab, cfg.max_len, cfg.text_field)
-    valid_pairs = encode_dataset(valid, vocab, cfg.max_len, cfg.text_field)
+    train_ids, train_lengths, train_targets = encode_dataset(
+        train, vocab, cfg.max_len, cfg.text_field
+    )
+    valid_ids, valid_lengths, valid_targets = encode_dataset(
+        valid, vocab, cfg.max_len, cfg.text_field
+    )
 
     # train on a private copy: updates must never leak into the caller's table
     model = init_model(
@@ -390,7 +378,11 @@ def fit(
     opt_state = RmsPropState()
 
     def checkpoint_row(epoch: int) -> EpochStats:
-        row = EpochStats(epoch, _dataset_mse(model, train_pairs), _dataset_mse(model, valid_pairs))
+        row = EpochStats(
+            epoch,
+            mse_loss(predict_batch(model, train_ids, train_lengths), train_targets),
+            mse_loss(predict_batch(model, valid_ids, valid_lengths), valid_targets),
+        )
         if not math.isfinite(row.valid_mse):
             raise NumericError(f"validation MSE non-finite at epoch {epoch}: {row.valid_mse}")
         return row
@@ -399,13 +391,15 @@ def fit(
     best = copy_model(model)
     best_valid = history[0].valid_mse
 
-    n = len(train_pairs)
+    n = len(train_ids)
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
-            batch = [train_pairs[i] for i in order[start : start + cfg.batch_size]]
+            batch = order[start : start + cfg.batch_size]
             masks = make_dropout_masks(model, len(batch), cfg.max_len, dropout_rng)
-            _, grads = backprop(model, batch, masks=masks)
+            _, grads = backprop(
+                model, train_ids[batch], train_lengths[batch], train_targets[batch], masks=masks
+            )
             rmsprop_update(parameter_arrays(model), grads, opt_state, cfg)
         row = checkpoint_row(epoch)
         history.append(row)
@@ -441,7 +435,9 @@ class GradCheckReport:
 
 def grad_check(
     m: Model,
-    batch: list[tuple[TokenSequence, float]],
+    ids: np.ndarray,
+    lengths: np.ndarray,
+    targets: np.ndarray,
     tolerance: float = 1e-4,
     step: float = 1e-5,
 ) -> GradCheckReport:
@@ -457,13 +453,12 @@ def grad_check(
         raise ValueError("grad_check needs a float64 model")
     if m.dropout_embed or m.dropout_gru_in or m.dropout_gru_out:
         raise ValueError("grad_check needs dropout disabled")
-    ids, lengths, targets = _stack_batch(batch)
 
     def batch_loss() -> float:
         preds, _ = forward_batch(m, ids, lengths)
         return mse_loss(preds, targets)
 
-    _, analytic = backprop(m, batch, clip=None)
+    _, analytic = backprop(m, ids, lengths, targets, clip=None)
     per_array: dict[str, float] = {}
     for name, arr in parameter_arrays(m).items():
         worst = 0.0

@@ -2,12 +2,20 @@
 
 import json
 import random
+import struct
 
 import numpy as np
 import pytest
 
 from clickbait_gru.ingest import Judgment, Label, LabeledDataset, PostRecord
-from clickbait_gru.nn import Model, init_model
+from clickbait_gru.nn import (
+    CHECKPOINT_MAGIC,
+    DenseSigmoid,
+    GruParams,
+    Model,
+    forward_batch,
+    init_model,
+)
 from clickbait_gru.text import EmbeddingTable, Vocabulary
 
 # five-decimal encoding used by the challenge files
@@ -74,6 +82,52 @@ def tiny_model(
     matrix = rng.normal(0.0, 0.3, (vocab_size, d)).astype(dtype)
     matrix[0] = 0.0
     return init_model(EmbeddingTable(matrix=matrix), h, seed=seed, **dropout)
+
+
+def model_of(p: GruParams, matrix) -> Model:
+    """Both directions share `p`; the embedding rows are the inputs; zero head."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    head = DenseSigmoid(w=np.zeros(2 * p.h), b=np.zeros(1))
+    return Model(embedding=EmbeddingTable(matrix=matrix), fwd=p, bwd=p, head=head)
+
+
+def direction_states(m: Model, ids, length: int):
+    """Every state each direction passes through on one post, in reading order.
+
+    Read from `forward_batch(..., want_cache=True)`: the tape holds the state
+    entering each token, the summary the final state. Each result is
+    (length + 1, h), starting with the zero initial state.
+    """
+    _, cache = forward_batch(m, np.asarray([ids]), np.asarray([length]), want_cache=True)
+    final = cache.u_drop[0]
+    fwd = np.vstack([cache.fwd.h_prev, final[: m.h]])
+    bwd = np.vstack([cache.bwd.h_prev[::-1], final[m.h :]])
+    return fwd, bwd
+
+
+def _header_span(raw: bytes) -> tuple[int, int]:
+    """Where the JSON header of checkpoint bytes starts and ends."""
+    start = len(CHECKPOINT_MAGIC) + 8
+    (size,) = struct.unpack("<Q", raw[len(CHECKPOINT_MAGIC) : start])
+    return start, start + size
+
+
+def with_header_blob(raw: bytes, blob: bytes) -> bytes:
+    """Checkpoint bytes `raw` with the header bytes replaced by `blob`."""
+    _, end = _header_span(raw)
+    return CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob + raw[end:]
+
+
+def with_header_edit(edit):
+    """Maps checkpoint bytes to the same bytes with edit(header) applied to the header."""
+
+    def apply(raw: bytes) -> bytes:
+        start, end = _header_span(raw)
+        header = json.loads(raw[start:end])
+        edit(header)
+        return with_header_blob(raw, json.dumps(header).encode("utf-8"))
+
+    return apply
 
 
 @pytest.fixture

@@ -27,8 +27,8 @@ from clickbait_gru.ingest import (
     write_dataset,
 )
 from clickbait_gru.metrics import evaluate
-from clickbait_gru.nn import GruParams, predict, predict_batch, run_direction
-from clickbait_gru.text import TokenSequence, build_vocab, load_glove, tokenize
+from clickbait_gru.nn import GruParams, forward_batch, predict_batch
+from clickbait_gru.text import build_vocab, load_glove, tokenize
 from clickbait_gru.train import (
     RmsPropState,
     TrainConfig,
@@ -41,20 +41,30 @@ from clickbait_gru.train import (
     rmsprop_update,
 )
 
-from conftest import WORDS, make_judgment, synth_dataset, tiny_model, write_glove
+from conftest import (
+    WORDS,
+    direction_states,
+    make_judgment,
+    model_of,
+    synth_dataset,
+    tiny_model,
+    write_glove,
+)
 
 DATA_DIR_VAR = "CLICKBAIT_DATA_DIR"
 GLOVE_VAR = "CLICKBAIT_GLOVE"
 
 
-def random_pairs(rng, n, vocab_size, max_len):
-    """n (sequence, target) pairs with ragged lengths in 1..max_len."""
-    pairs = []
-    for _ in range(n):
-        length = int(rng.integers(1, max_len + 1))
-        ids = rng.integers(0, vocab_size, size=max_len).astype(np.int32)
-        pairs.append((TokenSequence(ids=ids, length=length), float(rng.uniform())))
-    return pairs
+def random_batch(rng, n, vocab_size, max_len):
+    """(ids, lengths, targets) of n posts with ragged lengths in 1..max_len."""
+    ids = np.empty((n, max_len), dtype=np.int32)
+    lengths = np.empty(n, dtype=np.int64)
+    targets = np.empty(n)
+    for i in range(n):
+        lengths[i] = rng.integers(1, max_len + 1)
+        ids[i] = rng.integers(0, vocab_size, size=max_len)
+        targets[i] = rng.uniform()
+    return ids, lengths, targets
 
 
 def test_criterion_1_gradients_match_finite_differences():
@@ -64,8 +74,8 @@ def test_criterion_1_gradients_match_finite_differences():
     for trial in range(20):
         rng = np.random.default_rng(1000 + trial)
         m = tiny_model(vocab_size=10, d=4, h=3, seed=trial)
-        batch = random_pairs(rng, n=1 + trial % 4, vocab_size=10, max_len=5)
-        report = grad_check(m, batch, tolerance=1e-4, step=1e-5)
+        batch = random_batch(rng, n=1 + trial % 4, vocab_size=10, max_len=5)
+        report = grad_check(m, *batch, tolerance=1e-4, step=1e-5)
         worst = max(worst, report.max_rel_error)
         assert report.passed, f"trial {trial}: max rel error {report.max_rel_error:g}"
     assert worst < 1e-4
@@ -83,16 +93,16 @@ def test_criterion_2_forward_pass_matches_naive_oracle():
         for _ in range(10):
             length = int(rng.integers(1, 6))
             ids = rng.integers(0, 10, size=6).astype(np.int32)
-            seq = TokenSequence(ids=ids, length=length)
-            fast = predict(m, seq)
+            fast, _ = forward_batch(m, ids[None], np.array([length]))
             slow = naive_predict(m, ids, length)
-            assert abs(fast - slow) < 1e-10
+            assert abs(fast[0] - slow) < 1e-10
             checked += 1
     assert checked == 100
 
 
 def test_criterion_3_state_never_leaves_unit_interval():
-    """1000 random (parameters, input) draws keep every state component in [-1, 1]."""
+    """1000 random (parameters, input) draws keep every state component of both
+    directions in [-1, 1]."""
     rng = np.random.default_rng(7)
     d, h = 4, 3
     for _ in range(1000):
@@ -104,22 +114,23 @@ def test_criterion_3_state_never_leaves_unit_interval():
             b_r=w(h), b_z=w(h), b_h=w(h),
         )
         xs = scale * rng.standard_normal((int(rng.integers(1, 9)), d))
-        for reverse in (False, True):
-            states = run_direction(params, xs, reverse=reverse)
+        m = model_of(params, xs)
+        for states in direction_states(m, np.arange(len(xs)), len(xs)):
             assert np.all(states >= -1.0) and np.all(states <= 1.0)
 
 
-def _sgd_epochs(m, pairs, cfg, epochs, stop):
-    """Shuffled mini-batch RMSprop epochs; returns the first epoch where stop()
-    is true, or None."""
+def _sgd_epochs(m, data, cfg, epochs, stop):
+    """Shuffled mini-batch RMSprop epochs over (ids, lengths, targets); returns
+    the first epoch where stop() is true, or None."""
+    ids, lengths, targets = data
     state = RmsPropState()
     params = parameter_arrays(m)
     rng = np.random.default_rng(cfg.seed)
     for epoch in range(1, epochs + 1):
-        order = rng.permutation(len(pairs))
-        for start in range(0, len(pairs), cfg.batch_size):
-            batch = [pairs[i] for i in order[start : start + cfg.batch_size]]
-            _, grads = backprop(m, batch)
+        order = rng.permutation(len(ids))
+        for start in range(0, len(ids), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            _, grads = backprop(m, ids[batch], lengths[batch], targets[batch])
             rmsprop_update(params, grads, state, cfg)
         if stop(m):
             return epoch
@@ -135,41 +146,40 @@ def test_criterion_4_trainability():
     # must be distinct or colliding targets set an irreducible MSE floor
     rng = np.random.default_rng(11)
     m = tiny_model(vocab_size=40, d=8, h=8, seed=11)
-    pairs, keys = [], set()
-    while len(pairs) < 32:
+    rows, targets, keys = [], [], set()
+    while len(rows) < 32:
         ids = rng.integers(2, 40, size=5).astype(np.int32)
         if tuple(ids) in keys:
             continue
         keys.add(tuple(ids))
-        pairs.append((TokenSequence(ids=ids, length=5), float(rng.uniform())))
+        rows.append(ids)
+        targets.append(rng.uniform())
+    data = (np.stack(rows), np.full(32, 5), np.array(targets))
     cfg = TrainConfig(
         batch_size=32, learning_rate=1e-2, epochs=500, d=8, h=8, max_len=5,
         dropout_embed=0.0, dropout_gru_in=0.0, dropout_gru_out=0.0, seed=11,
     )
 
     def memorized(model):
-        preds = predict_batch(model, [seq for seq, _ in pairs])
-        return mse_loss(preds, [t for _, t in pairs]) < 0.01
+        return mse_loss(predict_batch(model, data[0], data[1]), data[2]) < 0.01
 
-    epoch = _sgd_epochs(m, pairs, cfg, epochs=500, stop=memorized)
+    epoch = _sgd_epochs(m, data, cfg, epochs=500, stop=memorized)
     assert epoch is not None, "train MSE never fell below 0.01 in 500 epochs"
 
     # part 2: a marker token fully determines target 0.9 vs 0.1
     MARKER = 2
 
-    def marker_pairs(rng, n):
-        out = []
+    def marker_batch(rng, n):
+        ids = np.empty((n, 6), dtype=np.int32)
         for i in range(n):
-            ids = rng.integers(3, 30, size=6).astype(np.int32)
-            positive = i % 2 == 0
-            if positive:
-                ids[rng.integers(0, 6)] = MARKER
-            out.append((TokenSequence(ids=ids, length=6), 0.9 if positive else 0.1))
-        return out
+            ids[i] = rng.integers(3, 30, size=6)
+            if i % 2 == 0:
+                ids[i, rng.integers(0, 6)] = MARKER
+        return ids, np.full(n, 6), np.where(np.arange(n) % 2 == 0, 0.9, 0.1)
 
     rng = np.random.default_rng(12)
-    train = marker_pairs(rng, 64)
-    held_out = marker_pairs(rng, 32)
+    train = marker_batch(rng, 64)
+    held_out = marker_batch(rng, 32)
     m = tiny_model(vocab_size=30, d=8, h=8, seed=12)
     cfg = TrainConfig(
         batch_size=16, learning_rate=1e-2, epochs=20, d=8, h=8, max_len=6,
@@ -177,9 +187,9 @@ def test_criterion_4_trainability():
     )
 
     def separated(model):
-        preds = predict_batch(model, [seq for seq, _ in held_out])
-        hits = sum((p >= 0.5) == (t > 0.5) for p, (_, t) in zip(preds, held_out))
-        return hits / len(held_out) >= 0.95
+        ids, lengths, targets = held_out
+        hits = np.sum((predict_batch(model, ids, lengths) >= 0.5) == (targets > 0.5))
+        return hits / len(ids) >= 0.95
 
     epoch = _sgd_epochs(m, train, cfg, epochs=20, stop=separated)
     assert epoch is not None, "held-out accuracy never reached 0.95 in 20 epochs"
@@ -280,9 +290,8 @@ def test_criterion_7_headline_regression_quality():
         embeddings, _ = load_glove(f, vocab, cfg.d, seed=cfg.seed)
     model, _ = fit(train, valid, cfg, vocab, embeddings)
 
-    test_pairs = encode_dataset(test, vocab, cfg.max_len, cfg.text_field)
-    preds = predict_batch(model, [seq for seq, _ in test_pairs])
-    mse = mse_loss(preds, [target for _, target in test_pairs])
+    ids, lengths, targets = encode_dataset(test, vocab, cfg.max_len, cfg.text_field)
+    mse = mse_loss(predict_batch(model, ids, lengths), targets)
     assert mse <= 0.040
 
 

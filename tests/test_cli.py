@@ -1,13 +1,24 @@
 """End-to-end runs of the command-line pipeline, in process via main()."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from clickbait_gru.cli import main
-from clickbait_gru.ingest import load_dataset, write_dataset
+from clickbait_gru.ingest import load_dataset, stratified_split, write_dataset
 
-from conftest import WORDS, make_judgment, make_record, results_file, synth_dataset, write_glove
+from conftest import (
+    WORDS,
+    make_judgment,
+    make_record,
+    results_file,
+    synth_dataset,
+    with_header_edit,
+    write_glove,
+)
 
 ARTIFACTS = ("model.ckpt", "history.csv")
 
@@ -221,6 +232,34 @@ class TestTrain:
         assert "data error" in err
 
 
+class TestChallengeScript:
+    def test_writes_what_train_writes_on_its_split(
+        self, challenge_dir, glove_file, tmp_path, capsys
+    ):
+        """The script's checkpoint and history equal `train`'s on the same
+        train/valid split with the same flags."""
+        flags = ["--dim", "8", "--hidden", "4", "--epochs", "1"]
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_challenge_experiment.py"
+        subprocess.run(
+            [sys.executable, str(script), str(challenge_dir), "--glove", str(glove_file),
+             "--out", str(tmp_path / "script"), *flags],
+            check=True, capture_output=True,
+        )
+        # the script's protocol at its default seed 0: test 30%, then valid 15% of the rest
+        train_full, _ = stratified_split(load_dataset(str(challenge_dir)), 0.3, 0)
+        train, valid = stratified_split(train_full, 0.15, 0)
+        write_dataset(train, str(tmp_path / "train"))
+        write_dataset(valid, str(tmp_path / "valid"))
+        code, _, _ = run(
+            capsys, "train", str(tmp_path / "train"), str(tmp_path / "valid"),
+            "--glove", str(glove_file), "--out", str(tmp_path / "cli"), *flags,
+        )
+        assert code == 0
+        for name in ARTIFACTS:
+            script_bytes = (tmp_path / "script" / name).read_bytes()
+            assert script_bytes == (tmp_path / "cli" / name).read_bytes(), name
+
+
 class TestPredict:
     def test_scores_every_instance_in_order(self, work, tmp_path, capsys):
         out = tmp_path / "preds.jsonl"
@@ -261,6 +300,28 @@ class TestPredict:
         )
         assert code == 2
         assert "data error" in err
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda raw: raw[:15],
+            lambda raw: raw[:40],
+            with_header_edit(lambda h: h["arrays"].pop()),
+        ],
+        ids=["short-length-prefix", "cut-header", "head.b-omitted"],
+    )
+    def test_malformed_checkpoint_is_data_error(self, work, tmp_path, capsys, damage):
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(damage((work / "run" / "model.ckpt").read_bytes()))
+        code, _, err = run(
+            capsys,
+            "predict", str(ckpt),
+            "--instances", str(work / "data" / "instances.jsonl"),
+            "--out", str(tmp_path / "preds.jsonl"),
+        )
+        assert code == 2
+        assert err.startswith("data error: checkpoint")
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestEvaluate:
@@ -317,6 +378,29 @@ class TestEvaluate:
         )
         assert code == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize(
+        "score",
+        ['"high"', "null", "NaN", "Infinity", "-1e999", "true", "1" + "0" * 400],
+        ids=["string", "null", "nan", "infinity", "overflow", "bool", "huge-int"],
+    )
+    def test_score_not_finite_number_reported(self, work, tmp_path, capsys, score):
+        results = tmp_path / "results.jsonl"
+        results.write_text(
+            '{"id": "1000", "clickbaitScore": 0.5}\n'
+            f'{{"id": "1001", "clickbaitScore": {score}}}\n'
+        )
+        out = tmp_path / "report.json"
+        code, _, err = run(
+            capsys,
+            "evaluate", str(results),
+            "--truth", str(work / "data" / "truth.jsonl"),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert err.startswith("data error: line 2: clickbaitScore must be a finite number")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_duplicate_result_id(self, work, tmp_path, capsys):
         results = tmp_path / "results.jsonl"

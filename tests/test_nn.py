@@ -1,7 +1,8 @@
-"""GRU cell, bidirectional encoder, dropout, checkpoint format."""
+"""GRU step algebra, bidirectional encoder, dropout, checkpoint format."""
 
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -13,24 +14,26 @@ from clickbait_gru.nn import (
     DenseSigmoid,
     GruParams,
     Model,
-    encode_post,
     forward_batch,
-    gru_step,
     init_gru_params,
     init_model,
     load_model,
     make_dropout_masks,
     pack_batch,
     parameter_arrays,
-    predict,
     predict_batch,
-    run_direction,
     save_model,
     sigmoid,
 )
 from clickbait_gru.rng import named_rng
-from clickbait_gru.text import EmbeddingTable, TokenSequence, Vocabulary
-from conftest import tiny_model
+from clickbait_gru.text import EmbeddingTable, Vocabulary
+from conftest import (
+    direction_states,
+    model_of,
+    tiny_model,
+    with_header_blob,
+    with_header_edit,
+)
 from oracle import naive_predict
 
 
@@ -48,24 +51,51 @@ def zero_params(h, d, dtype=np.float64):
     )
 
 
-def seq_of(ids, length=None):
-    ids = np.asarray(ids, dtype=np.int32)
-    return TokenSequence(ids=ids, length=len(ids) if length is None else length)
+def summary(m, ids, lengths, masks=None):
+    """The (B, 2h) summary the head reads, after output dropout when masked."""
+    _, cache = forward_batch(m, np.asarray(ids), np.asarray(lengths), masks=masks, want_cache=True)
+    return cache.u_drop
+
+
+def hand_step(p, x, hp):
+    """One GRU update with every gate written out longhand."""
+
+    def sig(v):
+        return 1.0 / (1.0 + math.exp(-v))
+
+    out = []
+    for i in range(len(hp)):
+        a_r = p.b_r[i] + sum(p.W_r[i][j] * x[j] for j in range(len(x)))
+        a_r += sum(p.U_r[i][j] * hp[j] for j in range(len(hp)))
+        a_z = p.b_z[i] + sum(p.W_z[i][j] * x[j] for j in range(len(x)))
+        a_z += sum(p.U_z[i][j] * hp[j] for j in range(len(hp)))
+        r_i, z_i = sig(a_r), sig(a_z)
+        uh_i = sum(p.U_h[i][j] * hp[j] for j in range(len(hp)))
+        a_h = p.b_h[i] + sum(p.W_h[i][j] * x[j] for j in range(len(x))) + r_i * uh_i
+        out.append((1.0 - z_i) * hp[i] + z_i * math.tanh(a_h))
+    return out
 
 
 class TestGruStep:
+    """The gate algebra of one step, on states read from the forward tape."""
+
     def test_zero_params_zero_state(self):
-        h, _ = gru_step(zero_params(3, 2), np.zeros(2), np.zeros(3))
-        np.testing.assert_array_equal(h, np.zeros(3))
+        m = model_of(zero_params(3, 2), [[0.4, -0.8], [1.0, 0.5]])
+        for states in direction_states(m, [0, 1], 2):
+            np.testing.assert_array_equal(states, np.zeros((3, 3)))
 
     def test_zero_params_halve_previous_state(self):
-        # gates sit at 0.5 and the candidate at 0, so the update halves h
-        v = np.array([0.6, -0.2, 0.9])
-        h, _ = gru_step(zero_params(3, 2), np.zeros(2), v)
-        np.testing.assert_allclose(h, 0.5 * v, rtol=0, atol=1e-15)
+        # only W_h is set and the second input is zero, so at the second step
+        # the gates sit at 0.5 and the candidate at 0: the update halves h
+        p = zero_params(3, 2)
+        p.W_h[:] = [[0.6, 0.1], [-0.2, 0.3], [0.9, -0.4]]
+        m = model_of(p, [[0.0, 0.0], [1.0, -0.5]])
+        fwd, _ = direction_states(m, [1, 0], 2)
+        assert np.all(fwd[1] != 0.0)
+        np.testing.assert_allclose(fwd[2], 0.5 * fwd[1], rtol=0, atol=1e-15)
 
     def test_matches_scalar_hand_evaluation(self):
-        """Fixed 2x2 weights, every gate written out longhand."""
+        """Fixed 2x2 weights, two tokens, both reading orders."""
         p = GruParams(
             W_r=np.array([[0.1, -0.2], [0.3, 0.0]]),
             W_z=np.array([[-0.1, 0.4], [0.2, 0.2]]),
@@ -77,44 +107,30 @@ class TestGruStep:
             b_z=np.array([0.03, 0.0]),
             b_h=np.array([-0.01, 0.02]),
         )
-        x = [0.5, -1.0]
-        hp = [0.2, 0.3]
-
-        def sig(v):
-            return 1.0 / (1.0 + math.exp(-v))
-
-        expected = []
-        for i in range(2):
-            a_r = p.b_r[i] + p.W_r[i][0] * x[0] + p.W_r[i][1] * x[1]
-            a_r += p.U_r[i][0] * hp[0] + p.U_r[i][1] * hp[1]
-            a_z = p.b_z[i] + p.W_z[i][0] * x[0] + p.W_z[i][1] * x[1]
-            a_z += p.U_z[i][0] * hp[0] + p.U_z[i][1] * hp[1]
-            r_i, z_i = sig(a_r), sig(a_z)
-            uh_i = p.U_h[i][0] * hp[0] + p.U_h[i][1] * hp[1]
-            a_h = p.b_h[i] + p.W_h[i][0] * x[0] + p.W_h[i][1] * x[1] + r_i * uh_i
-            c_i = math.tanh(a_h)
-            expected.append((1.0 - z_i) * hp[i] + z_i * c_i)
-
-        h, _ = gru_step(p, np.array(x), np.array(hp))
-        np.testing.assert_allclose(h, expected, rtol=0, atol=1e-14)
+        xa, xb = [0.5, -1.0], [-0.3, 0.8]
+        fwd, bwd = direction_states(model_of(p, [xa, xb]), [0, 1], 2)
+        h1 = hand_step(p, xa, [0.0, 0.0])
+        g1 = hand_step(p, xb, [0.0, 0.0])
+        np.testing.assert_allclose(fwd[1:], [h1, hand_step(p, xb, h1)], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(bwd[1:], [g1, hand_step(p, xa, g1)], rtol=0, atol=1e-14)
 
     def test_update_gate_forced_closed_keeps_state(self):
+        # the first token opens the update gate, the second shuts it
         p = zero_params(2, 2)
-        p.b_z[:] = -40.0  # z ~ 0
-        v = np.array([0.4, -0.7])
-        h, _ = gru_step(p, np.ones(2), v)
-        np.testing.assert_allclose(h, v, atol=1e-15)
+        p.W_z[:, 0] = 80.0
+        p.b_z[:] = -40.0  # z ~ 1 on [1, 0], z ~ 0 on [0, 1]
+        p.b_h[:] = 0.3
+        fwd, _ = direction_states(model_of(p, [[1.0, 0.0], [0.0, 1.0]]), [0, 1], 2)
+        np.testing.assert_allclose(fwd[1], math.tanh(0.3), atol=1e-12)
+        np.testing.assert_allclose(fwd[2], fwd[1], atol=1e-15)
 
     def test_update_gate_forced_open_takes_candidate(self):
         p = zero_params(2, 2)
         p.b_z[:] = 40.0  # z ~ 1
         p.b_h[:] = 0.3
-        h, _ = gru_step(p, np.zeros(2), np.array([0.9, -0.9]))
-        np.testing.assert_allclose(h, math.tanh(0.3), atol=1e-12)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            gru_step(zero_params(3, 2), np.zeros(5), np.zeros(3))
+        m = model_of(p, [[1.0, -1.0], [0.0, 0.0], [0.5, 0.5]])
+        for states in direction_states(m, [0, 1, 2], 3):
+            np.testing.assert_allclose(states[1:], math.tanh(0.3), atol=1e-12)
 
     @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.01, 100.0))
     @settings(max_examples=100, deadline=None)
@@ -128,90 +144,82 @@ class TestGruStep:
             U_r=draw(h, h), U_z=draw(h, h), U_h=draw(h, h),
             b_r=draw(h), b_z=draw(h), b_h=draw(h),
         )
-        state = np.zeros(h)
-        for _ in range(8):
-            state, _ = gru_step(p, draw(d), state)
-            assert np.all(state >= -1.0) and np.all(state <= 1.0)
+        for states in direction_states(model_of(p, draw(8, d)), np.arange(8), 8):
+            assert np.all(states >= -1.0) and np.all(states <= 1.0)
 
 
 class TestRunDirection:
+    """One direction's states, read from the forward tape."""
+
     def setup_method(self):
         self.p = init_gru_params(3, 4, np.random.default_rng(0), dtype=np.float64)
 
     def test_single_step_equals_gru_step(self):
-        x = np.array([[0.1, -0.2, 0.3]])
-        states = run_direction(self.p, x)
-        expected, _ = gru_step(self.p, x[0], np.zeros(4))
-        np.testing.assert_array_equal(states[0], expected)
+        x = [0.1, -0.2, 0.3]
+        expected = hand_step(self.p, x, [0.0] * 4)
+        for states in direction_states(model_of(self.p, [x]), [0], 1):
+            np.testing.assert_array_equal(states[0], 0.0)
+            np.testing.assert_allclose(states[1], expected, rtol=0, atol=1e-15)
 
     def test_reverse_two_step_composition(self):
-        xs = np.array([[0.1, 0.2, 0.3], [-0.1, 0.0, 0.5]])
-        states = run_direction(self.p, xs, reverse=True)
-        h2, _ = gru_step(self.p, xs[1], np.zeros(4))
-        h1, _ = gru_step(self.p, xs[0], h2)
-        np.testing.assert_array_equal(states[0], h1)
-        np.testing.assert_array_equal(states[1], h2)
+        """The reverse direction reads x_1 then x_0: the forward states of the
+        reversed post."""
+        m = model_of(self.p, [[0.1, 0.2, 0.3], [-0.1, 0.0, 0.5]])
+        _, bwd = direction_states(m, [0, 1], 2)
+        fwd_reversed, _ = direction_states(m, [1, 0], 2)
+        np.testing.assert_array_equal(bwd, fwd_reversed)
 
     def test_zero_length_gives_single_zero_state(self):
-        states = run_direction(self.p, np.zeros((0, 3)))
-        assert states.shape == (1, 4)
-        np.testing.assert_array_equal(states, 0.0)
+        m = model_of(self.p, [[0.1, 0.2, 0.3]])
+        for states in direction_states(m, [0, 0, 0], 0):
+            assert states.shape == (1, 4)
+            np.testing.assert_array_equal(states, 0.0)
 
     def test_forward_emits_all_prefix_states(self):
-        xs = np.array([[0.1, 0.2, 0.3], [-0.1, 0.0, 0.5], [0.7, 0.7, 0.7]])
-        states = run_direction(self.p, xs)
-        h = np.zeros(4)
-        for t in range(3):
-            h, _ = gru_step(self.p, xs[t], h)
-            np.testing.assert_array_equal(states[t], h)
+        """The state after t tokens is the final state of the post cut to t."""
+        m = model_of(self.p, [[0.1, 0.2, 0.3], [-0.1, 0.0, 0.5], [0.7, 0.7, 0.7]])
+        fwd, _ = direction_states(m, [0, 1, 2], 3)
+        cut = summary(m, [[0, 1, 2]] * 4, [0, 1, 2, 3])
+        np.testing.assert_allclose(fwd, cut[:, :4], rtol=0, atol=1e-15)
 
 
 class TestEncodePost:
+    """The (B, 2h) summary `forward_batch` feeds the head."""
+
     def test_output_length_twice_hidden(self):
         m = tiny_model(h=5)
-        u = encode_post(m, seq_of([2, 3, 4]))
-        assert u.shape == (10,)
+        assert summary(m, [[2, 3, 4]], [3]).shape == (1, 10)
 
     def test_zero_length_encodes_to_zero(self):
         m = tiny_model()
-        u = encode_post(m, seq_of([0, 0, 0], length=0))
-        np.testing.assert_array_equal(u, 0.0)
+        np.testing.assert_array_equal(summary(m, [[0, 0, 0]], [0]), 0.0)
 
     def test_pad_tail_ignored(self):
         m = tiny_model()
-        with_pad = encode_post(m, seq_of([2, 3, 0, 0], length=2))
-        without = encode_post(m, seq_of([2, 3], length=2))
+        with_pad = summary(m, [[2, 3, 0, 0]], [2])
+        without = summary(m, [[2, 3]], [2])
         np.testing.assert_array_equal(with_pad, without)
 
     def test_infer_mode_is_pure(self):
         m = tiny_model()
-        a = encode_post(m, seq_of([2, 3, 4]))
-        b = encode_post(m, seq_of([2, 3, 4]))
+        a = summary(m, [[2, 3, 4]], [3])
+        b = summary(m, [[2, 3, 4]], [3])
         assert np.array_equal(a, b)
 
     def test_train_mode_all_rates_zero_equals_infer(self):
         m = tiny_model()
-        rng = named_rng(0, "dropout")
-        train = encode_post(m, seq_of([2, 3, 4]), mode="train", rng=rng)
-        infer = encode_post(m, seq_of([2, 3, 4]))
+        masks = make_dropout_masks(m, 1, 3, named_rng(0, "dropout"))
+        train = summary(m, [[2, 3, 4]], [3], masks=masks)
+        infer = summary(m, [[2, 3, 4]], [3])
         np.testing.assert_array_equal(train, infer)
 
     def test_output_dropout_scales_survivors_by_two(self):
         m = tiny_model(dropout_gru_out=0.5)
-        seq = seq_of([2, 3, 4])
-        infer = encode_post(m, seq)
-        dropped = encode_post(m, seq, mode="train", rng=named_rng(1, "dropout"))
+        masks = make_dropout_masks(m, 1, 3, named_rng(1, "dropout"))
+        infer = summary(m, [[2, 3, 4]], [3])[0]
+        dropped = summary(m, [[2, 3, 4]], [3], masks=masks)[0]
         for got, base in zip(dropped, infer):
-            assert got == 0.0 or np.isclose(got, 2.0 * base, rtol=1e-6)
-
-    def test_train_mode_requires_rng(self):
-        m = tiny_model(dropout_embed=0.2)
-        with pytest.raises(ValueError, match="rng"):
-            encode_post(m, seq_of([2, 3]), mode="train")
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            encode_post(tiny_model(), seq_of([2]), mode="test")
+            assert got == 0.0 or got == 2.0 * base
 
 
 class TestPredict:
@@ -219,53 +227,51 @@ class TestPredict:
         m = tiny_model()
         m.head.w[:] = 0.0
         m.head.b[:] = 0.0
-        assert predict(m, seq_of([2, 3, 4])) == 0.5
+        preds = predict_batch(m, np.array([[2, 3, 4]]), np.array([3]))
+        np.testing.assert_array_equal(preds, 0.5)
 
     def test_output_strictly_inside_unit_interval(self):
         m = tiny_model(seed=3)
-        for ids in ([2], [3, 4, 5], [9, 8, 7, 6]):
-            s = predict(m, seq_of(ids))
-            assert 0.0 < s < 1.0
+        ids = np.array([[2, 0, 0, 0], [3, 4, 5, 0], [9, 8, 7, 6]])
+        preds = predict_batch(m, ids, np.array([1, 3, 4]))
+        assert np.all((0.0 < preds) & (preds < 1.0))
 
     def test_matches_naive_oracle_spot_checks(self):
         m = tiny_model(seed=11)
         for ids, length in (([2, 3, 4], 3), ([5], 1), ([0], 0), ([9, 2, 9, 2, 9], 5)):
-            fast = predict(m, seq_of(ids, length=length))
+            fast, _ = forward_batch(m, np.array([ids]), np.array([length]))
             slow = naive_predict(m, ids, length)
-            assert abs(fast - slow) < 1e-12
+            assert abs(fast[0] - slow) < 1e-12
 
 
 class TestForwardBatch:
     def test_matches_per_sequence_predict(self):
         m = tiny_model(seed=4)
-        seqs = [
-            seq_of([2, 3, 4, 0, 0], length=3),
-            seq_of([5, 6, 0, 0, 0], length=2),
-            seq_of([0, 0, 0, 0, 0], length=0),
-            seq_of([7, 8, 9, 2, 3], length=5),
-        ]
-        ids = np.stack([s.ids for s in seqs])
-        lengths = np.array([s.length for s in seqs])
+        ids = np.array(
+            [[2, 3, 4, 0, 0], [5, 6, 0, 0, 0], [0, 0, 0, 0, 0], [7, 8, 9, 2, 3]], dtype=np.int32
+        )
+        lengths = np.array([3, 2, 0, 5])
         batched, _ = forward_batch(m, ids, lengths)
-        singles = [predict(m, s) for s in seqs]
+        singles = [naive_predict(m, row, n) for row, n in zip(ids, lengths)]
         np.testing.assert_allclose(batched, singles, rtol=0, atol=1e-12)
 
     def test_predict_batch_chunking_preserves_order(self):
         m = tiny_model(seed=4)
-        same_length = [seq_of([2 + (i % 7), 3, 4], length=3) for i in range(23)]
-        mixed_lengths = [
-            seq_of([2 + (i % 7), 3, 4, 5, 6], length=(i * 3) % 6) for i in range(23)
-        ]
-        for seqs in (same_length, mixed_lengths):
-            all_at_once = predict_batch(m, seqs, chunk=512)
-            chunked = predict_batch(m, seqs, chunk=5)
+        i = np.arange(23)
+        ids = np.tile([0, 3, 4, 5, 6], (23, 1))
+        ids[:, 0] = 2 + (i % 7)
+        # same length, then mixed lengths
+        for width, lengths in ((3, np.full(23, 3)), (5, (i * 3) % 6)):
+            all_at_once = predict_batch(m, ids[:, :width], lengths, chunk=512)
+            chunked = predict_batch(m, ids[:, :width], lengths, chunk=5)
             np.testing.assert_array_equal(all_at_once, chunked)
 
     @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 9), width=st.integers(1, 7))
     @settings(max_examples=60, deadline=None)
     def test_packing_invariance(self, seed, batch, width):
         """Any mix and order of lengths, all-empty batches and full rows included,
-        gives per-row `predict` results, and permuting rows permutes them exactly."""
+        gives the scalar oracle's per-row results, and permuting rows permutes
+        them exactly."""
         rng = np.random.default_rng(seed)
         m = tiny_model(seed=seed % 50)
         ids = rng.integers(1, 10, size=(batch, width)).astype(np.int32)
@@ -276,7 +282,7 @@ class TestForwardBatch:
             lengths = rng.integers(0, width + 1, size=batch)
             lengths[rng.integers(batch)] = width
         preds, _ = forward_batch(m, ids, lengths)
-        singles = [predict(m, seq_of(row, length=n)) for row, n in zip(ids, lengths)]
+        singles = [naive_predict(m, row, n) for row, n in zip(ids, lengths)]
         np.testing.assert_allclose(preds, singles, rtol=0, atol=1e-12)
         perm = rng.permutation(batch)
         permuted, _ = forward_batch(m, ids[perm], lengths[perm])
@@ -378,8 +384,10 @@ class TestCheckpoint:
         m = tiny_model(seed=9, dtype=np.float32)
         vocab = Vocabulary.from_tokens([f"w{i}" for i in range(8)])
         _, (back, _, _) = self.roundtrip(m, vocab)
-        seq = seq_of([2, 5, 7])
-        assert predict(m, seq) == predict(back, seq)
+        ids, lengths = np.array([[2, 5, 7]]), np.array([3])
+        np.testing.assert_array_equal(
+            predict_batch(m, ids, lengths), predict_batch(back, ids, lengths)
+        )
 
     def test_bad_magic_rejected(self):
         with pytest.raises(DataError, match="magic"):
@@ -387,12 +395,44 @@ class TestCheckpoint:
 
     def test_truncated_file_rejected(self):
         m = tiny_model(seed=9)
-        vocab = Vocabulary.from_tokens(["a"])
+        vocab = Vocabulary.from_tokens([f"w{i}" for i in range(8)])
         buf = io.BytesIO()
         save_model(m, vocab, buf, max_len=8)
         cut = buf.getvalue()[:-20]
         with pytest.raises(DataError, match="truncated"):
             load_model(io.BytesIO(cut))
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda raw: raw[:15], "truncated in its header length"),
+            (lambda raw: raw[:40], "truncated in its header$"),
+            (lambda raw: raw[:11] + struct.pack("<Q", 2**62) + raw[19:], "exceeds"),
+            (lambda raw: with_header_blob(raw, b'{"d": "\xff"}'), "not UTF-8 JSON"),
+            (lambda raw: with_header_blob(raw, b'{"format": "cbgru'), "not UTF-8 JSON"),
+            (lambda raw: with_header_blob(raw, b"[1]"), "not a JSON object"),
+            (with_header_edit(lambda h: h.pop("h")), "lacks h$"),
+            (with_header_edit(lambda h: h.update(d="4")), "positive integers"),
+            (with_header_edit(lambda h: h["vocab_tokens"].append(3)), "list of strings"),
+            (with_header_edit(lambda h: h["arrays"].pop()), r"missing \['head.b'\]"),
+            (with_header_edit(lambda h: h["arrays"][1].update(name="fwd.W_x")), "fwd.W_r"),
+            (with_header_edit(lambda h: h["arrays"][4].update(shape=[3, 4])), "'fwd.U_r' has"),
+            (with_header_edit(lambda h: h["vocab_tokens"].pop()), "'embedding' has shape"),
+            (with_header_edit(lambda h: h["arrays"][0].update(dtype="|O")), "dtype"),
+        ],
+        ids=[
+            "short-length-prefix", "cut-header", "huge-header-length", "non-utf8-header",
+            "non-json-header", "header-not-object", "missing-key", "d-not-integer",
+            "vocab-not-strings", "array-omitted", "array-renamed", "shape-differs-from-h",
+            "shape-differs-from-vocab", "dtype-not-float",
+        ],
+    )
+    def test_malformed_checkpoint_rejected(self, damage, message):
+        m = tiny_model(seed=9, dtype=np.float32)
+        buf = io.BytesIO()
+        save_model(m, Vocabulary.from_tokens([f"w{i}" for i in range(8)]), buf, max_len=8)
+        with pytest.raises(DataError, match=message):
+            load_model(io.BytesIO(damage(buf.getvalue())))
 
 
 class TestModelInvariants:

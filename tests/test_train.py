@@ -18,7 +18,7 @@ from clickbait_gru.nn import (
     predict_batch,
 )
 from clickbait_gru.rng import named_rng
-from clickbait_gru.text import EmbeddingTable, TokenSequence
+from clickbait_gru.text import EmbeddingTable
 from clickbait_gru.train import (
     RmsPropState,
     RowSparseGrad,
@@ -34,16 +34,12 @@ from clickbait_gru.train import (
 from conftest import make_judgment, make_record, synth_dataset, tiny_model
 
 
-def seq_of(ids, length=None):
-    ids = np.asarray(ids, dtype=np.int32)
-    return TokenSequence(ids=ids, length=len(ids) if length is None else length)
-
-
-SMALL_BATCH = [
-    (seq_of([2, 3, 4, 0, 0], length=3), 0.8),
-    (seq_of([5, 6, 0, 0, 0], length=2), 0.2),
-    (seq_of([7, 8, 9, 2, 3], length=5), 1.0),
-]
+# (ids, lengths, targets), as encode_dataset returns them
+SMALL_BATCH = (
+    np.array([[2, 3, 4, 0, 0], [5, 6, 0, 0, 0], [7, 8, 9, 2, 3]], dtype=np.int32),
+    np.array([3, 2, 5]),
+    np.array([0.8, 0.2, 1.0]),
+)
 
 
 class TestMseLoss:
@@ -85,14 +81,14 @@ class TestBackprop:
         m = tiny_model(seed=0)
         m.head.w[:] = 0.0
         m.head.b[:] = 0.0
-        targets = [y for _, y in SMALL_BATCH]
-        _, grads = backprop(m, SMALL_BATCH, clip=None)
+        targets = SMALL_BATCH[2]
+        _, grads = backprop(m, *SMALL_BATCH, clip=None)
         expected = sum(2.0 * (0.5 - y) * 0.25 for y in targets) / len(targets)
         np.testing.assert_allclose(grads["head.b"], [expected], rtol=1e-12)
 
     def test_zero_length_batch_touches_only_head(self):
         m = tiny_model(seed=1)
-        loss, grads = backprop(m, [(seq_of([0, 0], length=0), 0.9)], clip=None)
+        loss, grads = backprop(m, np.array([[0, 0]]), np.array([0]), np.array([0.9]), clip=None)
         assert loss > 0.0
         for name, g in grads.items():
             if name == "head.b":
@@ -102,33 +98,32 @@ class TestBackprop:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            backprop(tiny_model(), [])
+            backprop(tiny_model(), np.zeros((0, 3), dtype=np.int32), np.zeros(0), np.zeros(0))
 
     def test_clip_bounds_gradients(self):
         m = tiny_model(seed=2)
-        _, grads = backprop(m, SMALL_BATCH, clip=1e-4)
+        _, grads = backprop(m, *SMALL_BATCH, clip=1e-4)
         for g in grads.values():
             assert np.all(np.abs(g) <= 1e-4)
 
     def test_loss_matches_mse_loss(self):
         m = tiny_model(seed=2)
-        loss, _ = backprop(m, SMALL_BATCH, clip=None)
-        ids = np.stack([s.ids for s, _ in SMALL_BATCH])
-        lengths = np.array([s.length for s, _ in SMALL_BATCH])
+        loss, _ = backprop(m, *SMALL_BATCH, clip=None)
+        ids, lengths, targets = SMALL_BATCH
         preds, _ = forward_batch(m, ids, lengths)
-        assert loss == mse_loss(preds, [y for _, y in SMALL_BATCH])
+        assert loss == mse_loss(preds, targets)
 
     def test_batch_order_invariant_loss(self):
         m = tiny_model(seed=2)
-        a, _ = backprop(m, SMALL_BATCH, clip=None)
-        b, _ = backprop(m, SMALL_BATCH[::-1], clip=None)
+        a, _ = backprop(m, *SMALL_BATCH, clip=None)
+        b, _ = backprop(m, *(arr[::-1] for arr in SMALL_BATCH), clip=None)
         assert a == b
 
     def test_nonfinite_loss_names_offending_parameter(self):
         m = tiny_model(seed=2)
         m.head.b[:] = np.nan
         with pytest.raises(NumericError, match="head.b"):
-            backprop(m, SMALL_BATCH)
+            backprop(m, *SMALL_BATCH)
 
     def test_nonfinite_gradient_named(self):
         # an inf embedding survives the saturating forward pass but turns
@@ -136,11 +131,11 @@ class TestBackprop:
         m = tiny_model(seed=2)
         m.embedding.matrix[2, 0] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="fwd."):
-            backprop(m, SMALL_BATCH)
+            backprop(m, *SMALL_BATCH)
 
     def test_gradients_cover_every_parameter(self):
         m = tiny_model(seed=2)
-        _, grads = backprop(m, SMALL_BATCH)
+        _, grads = backprop(m, *SMALL_BATCH)
         params = parameter_arrays(m)
         assert set(grads) == set(params)
         for name in params:
@@ -149,17 +144,14 @@ class TestBackprop:
     def test_dropout_masks_gradients_match_finite_differences(self):
         """The masked loss is deterministic given fixed masks, so FD applies."""
         m = tiny_model(seed=5, dropout_embed=0.3, dropout_gru_in=0.3, dropout_gru_out=0.5)
-        batch = SMALL_BATCH
-        ids = np.stack([s.ids for s, _ in batch])
-        lengths = np.array([s.length for s, _ in batch])
-        targets = [y for _, y in batch]
-        masks = make_dropout_masks(m, len(batch), ids.shape[1], named_rng(3, "dropout"))
+        ids, lengths, targets = SMALL_BATCH
+        masks = make_dropout_masks(m, len(ids), ids.shape[1], named_rng(3, "dropout"))
 
         def loss_now():
             preds, _ = forward_batch(m, ids, lengths, masks=masks)
             return mse_loss(preds, targets)
 
-        _, grads = backprop(m, batch, masks=masks, clip=None)
+        _, grads = backprop(m, ids, lengths, targets, masks=masks, clip=None)
         step = 1e-6
         rng = np.random.default_rng(0)
         for name, arr in parameter_arrays(m).items():
@@ -186,9 +178,9 @@ class TestBackprop:
         m = tiny_model(seed=6, dropout_embed=0.3, dropout_gru_in=0.3, dropout_gru_out=0.5)
         ids = np.array([[2, 5, 2, 7, 0], [5, 5, 3, 0, 0], [2, 0, 0, 0, 0]], dtype=np.int32)
         lengths = np.array([4, 3, 1])
-        batch = [(seq_of(row, length=n), y) for row, n, y in zip(ids, lengths, (0.9, 0.1, 0.6))]
-        masks = make_dropout_masks(m, len(batch), ids.shape[1], named_rng(4, "dropout"))
-        _, grads = backprop(m, batch, masks=masks, clip=None)
+        targets = np.array([0.9, 0.1, 0.6])
+        masks = make_dropout_masks(m, len(ids), ids.shape[1], named_rng(4, "dropout"))
+        _, grads = backprop(m, ids, lengths, targets, masks=masks, clip=None)
         g = grads["embedding"]
         assert isinstance(g, RowSparseGrad)
         np.testing.assert_array_equal(g.rows, [2, 3, 5, 7])
@@ -203,10 +195,7 @@ class TestBackprop:
                 shared.append(ids[b, t])
         spread = tiny_model(seed=6, dropout_embed=0.3, dropout_gru_in=0.3, dropout_gru_out=0.5)
         spread.embedding.matrix = np.concatenate([m.embedding.matrix, m.embedding.matrix[shared]])
-        spread_batch = [
-            (seq_of(row, length=n), y) for row, (_, y), n in zip(spread_ids, batch, lengths)
-        ]
-        _, spread_grads = backprop(spread, spread_batch, masks=masks, clip=None)
+        _, spread_grads = backprop(spread, spread_ids, lengths, targets, masks=masks, clip=None)
         per_token = np.asarray(spread_grads["embedding"])[vocab:]
 
         reference = np.zeros_like(m.embedding.matrix)
@@ -218,7 +207,7 @@ class TestBackprop:
         # central differences on every touched row
         def loss_now():
             preds, _ = forward_batch(m, ids, lengths, masks=masks)
-            return mse_loss(preds, [y for _, y in batch])
+            return mse_loss(preds, targets)
 
         step = 1e-6
         dense = np.asarray(g)
@@ -237,7 +226,7 @@ class TestBackprop:
 class TestGradCheck:
     def test_tiny_model_passes(self):
         m = tiny_model(seed=3)
-        report = grad_check(m, SMALL_BATCH, tolerance=1e-4)
+        report = grad_check(m, *SMALL_BATCH, tolerance=1e-4)
         assert report.passed, report.per_array
         assert set(report.per_array) == set(parameter_arrays(m))
 
@@ -245,26 +234,26 @@ class TestGradCheck:
         m = tiny_model(seed=3)
         for arr in parameter_arrays(m).values():
             arr[:] = 0.0
-        batch = [(seq_of([2, 3]), 0.5)]
-        _, grads = backprop(m, batch, clip=None)
+        batch = (np.array([[2, 3]]), np.array([2]), np.array([0.5]))
+        _, grads = backprop(m, *batch, clip=None)
         np.testing.assert_array_equal(grads["head.b"], 0.0)
-        assert grad_check(m, batch).passed
+        assert grad_check(m, *batch).passed
 
     def test_repeated_runs_identical(self):
         m = tiny_model(seed=3)
-        a = grad_check(m, SMALL_BATCH)
-        b = grad_check(m, SMALL_BATCH)
+        a = grad_check(m, *SMALL_BATCH)
+        b = grad_check(m, *SMALL_BATCH)
         assert a.per_array == b.per_array
 
     def test_single_precision_rejected(self):
         m = tiny_model(seed=3, dtype=np.float32)
         with pytest.raises(ValueError, match="float64"):
-            grad_check(m, SMALL_BATCH)
+            grad_check(m, *SMALL_BATCH)
 
     def test_dropout_enabled_rejected(self):
         m = tiny_model(seed=3, dropout_embed=0.2)
         with pytest.raises(ValueError, match="dropout"):
-            grad_check(m, SMALL_BATCH)
+            grad_check(m, *SMALL_BATCH)
 
 
 class TestRmsprop:
@@ -441,9 +430,8 @@ class TestFit:
         cfg = self.small_cfg(epochs=4, learning_rate=5e-3)
         model, history = fit(ds, valid, cfg, vocab, emb)
         best = min(row.valid_mse for row in history)
-        pairs = encode_dataset(valid, vocab, cfg.max_len)
-        preds = predict_batch(model, [s for s, _ in pairs])
-        achieved = mse_loss(preds, [t for _, t in pairs])
+        ids, lengths, targets = encode_dataset(valid, vocab, cfg.max_len)
+        achieved = mse_loss(predict_batch(model, ids, lengths), targets)
         assert math.isclose(achieved, best, rel_tol=1e-9)
         assert best <= history[0].valid_mse
 
@@ -472,9 +460,8 @@ class TestFit:
 
     def test_targets_are_judgment_means(self):
         ds, vocab, emb = fit_setup()
-        pairs = encode_dataset(ds, vocab, max_len=12)
-        for (rec, judgment), (_, target) in zip(ds, pairs):
-            assert target == judgment.mean
+        _, _, targets = encode_dataset(ds, vocab, max_len=12)
+        assert targets.tolist() == [judgment.mean for _, judgment in ds]
 
 
 class TestWriteHistory:
