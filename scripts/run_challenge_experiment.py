@@ -42,7 +42,7 @@ def parse_args():
 
 def main() -> int:
     args = parse_args()
-    ds = load_dataset(args.data_dir, name=os.path.basename(args.data_dir))
+    ds = load_dataset(args.data_dir)
     train_full, test = stratified_split(ds, args.test_fraction, args.seed)
     train, valid = stratified_split(train_full, args.valid_fraction, args.seed)
     print(f"records: train {len(train)}, valid {len(valid)}, test {len(test)}")

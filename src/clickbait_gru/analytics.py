@@ -24,6 +24,9 @@ from .ingest import (
 )
 
 COUNTS_FILENAME = "counts.json"
+# fig3 bins the judgment mean over [0, 1]; fig4 bins post length in characters
+SCORE_BINS = 20
+LENGTH_BIN_WIDTH = 10
 ANALYTICS_FILENAMES = (
     "fig1_median_label.csv",
     "fig2_box.csv",
@@ -147,13 +150,9 @@ def _format_level(level: float) -> str:
     return f"{level:.5f}".rstrip("0").rstrip(".")
 
 
-def write_analytics(
-    ds: LabeledDataset,
-    out_dir: str,
-    score_bins: int = 20,
-    length_bin_width: int = 10,
-) -> None:
-    """Write the six analytics artifacts into out_dir (created if missing).
+def write_analytics(ds: LabeledDataset, out_dir: str) -> None:
+    """Write the six analytics artifacts into out_dir (created if missing), with
+    SCORE_BINS score-histogram bins and LENGTH_BIN_WIDTH-character length bins.
 
     Output bytes are a pure function of the dataset, so reruns are identical.
     """
@@ -187,7 +186,7 @@ def write_analytics(
             b = boxes[label]
             w.writerow([label.value] + [repr(v) for v in (b.min, b.q1, b.median, b.q3, b.max)])
 
-    scores = score_histogram(ds, score_bins)
+    scores = score_histogram(ds, SCORE_BINS)
     with open(os.path.join(out_dir, "fig3_score_hist.csv"), "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["bin_start", "bin_end", "clickbait", "no_clickbait"])
@@ -201,7 +200,7 @@ def write_analytics(
                 ]
             )
 
-    lengths = length_distribution(ds, bin_width=length_bin_width)
+    lengths = length_distribution(ds, bin_width=LENGTH_BIN_WIDTH)
     with open(os.path.join(out_dir, "fig4_length_hist.csv"), "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["bin_start", "bin_end", "clickbait_pct", "no_clickbait_pct"])

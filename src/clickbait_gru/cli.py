@@ -7,10 +7,8 @@ the same flags produce byte-identical artifacts.
 """
 
 import argparse
-import contextlib
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -19,17 +17,21 @@ import numpy as np
 from .analytics import write_analytics
 from .errors import DataError, NumericError, ParseError
 from .ingest import (
+    TEXT_FIELDS,
     build_dataset,
+    finite_number,
+    index_by_id,
     load_dataset,
     parse_instances,
     parse_truth,
+    read_objects,
     stratified_split,
     write_dataset,
 )
 from .metrics import evaluate
 from .nn import load_model, predict_batch, save_model
-from .text import build_vocab, encode, load_glove, tokenize
-from .train import TEXT_FIELDS, TrainConfig, fit, write_history
+from .text import build_vocab, load_glove, tokenize
+from .train import TrainConfig, encode_posts, fit, write_history
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -122,13 +124,12 @@ def cmd_analyze(args) -> int:
         records = parse_instances(f)
     with open(args.truth, encoding="utf-8") as f:
         truths = parse_truth(f)
-    ds = build_dataset(records, truths, name=os.path.basename(os.path.dirname(args.instances)))
-    write_analytics(ds, args.out)
+    write_analytics(build_dataset(records, truths), args.out)
     return EXIT_OK
 
 
 def cmd_split(args) -> int:
-    ds = load_dataset(args.dataset_dir, name=os.path.basename(args.dataset_dir))
+    ds = load_dataset(args.dataset_dir)
     train, test = stratified_split(ds, args.fraction, args.seed)
     write_dataset(train, args.train_out)
     write_dataset(test, args.test_out)
@@ -179,8 +180,8 @@ def train_and_save(train_ds, valid_ds, cfg: TrainConfig, glove_path: str, out_di
 
 def cmd_train(args) -> int:
     cfg = _train_config(args)
-    train_ds = load_dataset(args.train_dir, name=os.path.basename(args.train_dir))
-    valid_ds = load_dataset(args.valid_dir, name=os.path.basename(args.valid_dir))
+    train_ds = load_dataset(args.train_dir)
+    valid_ds = load_dataset(args.valid_dir)
     _, vocab, history, matched = train_and_save(train_ds, valid_ds, cfg, args.glove, args.out)
 
     best = min(history, key=lambda row: row.valid_mse)
@@ -194,12 +195,12 @@ def cmd_predict(args) -> int:
         model, vocab, meta = load_model(f)
     with open(args.instances, encoding="utf-8") as f:
         records = parse_instances(f)
-    ids = np.empty((len(records), meta["max_len"]), dtype=np.int32)
-    lengths = np.empty(len(records), dtype=np.int64)
-    for i, r in enumerate(records):
-        seq = encode(tokenize(r.field_text(meta["text_field"])), vocab, meta["max_len"])
-        ids[i], lengths[i] = seq.ids, seq.length
+    index_by_id(records)  # a repeated id would be scored twice
+    ids, lengths = encode_posts(records, vocab, meta["max_len"], meta["text_field"])
     scores = predict_batch(model, ids, lengths)
+    bad = np.count_nonzero(~np.isfinite(scores))
+    if bad:
+        raise NumericError(f"the model scores {bad} of {len(scores)} posts non-finite")
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         for record, score in zip(records, scores):
             f.write(json.dumps({"id": record.id, "clickbaitScore": float(score)}))
@@ -209,31 +210,23 @@ def cmd_predict(args) -> int:
 
 
 def _parse_results(stream) -> dict[str, float]:
+    """Scores by id; each must be a number in [0, 1], the range of a judgment mean."""
     scores: dict[str, float] = {}
-    for lineno, line in enumerate(stream, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"bad JSON in results: {e.msg}", line=lineno) from e
-        if not isinstance(obj, dict) or "id" not in obj or "clickbaitScore" not in obj:
-            raise ParseError("results line needs id and clickbaitScore", line=lineno)
+    for lineno, obj in read_objects(stream):
+        if "clickbaitScore" not in obj:
+            raise ParseError("missing 'clickbaitScore'", line=lineno)
         rec_id = str(obj["id"])
         if rec_id in scores:
             raise ParseError(f"duplicate result id {rec_id!r}", line=lineno)
-        scores[rec_id] = _finite_score(obj["clickbaitScore"], lineno)
+        score = finite_number(obj["clickbaitScore"])
+        if score is None or not 0.0 <= score <= 1.0:
+            raise ParseError(
+                f"clickbaitScore must be a finite number in [0, 1], "
+                f"got {obj['clickbaitScore']!r}",
+                line=lineno,
+            )
+        scores[rec_id] = score
     return scores
-
-
-def _finite_score(value, lineno: int) -> float:
-    """A JSON number that is finite as a float; bools, strings and null are not scores."""
-    if type(value) is float and math.isfinite(value):
-        return value
-    if type(value) is int:  # not bool; an int beyond the float range is not finite
-        with contextlib.suppress(OverflowError):
-            return float(value)
-    raise ParseError(f"clickbaitScore must be a finite number, got {value!r}", line=lineno)
 
 
 def cmd_evaluate(args) -> int:
@@ -264,7 +257,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, DataError) as e:
+    except (DataError, UnicodeDecodeError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except OSError as e:

@@ -4,12 +4,13 @@ Input files follow the challenge convention: `instances.jsonl` with one post
 per line and `truth.jsonl` with the five human judgment scores per post id.
 """
 
+import contextlib
 import json
 import math
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .errors import DataError, ParseError
 from .rng import named_rng
@@ -20,6 +21,9 @@ LEVEL_TOLERANCE = 1e-3
 
 INSTANCES_FILENAME = "instances.jsonl"
 TRUTH_FILENAME = "truth.jsonl"
+
+# the post fields a model can be trained on, as `PostRecord.field_text` names them
+TEXT_FIELDS = ("postText", "targetDescription", "targetTitle")
 
 
 class Label(str, Enum):
@@ -70,7 +74,6 @@ class Judgment:
 @dataclass(frozen=True)
 class LabeledDataset:
     records: list[tuple[PostRecord, Judgment]]
-    name: str = ""
 
     def __len__(self) -> int:
         return len(self.records)
@@ -79,12 +82,49 @@ class LabeledDataset:
         return iter(self.records)
 
 
-def _as_str_list(value) -> list[str]:
+def read_objects(stream: Iterable[str]) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of a JSONL stream.
+
+    A line that is not a JSON object, or an object without an "id", raises
+    ParseError with its line number.
+    """
+    for lineno, raw in enumerate(stream, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # also integers past the digit limit
+            raise ParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})", line=lineno) from exc
+        if not isinstance(obj, dict):
+            raise ParseError(f"expected a JSON object, got {type(obj).__name__}", line=lineno)
+        if "id" not in obj:
+            raise ParseError("missing 'id'", line=lineno)
+        yield lineno, obj
+
+
+def finite_number(value) -> float | None:
+    """A JSON number as a finite float; None for anything else (bools, strings,
+    null, NaN, infinities, integers beyond the float range)."""
+    if type(value) is float and math.isfinite(value):
+        return value
+    if type(value) is int:
+        with contextlib.suppress(OverflowError):
+            return float(value)
+    return None
+
+
+def _as_str_list(obj: dict, key: str, lineno: int) -> list[str]:
+    value = obj.get(key)
     if value is None:
         return []
     if isinstance(value, str):
         return [value]
-    return [str(v) for v in value]
+    if isinstance(value, list):
+        return [str(v) for v in value]
+    raise ParseError(
+        f"{key} must be a string, a list or null, got {type(value).__name__}", line=lineno
+    )
 
 
 def _as_str(value) -> str:
@@ -95,31 +135,20 @@ def _as_str(value) -> str:
 
 def parse_instances(stream: Iterable[str]) -> list[PostRecord]:
     """Parse an instances.jsonl stream, one PostRecord per non-empty line."""
-    records = []
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON ({exc.msg})", line=lineno) from exc
-        if "id" not in obj:
-            raise ParseError("missing 'id'", line=lineno)
-        records.append(
-            PostRecord(
-                id=str(obj["id"]),
-                post_text=_as_str_list(obj.get("postText")),
-                post_timestamp=_as_str(obj.get("postTimestamp")),
-                post_media=_as_str_list(obj.get("postMedia")),
-                target_title=_as_str(obj.get("targetTitle")),
-                target_description=_as_str(obj.get("targetDescription")),
-                target_keywords=_as_str(obj.get("targetKeywords")),
-                target_paragraphs=_as_str_list(obj.get("targetParagraphs")),
-                target_captions=_as_str_list(obj.get("targetCaptions")),
-            )
+    return [
+        PostRecord(
+            id=str(obj["id"]),
+            post_text=_as_str_list(obj, "postText", lineno),
+            post_timestamp=_as_str(obj.get("postTimestamp")),
+            post_media=_as_str_list(obj, "postMedia", lineno),
+            target_title=_as_str(obj.get("targetTitle")),
+            target_description=_as_str(obj.get("targetDescription")),
+            target_keywords=_as_str(obj.get("targetKeywords")),
+            target_paragraphs=_as_str_list(obj, "targetParagraphs", lineno),
+            target_captions=_as_str_list(obj, "targetCaptions", lineno),
         )
-    return records
+        for lineno, obj in read_objects(stream)
+    ]
 
 
 def snap_to_level(value: float) -> float:
@@ -144,34 +173,31 @@ def parse_truth(stream: Iterable[str]) -> list[tuple[str, Judgment]]:
     """Parse a truth.jsonl stream, validating each judgment line.
 
     Validation per line: exactly five scores, each at one of the four levels;
-    stored mean and median consistent with the scores to 1e-3; known class
-    string.
+    stored mean and median finite numbers consistent with the scores to 1e-3;
+    known class string.
     """
     out = []
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON ({exc.msg})", line=lineno) from exc
-        if "id" not in obj:
-            raise ParseError("missing 'id'", line=lineno)
+    for lineno, obj in read_objects(stream):
         scores = obj.get("truthJudgments")
         if not isinstance(scores, list) or len(scores) != 5:
             raise ParseError(
                 f"expected exactly 5 judgment scores, got {scores!r}", line=lineno
             )
+        numbers = tuple(map(finite_number, scores))
+        if None in numbers:
+            raise ParseError(f"judgment scores must be finite numbers, got {scores!r}", line=lineno)
+        scores = numbers
         try:
-            scores = tuple(float(s) for s in scores)
             for s in scores:
                 snap_to_level(s)
-        except (TypeError, ValueError, DataError) as exc:
+        except DataError as exc:
             raise ParseError(str(exc), line=lineno) from exc
 
-        mean = float(obj.get("truthMean", math.nan))
-        median = float(obj.get("truthMedian", math.nan))
+        mean = finite_number(obj.get("truthMean"))
+        median = finite_number(obj.get("truthMedian"))
+        if mean is None or median is None:
+            key = "truthMean" if mean is None else "truthMedian"
+            raise ParseError(f"{key} must be a finite number, got {obj.get(key)!r}", line=lineno)
         if not abs(mean - sum(scores) / 5.0) <= LEVEL_TOLERANCE:
             raise ParseError(
                 f"truthMean {mean!r} inconsistent with scores {scores!r}", line=lineno
@@ -190,17 +216,21 @@ def parse_truth(stream: Iterable[str]) -> list[tuple[str, Judgment]]:
     return out
 
 
-def build_dataset(
-    records: list[PostRecord],
-    truths: list[tuple[str, Judgment]],
-    name: str = "",
-) -> LabeledDataset:
-    """Join instances with truth lines on id; both sides must match 1:1."""
+def index_by_id(records: list[PostRecord]) -> dict[str, PostRecord]:
+    """Records by id; a repeated id raises DataError."""
     by_id = {}
     for rec in records:
         if rec.id in by_id:
             raise DataError(f"duplicate instance id {rec.id!r}")
         by_id[rec.id] = rec
+    return by_id
+
+
+def build_dataset(
+    records: list[PostRecord], truths: list[tuple[str, Judgment]]
+) -> LabeledDataset:
+    """Join instances with truth lines on id; both sides must match 1:1."""
+    by_id = index_by_id(records)
     truth_ids = set()
     joined = []
     for rec_id, judgment in truths:
@@ -216,10 +246,10 @@ def build_dataset(
             f"{len(unlabeled)} instance ids have no truth line "
             f"(first: {unlabeled[0]!r})"
         )
-    return LabeledDataset(records=joined, name=name)
+    return LabeledDataset(records=joined)
 
 
-def load_dataset(directory: str, name: str = "") -> LabeledDataset:
+def load_dataset(directory: str) -> LabeledDataset:
     """Load instances.jsonl + truth.jsonl from a dataset directory."""
     instances_path = os.path.join(directory, INSTANCES_FILENAME)
     truth_path = os.path.join(directory, TRUTH_FILENAME)
@@ -227,7 +257,7 @@ def load_dataset(directory: str, name: str = "") -> LabeledDataset:
         records = parse_instances(f)
     with open(truth_path, encoding="utf-8") as f:
         truths = parse_truth(f)
-    return build_dataset(records, truths, name=name or os.path.basename(directory))
+    return build_dataset(records, truths)
 
 
 def validate_label_rule(ds: LabeledDataset) -> list[tuple[str, float, Label]]:
@@ -290,10 +320,7 @@ def stratified_split(
 
     train_records = [ds.records[i] for i in range(n) if i not in test_idx]
     test_records = [ds.records[i] for i in range(n) if i in test_idx]
-    return (
-        LabeledDataset(train_records, name=f"{ds.name}-train"),
-        LabeledDataset(test_records, name=f"{ds.name}-test"),
-    )
+    return LabeledDataset(train_records), LabeledDataset(test_records)
 
 
 @dataclass(frozen=True)

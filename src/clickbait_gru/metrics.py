@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 from .ingest import Judgment, Label
 
-LABEL_MODES = ("class", "mean-threshold")
-
 
 @dataclass
 class EvalReport:
@@ -73,20 +71,14 @@ def confusion(pred_labels, true_labels) -> tuple[int, int, int, int]:
     return tp, fp, fn, tn
 
 
-def evaluate(
-    preds,
-    truth: list[Judgment],
-    threshold: float = 0.5,
-    label_mode: str = "class",
-) -> EvalReport:
+def evaluate(preds, truth: list[Judgment], threshold: float = 0.5) -> EvalReport:
     """Score predictions against judgments.
 
     Regression metrics compare to the judgment mean. For classification, a
-    prediction is positive when pred >= threshold; the reference label comes
-    from the annotated class (label_mode "class") or from thresholding the
-    judgment mean the same way ("mean-threshold"). Zero-denominator precision,
-    recall, and f1 are defined as 0. Constant truth means make R2 meaningless;
-    it is reported as 0 with r2_degenerate set.
+    prediction is positive when pred >= threshold, and the reference label is
+    the annotated class. Zero-denominator precision, recall, and f1 are
+    defined as 0. Constant truth means make R2 meaningless; it is reported as
+    0 with r2_degenerate set.
     """
     preds = [float(p) for p in preds]
     if len(preds) != len(truth):
@@ -95,8 +87,6 @@ def evaluate(
         raise ValueError("evaluate needs at least 2 examples")
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    if label_mode not in LABEL_MODES:
-        raise ValueError(f"label_mode must be one of {LABEL_MODES}, got {label_mode!r}")
 
     start = time.perf_counter()
     n = len(preds)
@@ -107,13 +97,7 @@ def evaluate(
     medae = lower_median(abs(p - m) for p, m in zip(preds, means))
 
     pred_labels = [Label.CLICKBAIT if p >= threshold else Label.NO_CLICKBAIT for p in preds]
-    if label_mode == "class":
-        true_labels = [j.class_label for j in truth]
-    else:
-        true_labels = [
-            Label.CLICKBAIT if j.mean >= threshold else Label.NO_CLICKBAIT for j in truth
-        ]
-    tp, fp, fn, tn = confusion(pred_labels, true_labels)
+    tp, fp, fn, tn = confusion(pred_labels, [j.class_label for j in truth])
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0

@@ -23,14 +23,16 @@ recurrent weight stack (`stack_gates`), so it costs two matmul calls and no
 PAD work. `GruParams` keeps the nine named arrays that checkpoints store.
 """
 
+import copy
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import BinaryIO
 
 import numpy as np
 
 from .errors import DataError
+from .ingest import TEXT_FIELDS
 from .rng import named_rng
 from .text import EmbeddingTable, Vocabulary
 
@@ -160,9 +162,7 @@ GRU_FIELDS = ("W_r", "W_z", "W_h", "U_r", "U_z", "U_h", "b_r", "b_z", "b_h")
 
 def parameter_arrays(m: Model) -> dict[str, np.ndarray]:
     """Learnable arrays by stable name; the optimizer and checkpoints key off these."""
-    params: dict[str, np.ndarray] = {}
-    if m.embedding.trainable:
-        params["embedding"] = m.embedding.matrix
+    params = {"embedding": m.embedding.matrix}
     for prefix, gru in (("fwd", m.fwd), ("bwd", m.bwd)):
         for name in GRU_FIELDS:
             params[f"{prefix}.{name}"] = getattr(gru, name)
@@ -278,7 +278,8 @@ class ForwardCache:
     """What the backward pass reuses from one batched forward run.
 
     Token-level arrays are in the packed time-major order of `pack`; only
-    real tokens are stored, never PAD positions.
+    real tokens are stored, never PAD positions. The predictions and the
+    dropout masks are not kept: `backprop` holds both already.
     """
 
     pack: Packing
@@ -287,8 +288,6 @@ class ForwardCache:
     fwd: GruTape
     bwd: GruTape
     u_drop: np.ndarray  # (B, 2h) summary after output dropout
-    preds: np.ndarray  # (B,)
-    masks: DropoutMasks | None
 
 
 def _run_gru_batch(p: GruParams, X, pack: Packing, reverse: bool, tape: GruTape | None):
@@ -369,14 +368,7 @@ def forward_batch(
     if not want_cache:
         return preds, None
     return preds, ForwardCache(
-        pack=pack,
-        tokens=tokens,
-        X=X,
-        fwd=tapes[0],
-        bwd=tapes[1],
-        u_drop=u,
-        preds=preds,
-        masks=masks,
+        pack=pack, tokens=tokens, X=X, fwd=tapes[0], bwd=tapes[1], u_drop=u
     )
 
 
@@ -401,7 +393,7 @@ def save_model(
     text_field: str = "postText",
 ) -> None:
     """Write a self-describing binary checkpoint with deterministic bytes."""
-    arrays = {"embedding": m.embedding.matrix, **parameter_arrays(m)}
+    arrays = parameter_arrays(m)
     manifest = [
         {
             "name": name,
@@ -420,7 +412,7 @@ def save_model(
         "dropout_embed": m.dropout_embed,
         "dropout_gru_in": m.dropout_gru_in,
         "dropout_gru_out": m.dropout_gru_out,
-        "trainable_embedding": m.embedding.trainable,
+        "trainable_embedding": True,
         "vocab_tokens": vocab.id_to_token[2:],
         "arrays": manifest,
     }
@@ -457,7 +449,7 @@ def _read_header(inp: BinaryIO) -> dict:
         raise DataError("checkpoint truncated in its header")
     try:
         header = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (ValueError, RecursionError) as e:  # ValueError covers bad UTF-8 and bad JSON
         raise DataError(f"checkpoint header is not UTF-8 JSON: {e}") from e
     if not isinstance(header, dict):
         raise DataError("checkpoint header is not a JSON object")
@@ -474,15 +466,22 @@ def _read_header(inp: BinaryIO) -> dict:
     tokens = header["vocab_tokens"]
     if not isinstance(tokens, list) or set(map(type, tokens)) - {str}:
         raise DataError("checkpoint vocab_tokens must be a list of strings")
+    if header["text_field"] not in TEXT_FIELDS:
+        raise DataError(
+            f"checkpoint text_field {header['text_field']!r} is not one of {TEXT_FIELDS}"
+        )
+    if header["trainable_embedding"] is not True:
+        raise DataError("checkpoint trainable_embedding must be true")
     return header
 
 
 def load_model(inp: BinaryIO) -> tuple[Model, Vocabulary, dict]:
     """Read a checkpoint; bit-exact inverse of save_model.
 
-    A checkpoint that is cut short, whose header is not the v1 JSON, or whose
-    arrays are not the ones save_model writes for the header's d, h and
-    vocabulary, raises DataError.
+    A checkpoint that is cut short or runs on past its last array, whose
+    header is not the v1 JSON, or whose arrays are not the ones save_model
+    writes for the header's d, h and vocabulary, in one dtype and finite,
+    raises DataError.
     """
     magic = inp.read(len(CHECKPOINT_MAGIC))
     if magic != CHECKPOINT_MAGIC:
@@ -508,17 +507,23 @@ def load_model(inp: BinaryIO) -> tuple[Model, Vocabulary, dict]:
             raise DataError(
                 f"checkpoint array {name!r} has dtype {entry.get('dtype')!r}, not <f4 or <f8"
             )
+        if entry["dtype"] != entries[0]["dtype"]:
+            raise DataError(
+                f"checkpoint array {name!r} has dtype {entry['dtype']!r}, unlike 'embedding'"
+            )
         dtype = np.dtype(entry["dtype"])
         count = int(np.prod(shape))
         data = inp.read(count * dtype.itemsize)
         if len(data) != count * dtype.itemsize:
             raise DataError(f"checkpoint truncated while reading {name!r}")
         arrays[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+        if not np.isfinite(arrays[name]).all():
+            raise DataError(f"checkpoint array {name!r} holds a non-finite value")
+    if inp.read(1):
+        raise DataError("checkpoint has bytes after its last array")
 
     vocab = Vocabulary.from_tokens(header["vocab_tokens"])
-    embedding = EmbeddingTable(
-        matrix=arrays["embedding"], trainable=header["trainable_embedding"]
-    )
+    embedding = EmbeddingTable(matrix=arrays["embedding"])
 
     def gru(prefix: str) -> GruParams:
         return GruParams(**{name: arrays[f"{prefix}.{name}"] for name in GRU_FIELDS})
@@ -543,14 +548,4 @@ def load_model(inp: BinaryIO) -> tuple[Model, Vocabulary, dict]:
 
 def copy_model(m: Model) -> Model:
     """Deep copy of all parameter arrays (used for best-epoch snapshots)."""
-    return Model(
-        embedding=EmbeddingTable(
-            matrix=m.embedding.matrix.copy(), trainable=m.embedding.trainable
-        ),
-        fwd=replace(m.fwd, **{f: getattr(m.fwd, f).copy() for f in GRU_FIELDS}),
-        bwd=replace(m.bwd, **{f: getattr(m.bwd, f).copy() for f in GRU_FIELDS}),
-        head=DenseSigmoid(w=m.head.w.copy(), b=m.head.b.copy()),
-        dropout_embed=m.dropout_embed,
-        dropout_gru_in=m.dropout_gru_in,
-        dropout_gru_out=m.dropout_gru_out,
-    )
+    return copy.deepcopy(m)

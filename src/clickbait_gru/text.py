@@ -2,7 +2,7 @@
 
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -67,30 +67,24 @@ class Vocabulary:
         return cls(token_to_id=token_to_id, id_to_token=id_to_token)
 
 
-def build_vocab(corpus: Iterable[list[str]], min_count: int = 1) -> Vocabulary:
-    """Vocabulary of tokens with frequency >= min_count.
+def build_vocab(corpus: Iterable[list[str]]) -> Vocabulary:
+    """Vocabulary of every token in the corpus.
 
     Ordering is deterministic: descending frequency, ties broken
     lexicographically.
     """
-    if min_count < 1:
-        raise ValueError(f"min_count must be >= 1, got {min_count}")
     counts = Counter()
     for tokens in corpus:
         counts.update(tokens)
-    kept = sorted(
-        (tok for tok, c in counts.items() if c >= min_count),
-        key=lambda tok: (-counts[tok], tok),
-    )
-    return Vocabulary.from_tokens(kept)
+    return Vocabulary.from_tokens(sorted(counts, key=lambda tok: (-counts[tok], tok)))
 
 
 @dataclass
 class EmbeddingTable:
-    """Dense token vectors; row 0 (PAD) starts all-zero and is never loaded."""
+    """Dense token vectors, fine-tuned with the rest of the model; row 0 (PAD)
+    starts all-zero and is never loaded."""
 
     matrix: np.ndarray
-    trainable: bool = True
 
     @property
     def d(self) -> int:
@@ -106,9 +100,8 @@ def load_glove(
     vocab: Vocabulary,
     d: int,
     seed: int = 0,
-    dtype=np.float32,
 ) -> tuple[EmbeddingTable, int]:
-    """Build an embedding table from a GloVe-format text stream.
+    """Build a float32 embedding table from a GloVe-format text stream.
 
     Rows for vocabulary tokens present in the stream are copied verbatim;
     the rest (UNK included) are drawn uniformly from the OOV range with a
@@ -142,23 +135,11 @@ def load_glove(
     for token_id in range(1, vocab.size):  # PAD row stays zero
         if not found[token_id]:
             matrix[token_id] = rng.uniform(-OOV_INIT_SCALE, OOV_INIT_SCALE, size=d)
-    return EmbeddingTable(matrix=matrix.astype(dtype)), matched
+    return EmbeddingTable(matrix=matrix.astype(np.float32)), matched
 
 
-@dataclass(frozen=True)
-class TokenSequence:
-    """Fixed-width id sequence; positions at or beyond `length` are PAD."""
-
-    ids: np.ndarray
-    length: int
-
-
-def encode(tokens: list[str], vocab: Vocabulary, max_len: int) -> TokenSequence:
-    """Map tokens to ids, truncating to the first max_len and padding the tail."""
+def encode(tokens: list[str], vocab: Vocabulary, max_len: int) -> list[int]:
+    """Ids of the first max_len tokens."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    ids = np.full(max_len, PAD_ID, dtype=np.int32)
-    kept = tokens[:max_len]
-    for i, tok in enumerate(kept):
-        ids[i] = vocab.lookup(tok)
-    return TokenSequence(ids=ids, length=len(kept))
+    return [vocab.lookup(tok) for tok in tokens[:max_len]]

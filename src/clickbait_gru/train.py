@@ -13,7 +13,7 @@ from typing import IO
 import numpy as np
 
 from .errors import NumericError
-from .ingest import LabeledDataset
+from .ingest import TEXT_FIELDS, LabeledDataset, PostRecord
 from .nn import (
     DropoutMasks,
     GruParams,
@@ -28,10 +28,9 @@ from .nn import (
     predict_batch,
 )
 from .rng import named_rng
-from .text import EmbeddingTable, Vocabulary, encode, tokenize
+from .text import PAD_ID, EmbeddingTable, Vocabulary, encode, tokenize
 
 CLIP_LIMIT = 5.0
-TEXT_FIELDS = ("postText", "targetDescription", "targetTitle")
 INT_FIELDS = ("batch_size", "epochs", "d", "h", "max_len", "seed")
 FLOAT_FIELDS = (
     "learning_rate", "rho", "epsilon", "dropout_embed", "dropout_gru_in", "dropout_gru_out",
@@ -249,12 +248,11 @@ def backprop(
     dX = _gru_backward(m.fwd, cache.X, pack, cache.fwd, du[:, :h], False, grads, "fwd")
     dX += _gru_backward(m.bwd, cache.X, pack, cache.bwd, du[:, h:], True, grads, "bwd")
 
-    if m.embedding.trainable:
-        if masks is not None and masks.gru_in is not None:
-            dX *= masks.gru_in[pack.rows, 0]
-        if masks is not None and masks.embed is not None:
-            dX *= masks.embed[pack.rows, pack.steps]
-        grads["embedding"] = _embedding_grad(cache.tokens, dX, pack, len(m.embedding.matrix))
+    if masks is not None and masks.gru_in is not None:
+        dX *= masks.gru_in[pack.rows, 0]
+    if masks is not None and masks.embed is not None:
+        dX *= masks.embed[pack.rows, pack.steps]
+    grads["embedding"] = _embedding_grad(cache.tokens, dX, pack, len(m.embedding.matrix))
 
     # a row-sparse gradient is zero off its rows, so its values are all there is to check
     stored = {name: g.values if isinstance(g, RowSparseGrad) else g for name, g in grads.items()}
@@ -318,18 +316,27 @@ def rmsprop_update(
         p -= cfg.learning_rate * g / (np.sqrt(acc) + cfg.epsilon)
 
 
+def encode_posts(
+    records: list[PostRecord], vocab: Vocabulary, max_len: int, text_field: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The posts' `text_field` as (N, max_len) int32 ids, PAD past each post's
+    first max_len tokens, and their (N,) token counts, in record order."""
+    ids = np.full((len(records), max_len), PAD_ID, dtype=np.int32)
+    lengths = np.empty(len(records), dtype=np.int64)
+    for i, record in enumerate(records):
+        row = encode(tokenize(record.field_text(text_field)), vocab, max_len)
+        ids[i, : len(row)] = row
+        lengths[i] = len(row)
+    return ids, lengths
+
+
 def encode_dataset(
     ds: LabeledDataset, vocab: Vocabulary, max_len: int, text_field: str = "postText"
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The dataset as arrays, in dataset order: (N, max_len) ids, (N,) lengths
-    and (N,) judgment-mean targets."""
-    ids = np.empty((len(ds), max_len), dtype=np.int32)
-    lengths = np.empty(len(ds), dtype=np.int64)
-    targets = np.empty(len(ds), dtype=np.float64)
-    for i, (record, judgment) in enumerate(ds):
-        seq = encode(tokenize(record.field_text(text_field)), vocab, max_len)
-        ids[i], lengths[i], targets[i] = seq.ids, seq.length, judgment.mean
-    return ids, lengths, targets
+    """`encode_posts` of the dataset's posts plus their (N,) float64
+    judgment-mean targets, in dataset order."""
+    ids, lengths = encode_posts([record for record, _ in ds], vocab, max_len, text_field)
+    return ids, lengths, np.array([judgment.mean for _, judgment in ds], dtype=np.float64)
 
 
 @dataclass
@@ -366,7 +373,7 @@ def fit(
 
     # train on a private copy: updates must never leak into the caller's table
     model = init_model(
-        EmbeddingTable(matrix=embeddings.matrix.copy(), trainable=embeddings.trainable),
+        EmbeddingTable(matrix=embeddings.matrix.copy()),
         cfg.h,
         cfg.seed,
         dropout_embed=cfg.dropout_embed,

@@ -59,7 +59,7 @@ def synth_dataset(n: int, seed: int = 0, clickbait_every: int = 3) -> LabeledDat
         if bait:
             text = "wow " + text
         records.append((make_record(str(1000 + i), text), make_judgment(levels)))
-    return LabeledDataset(records=records, name=f"synth{n}")
+    return LabeledDataset(records=records)
 
 
 def write_glove(path, words, d: int, seed: int = 1) -> None:

@@ -245,7 +245,7 @@ def challenge_dataset(sub: str) -> LabeledDataset:
     path = os.path.join(root, sub)
     if not os.path.isdir(path):
         pytest.skip(f"challenge dataset missing: {path}")
-    return load_dataset(path, name=sub)
+    return load_dataset(path)
 
 
 def test_criterion_6_challenge_corpus_statistics():
@@ -261,7 +261,7 @@ def test_criterion_6_challenge_corpus_statistics():
         assert table[0.0][Label.CLICKBAIT] == 0
         assert table[1.0][Label.NO_CLICKBAIT] == 0
 
-    combined = LabeledDataset(records=ds1.records + ds2.records, name="combined")
+    combined = LabeledDataset(records=ds1.records + ds2.records)
     assert len(find_duplicate_posts(combined)) == 408
 
     ncb_max = max(

@@ -34,7 +34,7 @@ def dataset_of(rows) -> LabeledDataset:
         (make_record(str(i), text), make_judgment(levels))
         for i, (text, levels) in enumerate(rows)
     ]
-    return LabeledDataset(records=records, name="adhoc")
+    return LabeledDataset(records=records)
 
 
 BAIT = (1, 1, 1, 0, 0)  # median 1 -> clickbait

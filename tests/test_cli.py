@@ -1,14 +1,18 @@
 """End-to-end runs of the command-line pipeline, in process via main()."""
 
 import json
+import math
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from clickbait_gru.cli import main
 from clickbait_gru.ingest import load_dataset, stratified_split, write_dataset
+from clickbait_gru.nn import load_model, save_model
 
 from conftest import (
     WORDS,
@@ -21,6 +25,16 @@ from conftest import (
 )
 
 ARTIFACTS = ("model.ckpt", "history.csv")
+
+
+def spliced(base: bytes, line: bytes) -> bytes:
+    """`line`, or when it is an object, the object `base` with line's members
+    appended; json keeps the last of repeated keys, so they override base's."""
+    return base[:-1] + b", " + line[1:] if line.startswith(b"{") else line
+
+DEEP = b"[" * 100_000
+BIG = b"1" + b"0" * 5000  # past the interpreter's 4300-digit int conversion limit
+HUGE = b"1" + b"0" * 400  # converts to int, but not to a finite float
 
 
 def run(capsys, *argv):
@@ -82,6 +96,40 @@ class TestAnalyze:
         )
         assert code == 2
         assert "data error" in err
+
+
+    @pytest.mark.parametrize(
+        "line, expect",
+        [
+            (b'"identity"', "line 2: expected a JSON object"),
+            (b'{"truthMean": "x"}', "line 2: truthMean must be a finite number"),
+            (b'{"truthMean": [1]}', "line 2: truthMean must be a finite number"),
+            (b'{"truthMean": ' + HUGE + b"}", "line 2: truthMean must be a finite number"),
+            (b'{"truthJudgments": [' + HUGE + b", 0, 0, 0, 0]}", "line 2: judgment scores"),
+            (b'{"truthJudgments": [true, 0, 0, 0, 0]}', "line 2: judgment scores"),
+            (b'{"truthJudgments": ["0", 0, 0, 0, 0]}', "line 2: judgment scores"),
+            (b'{"truthMedian": ' + BIG + b"}", "line 2: invalid JSON"),
+            (DEEP, "line 2: invalid JSON"),
+            (b'"caf\xe9"', "utf-8"),
+        ],
+        ids=[
+            "not-object", "string-mean", "list-mean", "huge-int-mean", "huge-int-judgment",
+            "bool-judgment", "string-judgment", "5001-digit-int", "deep-nesting", "not-utf8",
+        ],
+    )
+    def test_malformed_truth_line_is_data_error(self, work, tmp_path, capsys, line, expect):
+        instances, truth = dataset_paths(work / "data")
+        first = Path(truth).read_bytes().splitlines()[0]
+        line = spliced(first, line)
+        bad = tmp_path / "truth.jsonl"
+        bad.write_bytes(first + b"\n" + line + b"\n")
+        code, _, err = run(
+            capsys, "analyze", "--instances", instances, "--truth", str(bad),
+            "--out", str(tmp_path / "stats"),
+        )
+        assert code == 2
+        assert err.startswith("data error: ") and expect in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestSplit:
@@ -302,13 +350,89 @@ class TestPredict:
         assert "data error" in err
 
     @pytest.mark.parametrize(
+        "line, expect",
+        [
+            (b'"identity"', "line 2: expected a JSON object"),
+            (b'{"postText": 5}', "line 2: postText must be a string, a list or null"),
+            (b'{"postText": {"a": 1}}', "line 2: postText must be"),
+            (b'{"targetCaptions": 2.5}', "line 2: targetCaptions must be"),
+            (b'{"postTimestamp": ' + BIG + b"}", "line 2: invalid JSON"),
+            (DEEP, "line 2: invalid JSON"),
+            (b'{"postText": "caf\xe9"}', "utf-8"),
+        ],
+        ids=[
+            "not-object", "int-post-text", "object-post-text", "float-captions",
+            "5001-digit-int", "deep-nesting", "not-utf8",
+        ],
+    )
+    def test_malformed_instances_line_is_data_error(self, work, tmp_path, capsys, line, expect):
+        first = b'{"id": "0", "postText": ["a fine post"]}'
+        instances = tmp_path / "instances.jsonl"
+        instances.write_bytes(first + b"\n" + spliced(first, line) + b"\n")
+        out = tmp_path / "preds.jsonl"
+        code, _, err = run(
+            capsys,
+            "predict", str(work / "run" / "model.ckpt"),
+            "--instances", str(instances), "--out", str(out),
+        )
+        assert code == 2
+        assert err.startswith("data error: ") and expect in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_duplicate_instance_id_is_data_error(self, work, tmp_path, capsys):
+        instances = tmp_path / "instances.jsonl"
+        instances.write_text(
+            '{"id": "5", "postText": ["one"]}\n{"id": "5", "postText": ["two"]}\n'
+        )
+        out = tmp_path / "preds.jsonl"
+        code, _, err = run(
+            capsys,
+            "predict", str(work / "run" / "model.ckpt"),
+            "--instances", str(instances), "--out", str(out),
+        )
+        assert code == 2
+        assert "duplicate instance id '5'" in err
+        assert not out.exists()
+
+    def test_non_finite_scores_are_numeric_failure(self, work, tmp_path, capsys):
+        """Finite weights can still overflow. Here r = 0 and z = c = 1 exactly,
+        so the state after one token is all ones, U_h h overflows to inf at the
+        second token, and r * U_h h is 0 * inf = NaN."""
+        with open(work / "run" / "model.ckpt", "rb") as f:
+            model, vocab, meta = load_model(f)
+        model.fwd.b_r[:] = -3e38
+        model.fwd.b_z[:] = 3e38
+        model.fwd.b_h[:] = 3e38
+        model.fwd.U_h[:] = 3e38
+        ckpt = tmp_path / "model.ckpt"
+        with open(ckpt, "wb") as f:
+            save_model(model, vocab, f, meta["max_len"], meta["text_field"])
+        out = tmp_path / "preds.jsonl"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, err = run(
+                capsys,
+                "predict", str(ckpt),
+                "--instances", str(work / "data" / "instances.jsonl"), "--out", str(out),
+            )
+        assert code == 3
+        assert err.startswith("numeric failure: the model scores 60 of 60 posts non-finite")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "damage",
         [
             lambda raw: raw[:15],
             lambda raw: raw[:40],
             with_header_edit(lambda h: h["arrays"].pop()),
+            lambda raw: raw + b"garbage",
+            with_header_edit(lambda h: h.update(text_field="postMedia")),
+            lambda raw: raw[:-4] + struct.pack("<f", math.nan),
         ],
-        ids=["short-length-prefix", "cut-header", "head.b-omitted"],
+        ids=[
+            "short-length-prefix", "cut-header", "head.b-omitted", "trailing-bytes",
+            "unknown-text-field", "nan-in-head.b",
+        ],
     )
     def test_malformed_checkpoint_is_data_error(self, work, tmp_path, capsys, damage):
         ckpt = tmp_path / "model.ckpt"
@@ -381,8 +505,14 @@ class TestEvaluate:
 
     @pytest.mark.parametrize(
         "score",
-        ['"high"', "null", "NaN", "Infinity", "-1e999", "true", "1" + "0" * 400],
-        ids=["string", "null", "nan", "infinity", "overflow", "bool", "huge-int"],
+        [
+            '"high"', "null", "NaN", "Infinity", "-1e999", "true", "1" + "0" * 400,
+            "1.5", "-0.25", "1e200",
+        ],
+        ids=[
+            "string", "null", "nan", "infinity", "overflow", "bool", "huge-int",
+            "above-one", "below-zero", "1e200",
+        ],
     )
     def test_score_not_finite_number_reported(self, work, tmp_path, capsys, score):
         results = tmp_path / "results.jsonl"
@@ -399,6 +529,31 @@ class TestEvaluate:
         )
         assert code == 2
         assert err.startswith("data error: line 2: clickbaitScore must be a finite number")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, expect",
+        [
+            (b'{"clickbaitScore": ' + BIG + b"}", "line 2: invalid JSON"),
+            (DEEP, "line 2: invalid JSON"),
+            (b'{"id": "caf\xe9"}', "utf-8"),
+        ],
+        ids=["5001-digit-score", "deep-nesting", "not-utf8"],
+    )
+    def test_malformed_results_line_is_data_error(self, work, tmp_path, capsys, line, expect):
+        first = b'{"id": "1000", "clickbaitScore": 0.5}'
+        results = tmp_path / "results.jsonl"
+        results.write_bytes(first + b"\n" + spliced(first, line) + b"\n")
+        out = tmp_path / "report.json"
+        code, _, err = run(
+            capsys,
+            "evaluate", str(results),
+            "--truth", str(work / "data" / "truth.jsonl"),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert err.startswith("data error: ") and expect in err
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 

@@ -162,8 +162,8 @@ class TestBuildDataset:
     def test_join_happy_path(self):
         records = parse_instances(io.StringIO(instance_line()))
         truths = parse_truth(io.StringIO(truth_line()))
-        ds = build_dataset(records, truths, name="t")
-        assert len(ds) == 1 and ds.name == "t"
+        ds = build_dataset(records, truths)
+        assert len(ds) == 1
 
     def test_duplicate_instance_id_rejected(self):
         records = parse_instances(io.StringIO(instance_line() + "\n" + instance_line()))
@@ -212,7 +212,7 @@ class TestStratifiedSplit:
         for i in range(19538):
             levels = (1.0,) * 5 if i < 4761 else (0.0,) * 5
             records.append((make_record(str(i), f"post {i}"), make_judgment(levels)))
-        ds = LabeledDataset(records=records, name="big")
+        ds = LabeledDataset(records=records)
         train, test = stratified_split(ds, 0.3, seed=11)
         test_cb = sum(1 for _, j in test if j.class_label is Label.CLICKBAIT)
         assert len(test) == 5861

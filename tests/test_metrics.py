@@ -131,15 +131,6 @@ class TestEvaluate:
         report = evaluate([0.5, 0.49999], truth, threshold=0.5)
         assert report.accuracy == 1.0
 
-    def test_mean_threshold_label_mode(self):
-        # annotated classes disagree with the mean-derived labels on both
-        # records, so the two modes score the same predictions oppositely
-        truth = [judgment(0.4, CB), judgment(0.6, NCB)]
-        by_class = evaluate([0.9, 0.1], truth, label_mode="class")
-        by_mean = evaluate([0.9, 0.1], truth, label_mode="mean-threshold")
-        assert by_class.accuracy == 1.0
-        assert by_mean.accuracy == 0.0
-
     def test_runtime_recorded(self):
         truth = [judgment(0.2), judgment(0.8)]
         report = evaluate([0.2, 0.8], truth)
@@ -149,8 +140,6 @@ class TestEvaluate:
         truth = [judgment(0.2), judgment(0.8)]
         with pytest.raises(ValueError, match="threshold"):
             evaluate([0.1, 0.9], truth, threshold=1.5)
-        with pytest.raises(ValueError, match="label_mode"):
-            evaluate([0.1, 0.9], truth, label_mode="votes")
         with pytest.raises(ValueError, match="at least 2"):
             evaluate([0.1], truth[:1])
         with pytest.raises(ValueError, match="mismatch"):

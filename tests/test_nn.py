@@ -13,7 +13,6 @@ from clickbait_gru.errors import DataError
 from clickbait_gru.nn import (
     DenseSigmoid,
     GruParams,
-    Model,
     forward_batch,
     init_gru_params,
     init_model,
@@ -351,6 +350,10 @@ class TestInit:
             init_model(emb, 3, seed=0, dropout_embed=1.0)
 
 
+# head.b, the last array, declared double precision while the rest stay single
+HEAD_B_AS_F8 = with_header_edit(lambda h: h["arrays"][-1].update(dtype="<f8"))
+
+
 class TestCheckpoint:
     def roundtrip(self, m, vocab, max_len=16, text_field="postText"):
         buf = io.BytesIO()
@@ -419,12 +422,21 @@ class TestCheckpoint:
             (with_header_edit(lambda h: h["arrays"][4].update(shape=[3, 4])), "'fwd.U_r' has"),
             (with_header_edit(lambda h: h["vocab_tokens"].pop()), "'embedding' has shape"),
             (with_header_edit(lambda h: h["arrays"][0].update(dtype="|O")), "dtype"),
+            (with_header_edit(lambda h: h.update(trainable_embedding=False)), "trainable"),
+            (with_header_edit(lambda h: h.update(text_field="postMedia")), "'postMedia'"),
+            (lambda raw: raw + b"garbage", "bytes after its last array"),
+            (lambda raw: raw[:-4] + struct.pack("<f", math.nan), "'head.b' holds a non-finite"),
+            (
+                lambda raw: HEAD_B_AS_F8(raw)[:-4] + struct.pack("<d", 0.5),
+                "'head.b' has dtype '<f8', unlike 'embedding'",
+            ),
         ],
         ids=[
             "short-length-prefix", "cut-header", "huge-header-length", "non-utf8-header",
             "non-json-header", "header-not-object", "missing-key", "d-not-integer",
             "vocab-not-strings", "array-omitted", "array-renamed", "shape-differs-from-h",
-            "shape-differs-from-vocab", "dtype-not-float",
+            "shape-differs-from-vocab", "dtype-not-float", "embedding-not-trainable",
+            "unknown-text-field", "trailing-bytes", "nan-in-head.b", "mixed-dtypes",
         ],
     )
     def test_malformed_checkpoint_rejected(self, damage, message):
@@ -442,14 +454,6 @@ class TestModelInvariants:
         assert "embedding" in names
         assert {"fwd.W_r", "bwd.U_h", "head.w", "head.b"} <= names
         assert len(names) == 1 + 9 + 9 + 2
-
-    def test_untrainable_embedding_excluded_from_parameters(self):
-        m = tiny_model()
-        frozen = Model(
-            embedding=EmbeddingTable(matrix=m.embedding.matrix, trainable=False),
-            fwd=m.fwd, bwd=m.bwd, head=m.head,
-        )
-        assert "embedding" not in parameter_arrays(frozen)
 
     def test_sigmoid_saturates_without_warnings(self):
         with np.errstate(over="raise"):

@@ -14,10 +14,11 @@ from clickbait_gru.text import (
     EmbeddingTable,
     Vocabulary,
     build_vocab,
-    encode,
     load_glove,
     tokenize,
 )
+from clickbait_gru.train import encode_posts
+from conftest import make_record
 
 
 class TestTokenize:
@@ -69,11 +70,6 @@ class TestVocabulary:
         assert vocab.lookup("aa") == 2
         assert vocab.lookup("zz") == 3
 
-    def test_min_count_filters(self):
-        vocab = build_vocab([["a", "a", "b"]], min_count=2)
-        assert vocab.lookup("a") == 2
-        assert vocab.lookup("b") == UNK_ID
-
     def test_unknown_token_maps_to_unk(self):
         vocab = build_vocab([["a"]])
         assert vocab.lookup("never-seen") == UNK_ID
@@ -87,30 +83,36 @@ class TestVocabulary:
         assert again == vocab
 
 
+def encode_texts(texts, vocab, max_len):
+    """encode_posts of one post per text."""
+    records = [make_record(str(i), text) for i, text in enumerate(texts)]
+    return encode_posts(records, vocab, max_len, "postText")
+
+
 class TestEncode:
     def test_pads_to_max_len(self):
         vocab = build_vocab([["a", "b"]])
-        seq = encode(["a", "b"], vocab, max_len=5)
-        assert seq.length == 2
-        assert list(seq.ids) == [2, 3, PAD_ID, PAD_ID, PAD_ID]
-        assert seq.ids.dtype == np.int32
+        ids, lengths = encode_texts(["a b", "b"], vocab, max_len=5)
+        assert lengths.tolist() == [2, 1]
+        assert ids.tolist() == [[2, 3, PAD_ID, PAD_ID, PAD_ID], [3, PAD_ID, PAD_ID, PAD_ID, PAD_ID]]
+        assert ids.dtype == np.int32
 
     def test_truncates_to_first_max_len_tokens(self):
         vocab = build_vocab([["a", "b", "c"]])
-        seq = encode(["a", "b", "c"], vocab, max_len=2)
-        assert seq.length == 2
-        assert len(seq.ids) == 2
+        ids, lengths = encode_texts(["a b c"], vocab, max_len=2)
+        assert lengths.tolist() == [2]
+        assert ids.tolist() == [[2, 3]]
 
     def test_unknown_tokens_become_unk(self):
         vocab = build_vocab([["a"]])
-        seq = encode(["a", "mystery"], vocab, max_len=4)
-        assert list(seq.ids[:2]) == [2, UNK_ID]
+        ids, _ = encode_texts(["a mystery"], vocab, max_len=4)
+        assert ids[0, :2].tolist() == [2, UNK_ID]
 
     def test_empty_tokens(self):
         vocab = build_vocab([["a"]])
-        seq = encode([], vocab, max_len=3)
-        assert seq.length == 0
-        assert list(seq.ids) == [PAD_ID] * 3
+        ids, lengths = encode_texts([""], vocab, max_len=3)
+        assert lengths.tolist() == [0]
+        assert ids.tolist() == [[PAD_ID] * 3]
 
 
 def glove_stream(rows):
@@ -166,7 +168,6 @@ class TestLoadGlove:
         vocab = build_vocab([["cat"]])
         table, _ = load_glove(glove_stream([("cat", [1.0, 2.0])]), vocab, d=2)
         assert table.matrix.dtype == np.float32
-        assert table.trainable
 
 
 class TestEmbeddingTable:
