@@ -19,7 +19,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from clickbait_gru.cli import train_and_save
-from clickbait_gru.ingest import load_dataset, stratified_split
+from clickbait_gru.ingest import atomic_open, load_dataset, stratified_split
 from clickbait_gru.metrics import evaluate
 from clickbait_gru.nn import predict_batch
 from clickbait_gru.train import TrainConfig, encode_dataset
@@ -58,7 +58,7 @@ def main() -> int:
     report = evaluate(list(preds), [judgment for _, judgment in test])
     text = report.to_json()
     print(text)
-    with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8", newline="") as f:
+    with atomic_open(os.path.join(args.out, "report.json")) as f:
         f.write(text + "\n")
     print(f"artifacts in {args.out}/")
     return 0

@@ -18,6 +18,7 @@ from .ingest import (
     JUDGMENT_LEVELS,
     Label,
     LabeledDataset,
+    atomic_open,
     find_duplicate_posts,
     snap_to_level,
     validate_label_rule,
@@ -165,12 +166,12 @@ def write_analytics(ds: LabeledDataset, out_dir: str) -> None:
         "no_clickbait": non_clickbait,
         "label_rule_violations": len(validate_label_rule(ds)),
     }
-    with open(os.path.join(out_dir, COUNTS_FILENAME), "w", encoding="utf-8") as f:
+    with atomic_open(os.path.join(out_dir, COUNTS_FILENAME)) as f:
         json.dump(counts, f, indent=2, sort_keys=True)
         f.write("\n")
 
     table = median_label_table(ds)
-    with open(os.path.join(out_dir, "fig1_median_label.csv"), "w", encoding="utf-8", newline="") as f:
+    with atomic_open(os.path.join(out_dir, "fig1_median_label.csv")) as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["median_level", "clickbait", "no_clickbait"])
         for level in JUDGMENT_LEVELS:
@@ -179,7 +180,7 @@ def write_analytics(ds: LabeledDataset, out_dir: str) -> None:
             )
 
     boxes = score_box_stats(ds)
-    with open(os.path.join(out_dir, "fig2_box.csv"), "w", encoding="utf-8", newline="") as f:
+    with atomic_open(os.path.join(out_dir, "fig2_box.csv")) as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["class", "min", "q1", "median", "q3", "max"])
         for label in (Label.CLICKBAIT, Label.NO_CLICKBAIT):
@@ -187,7 +188,7 @@ def write_analytics(ds: LabeledDataset, out_dir: str) -> None:
             w.writerow([label.value] + [repr(v) for v in (b.min, b.q1, b.median, b.q3, b.max)])
 
     scores = score_histogram(ds, SCORE_BINS)
-    with open(os.path.join(out_dir, "fig3_score_hist.csv"), "w", encoding="utf-8", newline="") as f:
+    with atomic_open(os.path.join(out_dir, "fig3_score_hist.csv")) as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["bin_start", "bin_end", "clickbait", "no_clickbait"])
         for i in range(len(scores.bin_edges) - 1):
@@ -201,7 +202,7 @@ def write_analytics(ds: LabeledDataset, out_dir: str) -> None:
             )
 
     lengths = length_distribution(ds, bin_width=LENGTH_BIN_WIDTH)
-    with open(os.path.join(out_dir, "fig4_length_hist.csv"), "w", encoding="utf-8", newline="") as f:
+    with atomic_open(os.path.join(out_dir, "fig4_length_hist.csv")) as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["bin_start", "bin_end", "clickbait_pct", "no_clickbait_pct"])
         for i in range(len(lengths.bin_edges) - 1):
@@ -215,7 +216,7 @@ def write_analytics(ds: LabeledDataset, out_dir: str) -> None:
             )
 
     groups = find_duplicate_posts(ds)
-    with open(os.path.join(out_dir, "duplicates.csv"), "w", encoding="utf-8", newline="") as f:
+    with atomic_open(os.path.join(out_dir, "duplicates.csv")) as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["post_text", "count", "clickbait", "no_clickbait"])
         for g in groups:

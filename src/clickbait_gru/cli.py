@@ -18,6 +18,7 @@ from .analytics import write_analytics
 from .errors import DataError, NumericError, ParseError
 from .ingest import (
     TEXT_FIELDS,
+    atomic_open,
     build_dataset,
     finite_number,
     index_by_id,
@@ -171,9 +172,9 @@ def train_and_save(train_ds, valid_ds, cfg: TrainConfig, glove_path: str, out_di
     model, history = fit(train_ds, valid_ds, cfg, vocab, embeddings)
 
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, CHECKPOINT_FILENAME), "wb") as f:
-        save_model(model, vocab, f, max_len=cfg.max_len, text_field=cfg.text_field)
-    with open(os.path.join(out_dir, HISTORY_FILENAME), "w", encoding="utf-8", newline="") as f:
+    with atomic_open(os.path.join(out_dir, CHECKPOINT_FILENAME), binary=True) as f:
+        save_model(model, vocab, cfg, f)
+    with atomic_open(os.path.join(out_dir, HISTORY_FILENAME)) as f:
         write_history(history, f)
     return model, vocab, history, matched
 
@@ -201,7 +202,7 @@ def cmd_predict(args) -> int:
     bad = np.count_nonzero(~np.isfinite(scores))
     if bad:
         raise NumericError(f"the model scores {bad} of {len(scores)} posts non-finite")
-    with open(args.out, "w", encoding="utf-8", newline="") as f:
+    with atomic_open(args.out) as f:
         for record, score in zip(records, scores):
             f.write(json.dumps({"id": record.id, "clickbaitScore": float(score)}))
             f.write("\n")
@@ -246,7 +247,7 @@ def cmd_evaluate(args) -> int:
     text = report.to_json()
     print(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as f:
+        with atomic_open(args.out) as f:
             f.write(text)
             f.write("\n")
     return EXIT_OK

@@ -174,9 +174,9 @@ def parse_truth(stream: Iterable[str]) -> list[tuple[str, Judgment]]:
 
     Validation per line: exactly five scores, each at one of the four levels;
     stored mean and median finite numbers consistent with the scores to 1e-3;
-    known class string.
+    known class string; an id no earlier line has.
     """
-    out = []
+    out = {}
     for lineno, obj in read_objects(stream):
         scores = obj.get("truthJudgments")
         if not isinstance(scores, list) or len(scores) != 5:
@@ -212,8 +212,11 @@ def parse_truth(stream: Iterable[str]) -> list[tuple[str, Judgment]]:
             label = Label(raw_class)
         except ValueError:
             raise ParseError(f"unknown truthClass {raw_class!r}", line=lineno) from None
-        out.append((str(obj["id"]), Judgment(scores, mean, median, label)))
-    return out
+        rec_id = str(obj["id"])
+        if rec_id in out:
+            raise ParseError(f"duplicate truth id {rec_id!r}", line=lineno)
+        out[rec_id] = Judgment(scores, mean, median, label)
+    return list(out.items())
 
 
 def index_by_id(records: list[PostRecord]) -> dict[str, PostRecord]:
@@ -229,13 +232,14 @@ def index_by_id(records: list[PostRecord]) -> dict[str, PostRecord]:
 def build_dataset(
     records: list[PostRecord], truths: list[tuple[str, Judgment]]
 ) -> LabeledDataset:
-    """Join instances with truth lines on id; both sides must match 1:1."""
+    """Join instances with truth lines on id; both sides must match 1:1.
+
+    `truths` holds each id once, as `parse_truth` returns them.
+    """
     by_id = index_by_id(records)
     truth_ids = set()
     joined = []
     for rec_id, judgment in truths:
-        if rec_id in truth_ids:
-            raise DataError(f"duplicate truth id {rec_id!r}")
         truth_ids.add(rec_id)
         if rec_id not in by_id:
             raise DataError(f"truth id {rec_id!r} has no matching instance")
@@ -380,6 +384,27 @@ def _truth_json(rec_id: str, judgment: Judgment) -> str:
     )
 
 
+@contextlib.contextmanager
+def atomic_open(path: str, binary: bool = False):
+    """A new file to write `path` through, in place of `open(path, "w")`.
+
+    The data goes to a temporary file beside `path`, which replaces `path`
+    (`os.replace`) when the block ends normally. When the block raises, the
+    temporary file is removed and `path` is left as it was. Text mode is
+    UTF-8 and writes newlines untranslated.
+    """
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_instances(records: Iterable[PostRecord], out: TextIO) -> None:
     for rec in records:
         out.write(_instance_json(rec) + "\n")
@@ -393,7 +418,7 @@ def write_truth(pairs: Iterable[tuple[str, Judgment]], out: TextIO) -> None:
 def write_dataset(ds: LabeledDataset, directory: str) -> None:
     """Write a dataset as the standard two-file directory layout."""
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, INSTANCES_FILENAME), "w", encoding="utf-8") as f:
+    with atomic_open(os.path.join(directory, INSTANCES_FILENAME)) as f:
         write_instances((rec for rec, _ in ds), f)
-    with open(os.path.join(directory, TRUTH_FILENAME), "w", encoding="utf-8") as f:
+    with atomic_open(os.path.join(directory, TRUTH_FILENAME)) as f:
         write_truth(((rec.id, j) for rec, j in ds), f)

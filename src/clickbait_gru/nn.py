@@ -20,10 +20,12 @@ length, longest first, so the rows still reading at step t are a prefix of
 that order, and each real token owns one packed row. A step projects only
 those rows, with the three gates stacked per call into one input and one
 recurrent weight stack (`stack_gates`), so it costs two matmul calls and no
-PAD work. `GruParams` keeps the nine named arrays that checkpoints store.
+PAD work.
+
+The model is a plain dict of named arrays (`Model`), the names and order
+being those of the checkpoint; it carries no training settings.
 """
 
-import copy
 import json
 import struct
 from dataclasses import dataclass
@@ -34,7 +36,7 @@ import numpy as np
 from .errors import DataError
 from .ingest import TEXT_FIELDS
 from .rng import named_rng
-from .text import EmbeddingTable, Vocabulary
+from .text import Vocabulary
 
 CHECKPOINT_MAGIC = b"CBGRUCKPT1\n"
 CHECKPOINT_FORMAT = "cbgru-checkpoint"
@@ -45,6 +47,8 @@ HEADER_KEYS = (
 )
 # a header is the vocabulary plus about 2 KiB; a corrupt length must not size a read
 MAX_HEADER_BYTES = 1 << 28
+# longest token cutoff; ids and dropout masks scale with it (the paper uses 32)
+MAX_LEN_LIMIT = 1024
 
 
 def sigmoid(x):
@@ -53,52 +57,14 @@ def sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-@dataclass
-class GruParams:
-    """Weights of one GRU direction: input, recurrent, and bias per gate."""
+Model = dict[str, np.ndarray]
+"""The weights by checkpoint name, in checkpoint order (`_array_shapes`):
+"embedding" (V, d), then per direction "fwd."/"bwd." followed by W_r, W_z,
+W_h (h, d), U_r, U_z, U_h (h, h) and b_r, b_z, b_h (h,), then "head.w" (2h,)
+and "head.b" (1,). The optimizer, the gradients and checkpoints use the
+same names."""
 
-    W_r: np.ndarray
-    W_z: np.ndarray
-    W_h: np.ndarray
-    U_r: np.ndarray
-    U_z: np.ndarray
-    U_h: np.ndarray
-    b_r: np.ndarray
-    b_z: np.ndarray
-    b_h: np.ndarray
-
-    @property
-    def h(self) -> int:
-        return int(self.W_r.shape[0])
-
-
-@dataclass
-class DenseSigmoid:
-    w: np.ndarray
-    b: np.ndarray  # shape (1,)
-
-
-@dataclass
-class Model:
-    embedding: EmbeddingTable
-    fwd: GruParams
-    bwd: GruParams
-    head: DenseSigmoid
-    dropout_embed: float = 0.0
-    dropout_gru_in: float = 0.0
-    dropout_gru_out: float = 0.0
-
-    @property
-    def d(self) -> int:
-        return self.embedding.d
-
-    @property
-    def h(self) -> int:
-        return self.fwd.h
-
-    @property
-    def dtype(self):
-        return self.embedding.matrix.dtype
+GRU_FIELDS = ("W_r", "W_z", "W_h", "U_r", "U_z", "U_h", "b_r", "b_z", "b_h")
 
 
 def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -106,78 +72,32 @@ def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
 
 
-def init_gru_params(d: int, h: int, rng: np.random.Generator, dtype=np.float32) -> GruParams:
-    """Input matrices uniform +-sqrt(6/(d+h)), recurrent matrices orthogonal, zero biases."""
-    scale = np.sqrt(6.0 / (d + h))
+def init_model(embedding: np.ndarray, h: int, seed: int) -> Model:
+    """Model around the (V, d) `embedding`, which it holds, not copies, in its dtype.
 
-    def w():
-        return rng.uniform(-scale, scale, size=(h, d)).astype(dtype)
-
-    def u():
-        return _orthogonal(rng, h).astype(dtype)
-
-    return GruParams(
-        W_r=w(), W_z=w(), W_h=w(),
-        U_r=u(), U_z=u(), U_h=u(),
-        b_r=np.zeros(h, dtype=dtype),
-        b_z=np.zeros(h, dtype=dtype),
-        b_h=np.zeros(h, dtype=dtype),
-    )
-
-
-def init_model(
-    embedding: EmbeddingTable,
-    h: int,
-    seed: int,
-    dropout_embed: float = 0.0,
-    dropout_gru_in: float = 0.0,
-    dropout_gru_out: float = 0.0,
-) -> Model:
-    for rate in (dropout_embed, dropout_gru_in, dropout_gru_out):
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    dtype = embedding.matrix.dtype
-    d = embedding.d
+    Per direction, input matrices uniform +-sqrt(6/(d+h)), recurrent
+    matrices orthogonal, zero biases; head weights uniform
+    +-sqrt(6/(2h+1)), zero head bias.
+    """
+    dtype = embedding.dtype
+    d = embedding.shape[1]
     rng = named_rng(seed, "init")
-    fwd = init_gru_params(d, h, rng, dtype)
-    bwd = init_gru_params(d, h, rng, dtype)
+    scale = np.sqrt(6.0 / (d + h))
+    m = {"embedding": embedding}
+    for prefix in ("fwd", "bwd"):
+        for gate in "rzh":
+            m[f"{prefix}.W_{gate}"] = rng.uniform(-scale, scale, size=(h, d)).astype(dtype)
+        for gate in "rzh":
+            m[f"{prefix}.U_{gate}"] = _orthogonal(rng, h).astype(dtype)
+        for gate in "rzh":
+            m[f"{prefix}.b_{gate}"] = np.zeros(h, dtype=dtype)
     head_scale = np.sqrt(6.0 / (2 * h + 1))
-    head = DenseSigmoid(
-        w=rng.uniform(-head_scale, head_scale, size=2 * h).astype(dtype),
-        b=np.zeros(1, dtype=dtype),
-    )
-    return Model(
-        embedding=embedding,
-        fwd=fwd,
-        bwd=bwd,
-        head=head,
-        dropout_embed=dropout_embed,
-        dropout_gru_in=dropout_gru_in,
-        dropout_gru_out=dropout_gru_out,
-    )
-
-
-GRU_FIELDS = ("W_r", "W_z", "W_h", "U_r", "U_z", "U_h", "b_r", "b_z", "b_h")
-
-
-def parameter_arrays(m: Model) -> dict[str, np.ndarray]:
-    """Learnable arrays by stable name; the optimizer and checkpoints key off these."""
-    params = {"embedding": m.embedding.matrix}
-    for prefix, gru in (("fwd", m.fwd), ("bwd", m.bwd)):
-        for name in GRU_FIELDS:
-            params[f"{prefix}.{name}"] = getattr(gru, name)
-    params["head.w"] = m.head.w
-    params["head.b"] = m.head.b
-    return params
+    m["head.w"] = rng.uniform(-head_scale, head_scale, size=2 * h).astype(dtype)
+    m["head.b"] = np.zeros(1, dtype=dtype)
+    return m
 
 
 # --- forward ------------------------------------------------------------------
-
-
-def inverted_dropout_mask(shape, rate: float, rng: np.random.Generator, dtype) -> np.ndarray:
-    """Keep mask scaled by 1/(1-rate) so expectations match inference."""
-    keep = rng.random(shape) >= rate
-    return keep.astype(dtype) / dtype.type(1.0 - rate)
 
 
 @dataclass
@@ -189,30 +109,19 @@ class DropoutMasks:
     out: np.ndarray | None = None  # (B, 2h)
 
 
-def make_dropout_masks(m: Model, batch_size: int, max_len: int, rng: np.random.Generator) -> DropoutMasks:
-    dtype = m.dtype
-    embed = gru_in = out = None
-    if m.dropout_embed > 0.0:
-        embed = inverted_dropout_mask((batch_size, max_len, m.d), m.dropout_embed, rng, dtype)
-    if m.dropout_gru_in > 0.0:
-        gru_in = inverted_dropout_mask((batch_size, 1, m.d), m.dropout_gru_in, rng, dtype)
-    if m.dropout_gru_out > 0.0:
-        out = inverted_dropout_mask((batch_size, 2 * m.h), m.dropout_gru_out, rng, dtype)
-    return DropoutMasks(embed=embed, gru_in=gru_in, out=out)
-
-
-def stack_gates(p: GruParams):
-    """One direction's gates stacked on a leading gate axis for batched GEMMs.
+def stack_gates(m: Model, prefix: str):
+    """The gates of direction `prefix` stacked on a leading gate axis for batched GEMMs.
 
     Returns W (3, d, h) holding W_r, W_z, W_h transposed, U (3, h, h)
     holding U_h, U_r, U_z transposed, and b (3, 1, h) holding b_r, b_z,
     b_h. x @ W and h_prev @ U are then one matmul each, with every gate's
     result a contiguous block; U's gate order is that of `GruTape.gates`.
     """
+    W_r, W_z, W_h, U_r, U_z, U_h, b_r, b_z, b_h = (m[f"{prefix}.{n}"] for n in GRU_FIELDS)
     return (
-        np.stack([p.W_r.T, p.W_z.T, p.W_h.T]),
-        np.stack([p.U_h.T, p.U_r.T, p.U_z.T]),
-        np.stack([p.b_r, p.b_z, p.b_h])[:, None, :],
+        np.stack([W_r.T, W_z.T, W_h.T]),
+        np.stack([U_h.T, U_r.T, U_z.T]),
+        np.stack([b_r, b_z, b_h])[:, None, :],
     )
 
 
@@ -290,8 +199,8 @@ class ForwardCache:
     u_drop: np.ndarray  # (B, 2h) summary after output dropout
 
 
-def _run_gru_batch(p: GruParams, X, pack: Packing, reverse: bool, tape: GruTape | None):
-    """Final states (live rows, h) of one direction, in sorted row order.
+def _run_gru_batch(m: Model, prefix: str, X, pack: Packing, reverse: bool, tape: GruTape | None):
+    """Final states (live rows, h) of direction `prefix`, in sorted row order.
 
     The forward direction starts every live row at step 0; the reverse one
     starts a row at step length - 1. Either way the rows a step updates are
@@ -299,9 +208,9 @@ def _run_gru_batch(p: GruParams, X, pack: Packing, reverse: bool, tape: GruTape 
     Fills `tape` when given; without one, each step's gates reuse the front
     rows of one step-sized buffer.
     """
-    W, U, b = stack_gates(p)
-    h = np.zeros((len(pack.live), p.h), dtype=X.dtype)
-    gates = tape.gates if tape is not None else np.empty((4, len(h), p.h), dtype=X.dtype)
+    W, U, b = stack_gates(m, prefix)
+    h = np.zeros((len(pack.live), U.shape[1]), dtype=X.dtype)
+    gates = tape.gates if tape is not None else np.empty((4, *h.shape), dtype=X.dtype)
     order = range(len(pack.counts))
     # exp overflow for very negative pre-activations saturates the gate to exactly 0
     with np.errstate(over="ignore"):
@@ -353,18 +262,19 @@ def forward_batch(
     B, T = ids.shape
     pack = pack_batch(lengths, T)
     tokens = ids[pack.rows, pack.steps]
-    X = m.embedding.matrix[tokens]
+    X = m["embedding"][tokens]
     if masks is not None and masks.embed is not None:
         X *= masks.embed[pack.rows, pack.steps]
     if masks is not None and masks.gru_in is not None:
         X *= masks.gru_in[pack.rows, 0]
-    tapes = [GruTape.empty(len(tokens), m.h, X.dtype) if want_cache else None for _ in range(2)]
-    u = np.zeros((B, 2 * m.h), dtype=X.dtype)
-    u[pack.live, : m.h] = _run_gru_batch(m.fwd, X, pack, False, tapes[0])
-    u[pack.live, m.h :] = _run_gru_batch(m.bwd, X, pack, True, tapes[1])
+    h = len(m["fwd.b_r"])
+    tapes = [GruTape.empty(len(tokens), h, X.dtype) if want_cache else None for _ in range(2)]
+    u = np.zeros((B, 2 * h), dtype=X.dtype)
+    u[pack.live, :h] = _run_gru_batch(m, "fwd", X, pack, False, tapes[0])
+    u[pack.live, h:] = _run_gru_batch(m, "bwd", X, pack, True, tapes[1])
     if masks is not None and masks.out is not None:
         u = u * masks.out
-    preds = sigmoid(u @ m.head.w + m.head.b[0])
+    preds = sigmoid(u @ m["head.w"] + m["head.b"][0])
     if not want_cache:
         return preds, None
     return preds, ForwardCache(
@@ -385,33 +295,33 @@ def predict_batch(m: Model, ids: np.ndarray, lengths: np.ndarray, chunk: int = 5
 # --- checkpointing ------------------------------------------------------------
 
 
-def save_model(
-    m: Model,
-    vocab: Vocabulary,
-    out: BinaryIO,
-    max_len: int,
-    text_field: str = "postText",
-) -> None:
-    """Write a self-describing binary checkpoint with deterministic bytes."""
-    arrays = parameter_arrays(m)
+def save_model(m: Model, vocab: Vocabulary, cfg, out: BinaryIO) -> None:
+    """Write a self-describing binary checkpoint with deterministic bytes.
+
+    `cfg` is the `train.TrainConfig` the model was trained with; the header
+    records its max_len, text_field and dropout rates. The arrays go out in
+    `_array_shapes` order, whatever the order of `m`.
+    """
+    h, d = m["fwd.W_r"].shape
+    arrays = [(name, m[name]) for name in _array_shapes(len(m["embedding"]), d, h)]
     manifest = [
         {
             "name": name,
             "dtype": arr.dtype.newbyteorder("<").str,
             "shape": list(arr.shape),
         }
-        for name, arr in arrays.items()
+        for name, arr in arrays
     ]
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "d": m.d,
-        "h": m.h,
-        "max_len": max_len,
-        "text_field": text_field,
-        "dropout_embed": m.dropout_embed,
-        "dropout_gru_in": m.dropout_gru_in,
-        "dropout_gru_out": m.dropout_gru_out,
+        "d": d,
+        "h": h,
+        "max_len": cfg.max_len,
+        "text_field": cfg.text_field,
+        "dropout_embed": cfg.dropout_embed,
+        "dropout_gru_in": cfg.dropout_gru_in,
+        "dropout_gru_out": cfg.dropout_gru_out,
         "trainable_embedding": True,
         "vocab_tokens": vocab.id_to_token[2:],
         "arrays": manifest,
@@ -420,7 +330,7 @@ def save_model(
     out.write(CHECKPOINT_MAGIC)
     out.write(struct.pack("<Q", len(blob)))
     out.write(blob)
-    for arr in arrays.values():
+    for _, arr in arrays:
         out.write(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes())
 
 
@@ -463,6 +373,8 @@ def _read_header(inp: BinaryIO) -> dict:
         raise DataError(f"checkpoint header lacks {', '.join(missing)}")
     if not all(type(header[key]) is int and header[key] >= 1 for key in ("d", "h", "max_len")):
         raise DataError("checkpoint d, h and max_len must be positive integers")
+    if header["max_len"] > MAX_LEN_LIMIT:
+        raise DataError(f"checkpoint max_len {header['max_len']} exceeds {MAX_LEN_LIMIT}")
     tokens = header["vocab_tokens"]
     if not isinstance(tokens, list) or set(map(type, tokens)) - {str}:
         raise DataError("checkpoint vocab_tokens must be a list of strings")
@@ -476,7 +388,8 @@ def _read_header(inp: BinaryIO) -> dict:
 
 
 def load_model(inp: BinaryIO) -> tuple[Model, Vocabulary, dict]:
-    """Read a checkpoint; bit-exact inverse of save_model.
+    """Read a checkpoint: the model, its vocabulary, and its header's d, h,
+    max_len and text_field. Every array is bit-exact as save_model wrote it.
 
     A checkpoint that is cut short or runs on past its last array, whose
     header is not the v1 JSON, or whose arrays are not the ones save_model
@@ -523,29 +436,15 @@ def load_model(inp: BinaryIO) -> tuple[Model, Vocabulary, dict]:
         raise DataError("checkpoint has bytes after its last array")
 
     vocab = Vocabulary.from_tokens(header["vocab_tokens"])
-    embedding = EmbeddingTable(matrix=arrays["embedding"])
-
-    def gru(prefix: str) -> GruParams:
-        return GruParams(**{name: arrays[f"{prefix}.{name}"] for name in GRU_FIELDS})
-
-    model = Model(
-        embedding=embedding,
-        fwd=gru("fwd"),
-        bwd=gru("bwd"),
-        head=DenseSigmoid(w=arrays["head.w"], b=arrays["head.b"]),
-        dropout_embed=header["dropout_embed"],
-        dropout_gru_in=header["dropout_gru_in"],
-        dropout_gru_out=header["dropout_gru_out"],
-    )
     meta = {
         "d": header["d"],
         "h": header["h"],
         "max_len": header["max_len"],
         "text_field": header["text_field"],
     }
-    return model, vocab, meta
+    return arrays, vocab, meta
 
 
 def copy_model(m: Model) -> Model:
-    """Deep copy of all parameter arrays (used for best-epoch snapshots)."""
-    return copy.deepcopy(m)
+    """Copy of every array (used for best-epoch snapshots)."""
+    return {name: arr.copy() for name, arr in m.items()}

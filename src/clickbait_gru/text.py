@@ -79,34 +79,20 @@ def build_vocab(corpus: Iterable[list[str]]) -> Vocabulary:
     return Vocabulary.from_tokens(sorted(counts, key=lambda tok: (-counts[tok], tok)))
 
 
-@dataclass
-class EmbeddingTable:
-    """Dense token vectors, fine-tuned with the rest of the model; row 0 (PAD)
-    starts all-zero and is never loaded."""
-
-    matrix: np.ndarray
-
-    @property
-    def d(self) -> int:
-        return int(self.matrix.shape[1])
-
-    @property
-    def size(self) -> int:
-        return int(self.matrix.shape[0])
-
-
 def load_glove(
     stream: Iterable[str],
     vocab: Vocabulary,
     d: int,
     seed: int = 0,
-) -> tuple[EmbeddingTable, int]:
-    """Build a float32 embedding table from a GloVe-format text stream.
+) -> tuple[np.ndarray, int]:
+    """Build a float32 (vocab.size, d) embedding matrix from a GloVe-format
+    text stream.
 
     Rows for vocabulary tokens present in the stream are copied verbatim;
     the rest (UNK included) are drawn uniformly from the OOV range with a
-    deterministic per-row stream. Returns the table and the matched-token
-    count.
+    deterministic per-row stream; the PAD row stays zero. The matrix is
+    fine-tuned with the rest of the model. Returns the matrix and the
+    matched-token count.
     """
     matrix = np.zeros((vocab.size, d), dtype=np.float64)
     found = np.zeros(vocab.size, dtype=bool)
@@ -135,7 +121,7 @@ def load_glove(
     for token_id in range(1, vocab.size):  # PAD row stays zero
         if not found[token_id]:
             matrix[token_id] = rng.uniform(-OOV_INIT_SCALE, OOV_INIT_SCALE, size=d)
-    return EmbeddingTable(matrix=matrix.astype(np.float32)), matched
+    return matrix.astype(np.float32), matched
 
 
 def encode(tokens: list[str], vocab: Vocabulary, max_len: int) -> list[int]:

@@ -1,4 +1,4 @@
-"""MSE loss, backpropagation through time, RMSprop, and the training loop.
+"""MSE loss, dropout masks, backpropagation through time, RMSprop, and the training loop.
 
 Gradients are derived by reverse accumulation through the GRU recurrence and
 checked against central finite differences (`grad_check`). The loop trains in
@@ -15,20 +15,18 @@ import numpy as np
 from .errors import NumericError
 from .ingest import TEXT_FIELDS, LabeledDataset, PostRecord
 from .nn import (
+    MAX_LEN_LIMIT,
     DropoutMasks,
-    GruParams,
     GruTape,
     Model,
     Packing,
     copy_model,
     forward_batch,
     init_model,
-    make_dropout_masks,
-    parameter_arrays,
     predict_batch,
 )
 from .rng import named_rng
-from .text import PAD_ID, EmbeddingTable, Vocabulary, encode, tokenize
+from .text import PAD_ID, Vocabulary, encode, tokenize
 
 CLIP_LIMIT = 5.0
 INT_FIELDS = ("batch_size", "epochs", "d", "h", "max_len", "seed")
@@ -66,6 +64,8 @@ class TrainConfig:
         for name in ("batch_size", "d", "h", "max_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.max_len > MAX_LEN_LIMIT:
+            raise ValueError(f"max_len must be <= {MAX_LEN_LIMIT}, got {self.max_len}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not 0.0 <= self.rho < 1.0:
@@ -124,6 +124,29 @@ class RmsPropState:
 GradientSet = dict[str, "np.ndarray | RowSparseGrad"]
 
 
+def inverted_dropout_mask(shape, rate: float, rng: np.random.Generator, dtype) -> np.ndarray:
+    """Keep mask scaled by 1/(1-rate) so expectations match inference."""
+    keep = rng.random(shape) >= rate
+    return keep.astype(dtype) / dtype.type(1.0 - rate)
+
+
+def make_dropout_masks(
+    m: Model, cfg: TrainConfig, batch_size: int, max_len: int, rng: np.random.Generator
+) -> DropoutMasks:
+    """Masks at `cfg`'s dropout rates for a (batch_size, max_len) batch through `m`;
+    a rate of 0 draws nothing and leaves its mask None."""
+    dtype = m["embedding"].dtype
+    d, h = m["embedding"].shape[1], len(m["fwd.b_r"])
+    embed = gru_in = out = None
+    if cfg.dropout_embed > 0.0:
+        embed = inverted_dropout_mask((batch_size, max_len, d), cfg.dropout_embed, rng, dtype)
+    if cfg.dropout_gru_in > 0.0:
+        gru_in = inverted_dropout_mask((batch_size, 1, d), cfg.dropout_gru_in, rng, dtype)
+    if cfg.dropout_gru_out > 0.0:
+        out = inverted_dropout_mask((batch_size, 2 * h), cfg.dropout_gru_out, rng, dtype)
+    return DropoutMasks(embed=embed, gru_in=gru_in, out=out)
+
+
 def mse_loss(preds, targets) -> float:
     """Mean squared error; exactly-rounded sum, so example order never matters."""
     preds = list(preds)
@@ -135,10 +158,10 @@ def mse_loss(preds, targets) -> float:
     return math.fsum((p - t) ** 2 for p, t in zip(preds, targets)) / len(preds)
 
 
-def _gru_backward(p: GruParams, X, pack: Packing, tape: GruTape, dh, reverse: bool,
-                  grads: GradientSet, prefix: str):
-    """Reverse accumulation through one packed direction; sets its gradients in
-    `grads` and returns dX (N, d).
+def _gru_backward(m: Model, prefix: str, X, pack: Packing, tape: GruTape, dh, reverse: bool,
+                  grads: GradientSet):
+    """Reverse accumulation through packed direction `prefix`; sets its
+    gradients in `grads` and returns dX (N, d).
 
     `dh` is the gradient of the final states (live rows, h) in sorted row
     order. Steps run in the reverse of the forward pass's order; the rows a
@@ -148,7 +171,7 @@ def _gru_backward(p: GruParams, X, pack: Packing, tape: GruTape, dh, reverse: bo
     gradients (see `GruTape`); the weight gradients and dX are formed over
     all tokens at once after it.
     """
-    U = np.stack([p.U_h, p.U_r, p.U_z])  # the tape's gate order
+    U = np.stack([m[f"{prefix}.U_{gate}"] for gate in "hrz"])  # the tape's gate order
     dh = dh.copy()
     order = range(len(pack.counts))
     for t in order if reverse else reversed(order):
@@ -184,9 +207,9 @@ def _gru_backward(p: GruParams, X, pack: Packing, tape: GruTape, dh, reverse: bo
         grads[f"{prefix}.b_{gate}"] = db[i]
     for i, gate in enumerate("hrz"):
         grads[f"{prefix}.U_{gate}"] = dU[i]
-    dX = G[3] @ p.W_h
-    dX += G[1] @ p.W_r
-    dX += G[2] @ p.W_z
+    dX = G[3] @ m[f"{prefix}.W_h"]
+    dX += G[1] @ m[f"{prefix}.W_r"]
+    dX += G[2] @ m[f"{prefix}.W_z"]
     return dX
 
 
@@ -231,9 +254,8 @@ def backprop(
     preds, cache = forward_batch(m, ids, lengths, masks=masks, want_cache=True)
     loss = mse_loss(preds, targets)
 
-    params = parameter_arrays(m)
-    grads: GradientSet = dict.fromkeys(params)
-    h = m.h
+    grads: GradientSet = dict.fromkeys(m)
+    h = len(m["fwd.b_r"])
     B = len(ids)
     pack = cache.pack
 
@@ -241,18 +263,18 @@ def backprop(
     da = dp * preds * (1.0 - preds)
     grads["head.w"] = da @ cache.u_drop
     grads["head.b"] = da.sum(keepdims=True)
-    du = np.outer(da, m.head.w)
+    du = np.outer(da, m["head.w"])
     if masks is not None and masks.out is not None:
         du = du * masks.out
     du = du[pack.live]
-    dX = _gru_backward(m.fwd, cache.X, pack, cache.fwd, du[:, :h], False, grads, "fwd")
-    dX += _gru_backward(m.bwd, cache.X, pack, cache.bwd, du[:, h:], True, grads, "bwd")
+    dX = _gru_backward(m, "fwd", cache.X, pack, cache.fwd, du[:, :h], False, grads)
+    dX += _gru_backward(m, "bwd", cache.X, pack, cache.bwd, du[:, h:], True, grads)
 
     if masks is not None and masks.gru_in is not None:
         dX *= masks.gru_in[pack.rows, 0]
     if masks is not None and masks.embed is not None:
         dX *= masks.embed[pack.rows, pack.steps]
-    grads["embedding"] = _embedding_grad(cache.tokens, dX, pack, len(m.embedding.matrix))
+    grads["embedding"] = _embedding_grad(cache.tokens, dX, pack, len(m["embedding"]))
 
     # a row-sparse gradient is zero off its rows, so its values are all there is to check
     stored = {name: g.values if isinstance(g, RowSparseGrad) else g for name, g in grads.items()}
@@ -261,14 +283,14 @@ def backprop(
             np.clip(g, -clip, clip, out=g)
 
     if not math.isfinite(loss):
-        raise NumericError(f"non-finite loss: {_first_nonfinite(params, stored)}")
+        raise NumericError(f"non-finite loss: {_first_nonfinite(m, stored)}")
     for name, g in stored.items():
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in {name}")
     return loss, grads
 
 
-def _first_nonfinite(params: GradientSet, grads: GradientSet) -> str:
+def _first_nonfinite(params: Model, grads: GradientSet) -> str:
     for name, arr in params.items():
         if not np.all(np.isfinite(arr)):
             return f"parameter {name} contains non-finite values"
@@ -351,9 +373,10 @@ def fit(
     valid: LabeledDataset,
     cfg: TrainConfig,
     vocab: Vocabulary,
-    embeddings: EmbeddingTable,
+    embeddings: np.ndarray,
 ) -> tuple[Model, list[EpochStats]]:
-    """Mini-batch training; returns the model from the best-validation epoch.
+    """Mini-batch training from the (V, d) `embeddings`; returns the model
+    from the best-validation epoch.
 
     Epoch 0 in the history is the untrained model, so the checkpointing rule
     (return the minimum-validation-MSE state) can never hand back something
@@ -361,8 +384,8 @@ def fit(
     """
     if len(train) == 0 or len(valid) == 0:
         raise ValueError("train and valid datasets must be non-empty")
-    if embeddings.d != cfg.d:
-        raise ValueError(f"embedding dim {embeddings.d} != configured d {cfg.d}")
+    if embeddings.shape[1] != cfg.d:
+        raise ValueError(f"embedding dim {embeddings.shape[1]} != configured d {cfg.d}")
 
     train_ids, train_lengths, train_targets = encode_dataset(
         train, vocab, cfg.max_len, cfg.text_field
@@ -372,14 +395,7 @@ def fit(
     )
 
     # train on a private copy: updates must never leak into the caller's table
-    model = init_model(
-        EmbeddingTable(matrix=embeddings.matrix.copy()),
-        cfg.h,
-        cfg.seed,
-        dropout_embed=cfg.dropout_embed,
-        dropout_gru_in=cfg.dropout_gru_in,
-        dropout_gru_out=cfg.dropout_gru_out,
-    )
+    model = init_model(embeddings.copy(), cfg.h, cfg.seed)
     shuffle_rng = named_rng(cfg.seed, "shuffle")
     dropout_rng = named_rng(cfg.seed, "dropout")
     opt_state = RmsPropState()
@@ -403,11 +419,11 @@ def fit(
         order = shuffle_rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            masks = make_dropout_masks(model, len(batch), cfg.max_len, dropout_rng)
+            masks = make_dropout_masks(model, cfg, len(batch), cfg.max_len, dropout_rng)
             _, grads = backprop(
                 model, train_ids[batch], train_lengths[batch], train_targets[batch], masks=masks
             )
-            rmsprop_update(parameter_arrays(model), grads, opt_state, cfg)
+            rmsprop_update(model, grads, opt_state, cfg)
         row = checkpoint_row(epoch)
         history.append(row)
         if row.valid_mse < best_valid:
@@ -450,16 +466,14 @@ def grad_check(
 ) -> GradCheckReport:
     """Compare analytic gradients to central differences, element by element.
 
-    Requires a double-precision model with dropout disabled; clipping is off so
-    both sides see the raw derivative. Relative error per element is
-    |a - n| / max(|a|, |n|, 1e-6); the floor must sit well above the
+    Requires a double-precision model. Both sides run without dropout and
+    without clipping, so they see the raw derivative. Relative error per
+    element is |a - n| / max(|a|, |n|, 1e-6); the floor must sit well above the
     cancellation noise of the difference quotient (about 1e-11 for unit-scale
     losses at this step), or near-zero derivatives fail on noise alone.
     """
-    if m.dtype != np.float64:
+    if m["embedding"].dtype != np.float64:
         raise ValueError("grad_check needs a float64 model")
-    if m.dropout_embed or m.dropout_gru_in or m.dropout_gru_out:
-        raise ValueError("grad_check needs dropout disabled")
 
     def batch_loss() -> float:
         preds, _ = forward_batch(m, ids, lengths)
@@ -467,7 +481,7 @@ def grad_check(
 
     _, analytic = backprop(m, ids, lengths, targets, clip=None)
     per_array: dict[str, float] = {}
-    for name, arr in parameter_arrays(m).items():
+    for name, arr in m.items():
         worst = 0.0
         flat = arr.reshape(-1)
         a_flat = np.asarray(analytic[name]).reshape(-1)

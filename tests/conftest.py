@@ -8,15 +8,7 @@ import numpy as np
 import pytest
 
 from clickbait_gru.ingest import Judgment, Label, LabeledDataset, PostRecord
-from clickbait_gru.nn import (
-    CHECKPOINT_MAGIC,
-    DenseSigmoid,
-    GruParams,
-    Model,
-    forward_batch,
-    init_model,
-)
-from clickbait_gru.text import EmbeddingTable, Vocabulary
+from clickbait_gru.nn import CHECKPOINT_MAGIC, GRU_FIELDS, Model, forward_batch, init_model
 
 # five-decimal encoding used by the challenge files
 LEVEL_ENC = {0.0: 0.0, 1 / 3: 0.33333, 2 / 3: 0.66667, 1.0: 1.0}
@@ -76,19 +68,23 @@ def tiny_model(
     h: int = 3,
     seed: int = 0,
     dtype=np.float64,
-    **dropout,
 ) -> Model:
     rng = np.random.default_rng(seed)
     matrix = rng.normal(0.0, 0.3, (vocab_size, d)).astype(dtype)
     matrix[0] = 0.0
-    return init_model(EmbeddingTable(matrix=matrix), h, seed=seed, **dropout)
+    return init_model(matrix, h, seed=seed)
 
 
-def model_of(p: GruParams, matrix) -> Model:
-    """Both directions share `p`; the embedding rows are the inputs; zero head."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    head = DenseSigmoid(w=np.zeros(2 * p.h), b=np.zeros(1))
-    return Model(embedding=EmbeddingTable(matrix=matrix), fwd=p, bwd=p, head=head)
+def model_of(gru: dict, matrix) -> Model:
+    """Both directions use the nine arrays of `gru` (keyed "W_r", ..., "b_h");
+    the embedding rows are the inputs; zero head."""
+    h = len(gru["b_r"])
+    m = {"embedding": np.asarray(matrix, dtype=np.float64)}
+    for prefix in ("fwd", "bwd"):
+        m.update({f"{prefix}.{name}": gru[name] for name in GRU_FIELDS})
+    m["head.w"] = np.zeros(2 * h)
+    m["head.b"] = np.zeros(1)
+    return m
 
 
 def direction_states(m: Model, ids, length: int):
@@ -100,8 +96,9 @@ def direction_states(m: Model, ids, length: int):
     """
     _, cache = forward_batch(m, np.asarray([ids]), np.asarray([length]), want_cache=True)
     final = cache.u_drop[0]
-    fwd = np.vstack([cache.fwd.h_prev, final[: m.h]])
-    bwd = np.vstack([cache.bwd.h_prev[::-1], final[m.h :]])
+    h = len(m["fwd.b_r"])
+    fwd = np.vstack([cache.fwd.h_prev, final[:h]])
+    bwd = np.vstack([cache.bwd.h_prev[::-1], final[h:]])
     return fwd, bwd
 
 
@@ -110,6 +107,12 @@ def _header_span(raw: bytes) -> tuple[int, int]:
     start = len(CHECKPOINT_MAGIC) + 8
     (size,) = struct.unpack("<Q", raw[len(CHECKPOINT_MAGIC) : start])
     return start, start + size
+
+
+def checkpoint_header(raw: bytes) -> dict:
+    """The JSON header of checkpoint bytes."""
+    start, end = _header_span(raw)
+    return json.loads(raw[start:end])
 
 
 def with_header_blob(raw: bytes, blob: bytes) -> bytes:
@@ -122,8 +125,7 @@ def with_header_edit(edit):
     """Maps checkpoint bytes to the same bytes with edit(header) applied to the header."""
 
     def apply(raw: bytes) -> bytes:
-        start, end = _header_span(raw)
-        header = json.loads(raw[start:end])
+        header = checkpoint_header(raw)
         edit(header)
         return with_header_blob(raw, json.dumps(header).encode("utf-8"))
 

@@ -47,38 +47,41 @@ def _step(params, x, h_prev):
     return h_new
 
 
-def _gru_params_as_lists(gru):
-    return (
-        gru.W_r.tolist(), gru.W_z.tolist(), gru.W_h.tolist(),
-        gru.U_r.tolist(), gru.U_z.tolist(), gru.U_h.tolist(),
-        gru.b_r.tolist(), gru.b_z.tolist(), gru.b_h.tolist(),
+def _gru_params_as_lists(model, prefix):
+    return tuple(
+        model[f"{prefix}.{name}"].tolist()
+        for name in ("W_r", "W_z", "W_h", "U_r", "U_z", "U_h", "b_r", "b_z", "b_h")
     )
 
 
 def naive_predict(model, token_ids, length) -> float:
-    """Score for one sequence: read both ways, concatenate, sigmoid head."""
-    emb = model.embedding.matrix.tolist()
+    """Score for one sequence: read both ways, concatenate, sigmoid head.
+
+    `model` maps the checkpoint array names ("embedding", "fwd.W_r", ...,
+    "head.b") to arrays.
+    """
+    emb = model["embedding"].tolist()
     xs = [emb[int(token_ids[t])] for t in range(length)]
-    h = model.fwd.h
+    h = len(model["fwd.b_r"])
 
     if length == 0:
         summary = [0.0] * (2 * h)
     else:
-        fwd = _gru_params_as_lists(model.fwd)
+        fwd = _gru_params_as_lists(model, "fwd")
         state = [0.0] * h
         for x in xs:
             state = _step(fwd, x, state)
         forward_summary = state
 
-        bwd = _gru_params_as_lists(model.bwd)
+        bwd = _gru_params_as_lists(model, "bwd")
         state = [0.0] * h
         for x in reversed(xs):
             state = _step(bwd, x, state)
         backward_summary = state
         summary = forward_summary + backward_summary
 
-    a = float(model.head.b[0])
-    w = model.head.w.tolist()
+    a = float(model["head.b"][0])
+    w = model["head.w"].tolist()
     for k in range(2 * h):
         a += w[k] * summary[k]
     return _sigmoid(a)

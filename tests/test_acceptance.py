@@ -27,7 +27,7 @@ from clickbait_gru.ingest import (
     write_dataset,
 )
 from clickbait_gru.metrics import evaluate
-from clickbait_gru.nn import GruParams, forward_batch, predict_batch
+from clickbait_gru.nn import forward_batch, predict_batch
 from clickbait_gru.text import build_vocab, load_glove, tokenize
 from clickbait_gru.train import (
     RmsPropState,
@@ -37,7 +37,6 @@ from clickbait_gru.train import (
     fit,
     grad_check,
     mse_loss,
-    parameter_arrays,
     rmsprop_update,
 )
 
@@ -108,7 +107,7 @@ def test_criterion_3_state_never_leaves_unit_interval():
     for _ in range(1000):
         scale = 10.0 ** rng.uniform(-1.0, 2.0)
         w = lambda *shape: scale * rng.standard_normal(shape)
-        params = GruParams(
+        params = dict(
             W_r=w(h, d), W_z=w(h, d), W_h=w(h, d),
             U_r=w(h, h), U_z=w(h, h), U_h=w(h, h),
             b_r=w(h), b_z=w(h), b_h=w(h),
@@ -124,14 +123,13 @@ def _sgd_epochs(m, data, cfg, epochs, stop):
     the first epoch where stop() is true, or None."""
     ids, lengths, targets = data
     state = RmsPropState()
-    params = parameter_arrays(m)
     rng = np.random.default_rng(cfg.seed)
     for epoch in range(1, epochs + 1):
         order = rng.permutation(len(ids))
         for start in range(0, len(ids), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             _, grads = backprop(m, ids[batch], lengths[batch], targets[batch])
-            rmsprop_update(params, grads, state, cfg)
+            rmsprop_update(m, grads, state, cfg)
         if stop(m):
             return epoch
     return None

@@ -13,6 +13,7 @@ import pytest
 from clickbait_gru.cli import main
 from clickbait_gru.ingest import load_dataset, stratified_split, write_dataset
 from clickbait_gru.nn import load_model, save_model
+from clickbait_gru.train import TrainConfig
 
 from conftest import (
     WORDS,
@@ -249,6 +250,7 @@ class TestTrain:
             ({"rho": 1.5}, [], "rho"),
             ([4], [], "JSON object"),
             ({}, ["--hidden", "0"], "h must be"),
+            ({}, ["--max-len", str(10**11)], "max_len must be <= "),
         ],
     )
     def test_bad_config_value_is_usage_error(self, work, tmp_path, capsys, config, flags, named):
@@ -401,13 +403,14 @@ class TestPredict:
         second token, and r * U_h h is 0 * inf = NaN."""
         with open(work / "run" / "model.ckpt", "rb") as f:
             model, vocab, meta = load_model(f)
-        model.fwd.b_r[:] = -3e38
-        model.fwd.b_z[:] = 3e38
-        model.fwd.b_h[:] = 3e38
-        model.fwd.U_h[:] = 3e38
+        model["fwd.b_r"][:] = -3e38
+        model["fwd.b_z"][:] = 3e38
+        model["fwd.b_h"][:] = 3e38
+        model["fwd.U_h"][:] = 3e38
         ckpt = tmp_path / "model.ckpt"
+        cfg = TrainConfig(max_len=meta["max_len"], text_field=meta["text_field"])
         with open(ckpt, "wb") as f:
-            save_model(model, vocab, f, meta["max_len"], meta["text_field"])
+            save_model(model, vocab, cfg, f)
         out = tmp_path / "preds.jsonl"
         with np.errstate(over="ignore", invalid="ignore"):
             code, _, err = run(
@@ -428,10 +431,11 @@ class TestPredict:
             lambda raw: raw + b"garbage",
             with_header_edit(lambda h: h.update(text_field="postMedia")),
             lambda raw: raw[:-4] + struct.pack("<f", math.nan),
+            with_header_edit(lambda h: h.update(max_len=10**9)),
         ],
         ids=[
             "short-length-prefix", "cut-header", "head.b-omitted", "trailing-bytes",
-            "unknown-text-field", "nan-in-head.b",
+            "unknown-text-field", "nan-in-head.b", "huge-max-len",
         ],
     )
     def test_malformed_checkpoint_is_data_error(self, work, tmp_path, capsys, damage):
@@ -556,6 +560,18 @@ class TestEvaluate:
         assert err.startswith("data error: ") and expect in err
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
+
+    def test_repeated_truth_line_is_data_error(self, work, tmp_path, capsys):
+        results = tmp_path / "results.jsonl"
+        self.perfect_results(work, results)
+        truth = (work / "data" / "truth.jsonl").read_text().splitlines(keepends=True)
+        repeated = tmp_path / "truth.jsonl"
+        repeated.write_text("".join(truth + truth[:1]))
+        code, out, err = run(capsys, "evaluate", str(results), "--truth", str(repeated))
+        assert code == 2
+        assert err.startswith(f"data error: line {len(truth) + 1}: duplicate truth id")
+        assert len(err.strip().splitlines()) == 1
+        assert out == ""
 
     def test_duplicate_result_id(self, work, tmp_path, capsys):
         results = tmp_path / "results.jsonl"

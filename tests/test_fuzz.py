@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from clickbait_gru.cli import main
 from clickbait_gru.ingest import write_dataset
 from clickbait_gru.nn import save_model
+from clickbait_gru.train import TrainConfig
 from clickbait_gru.text import build_vocab, tokenize
 from conftest import synth_dataset, tiny_model
 
@@ -66,7 +67,8 @@ def clean(tmp_path_factory):
     write_dataset(ds, str(base / "data"))
     vocab = build_vocab(tokenize(record.text) for record, _ in ds)
     ckpt = io.BytesIO()
-    save_model(tiny_model(vocab_size=vocab.size, dtype=np.float32), vocab, ckpt, max_len=8)
+    model = tiny_model(vocab_size=vocab.size, dtype=np.float32)
+    save_model(model, vocab, TrainConfig(max_len=8), ckpt)
     results = "".join(
         json.dumps({"id": record.id, "clickbaitScore": 0.5}) + "\n" for record, _ in ds
     )

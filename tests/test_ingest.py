@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from clickbait_gru.ingest import (
     Judgment,
     Label,
     LabeledDataset,
+    atomic_open,
     build_dataset,
     derive_label,
     find_duplicate_posts,
@@ -132,6 +134,11 @@ class TestParseTruth:
         line = truth_line(truthClass="maybe")
         with pytest.raises(ParseError, match="truthClass"):
             parse_truth(io.StringIO(line))
+
+    def test_repeated_id_rejected_at_its_second_line(self):
+        lines = [truth_line("i1"), truth_line("i2"), truth_line("i1")]
+        with pytest.raises(ParseError, match="line 3: duplicate truth id 'i1'"):
+            parse_truth(io.StringIO("\n".join(lines)))
 
     def test_missing_mean_rejected(self):
         obj = json.loads(truth_line())
@@ -318,3 +325,27 @@ class TestRoundTrip:
     def test_load_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):
             load_dataset(str(tmp_path / "nowhere"))
+
+
+class TestAtomicOpen:
+    def test_raising_writer_leaves_earlier_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        path.write_text("earlier\n")
+        with pytest.raises(RuntimeError, match="midway"):
+            with atomic_open(str(path)) as f:
+                f.write("half of a new file")
+                f.flush()
+                raise RuntimeError("midway")
+        assert path.read_text() == "earlier\n"
+        assert os.listdir(tmp_path) == ["preds.jsonl"]
+
+    def test_replaces_the_file_with_plain_open_permissions(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"earlier")
+        with atomic_open(str(path), binary=True) as f:
+            f.write(b"new")
+        assert path.read_bytes() == b"new"
+        assert os.listdir(tmp_path) == ["model.ckpt"]
+        with open(tmp_path / "plain", "wb"):
+            pass
+        assert os.stat(path).st_mode == os.stat(tmp_path / "plain").st_mode

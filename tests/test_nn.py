@@ -1,5 +1,6 @@
 """GRU step algebra, bidirectional encoder, dropout, checkpoint format."""
 
+import hashlib
 import io
 import math
 import struct
@@ -11,22 +12,21 @@ from hypothesis import strategies as st
 
 from clickbait_gru.errors import DataError
 from clickbait_gru.nn import (
-    DenseSigmoid,
-    GruParams,
+    GRU_FIELDS,
+    _array_shapes,
     forward_batch,
-    init_gru_params,
     init_model,
     load_model,
-    make_dropout_masks,
     pack_batch,
-    parameter_arrays,
     predict_batch,
     save_model,
     sigmoid,
 )
 from clickbait_gru.rng import named_rng
-from clickbait_gru.text import EmbeddingTable, Vocabulary
+from clickbait_gru.text import Vocabulary
+from clickbait_gru.train import TrainConfig, make_dropout_masks
 from conftest import (
+    checkpoint_header,
     direction_states,
     model_of,
     tiny_model,
@@ -37,17 +37,13 @@ from oracle import naive_predict
 
 
 def zero_params(h, d, dtype=np.float64):
-    return GruParams(
-        W_r=np.zeros((h, d), dtype=dtype),
-        W_z=np.zeros((h, d), dtype=dtype),
-        W_h=np.zeros((h, d), dtype=dtype),
-        U_r=np.zeros((h, h), dtype=dtype),
-        U_z=np.zeros((h, h), dtype=dtype),
-        U_h=np.zeros((h, h), dtype=dtype),
-        b_r=np.zeros(h, dtype=dtype),
-        b_z=np.zeros(h, dtype=dtype),
-        b_h=np.zeros(h, dtype=dtype),
-    )
+    shapes = {"W": (h, d), "U": (h, h), "b": (h,)}
+    return {name: np.zeros(shapes[name[0]], dtype=dtype) for name in GRU_FIELDS}
+
+
+def rates(embed=0.0, gru_in=0.0, out=0.0, **cfg) -> TrainConfig:
+    """Training config with the given dropout rates, zero unless named."""
+    return TrainConfig(dropout_embed=embed, dropout_gru_in=gru_in, dropout_gru_out=out, **cfg)
 
 
 def summary(m, ids, lengths, masks=None):
@@ -64,13 +60,13 @@ def hand_step(p, x, hp):
 
     out = []
     for i in range(len(hp)):
-        a_r = p.b_r[i] + sum(p.W_r[i][j] * x[j] for j in range(len(x)))
-        a_r += sum(p.U_r[i][j] * hp[j] for j in range(len(hp)))
-        a_z = p.b_z[i] + sum(p.W_z[i][j] * x[j] for j in range(len(x)))
-        a_z += sum(p.U_z[i][j] * hp[j] for j in range(len(hp)))
+        a_r = p["b_r"][i] + sum(p["W_r"][i][j] * x[j] for j in range(len(x)))
+        a_r += sum(p["U_r"][i][j] * hp[j] for j in range(len(hp)))
+        a_z = p["b_z"][i] + sum(p["W_z"][i][j] * x[j] for j in range(len(x)))
+        a_z += sum(p["U_z"][i][j] * hp[j] for j in range(len(hp)))
         r_i, z_i = sig(a_r), sig(a_z)
-        uh_i = sum(p.U_h[i][j] * hp[j] for j in range(len(hp)))
-        a_h = p.b_h[i] + sum(p.W_h[i][j] * x[j] for j in range(len(x))) + r_i * uh_i
+        uh_i = sum(p["U_h"][i][j] * hp[j] for j in range(len(hp)))
+        a_h = p["b_h"][i] + sum(p["W_h"][i][j] * x[j] for j in range(len(x))) + r_i * uh_i
         out.append((1.0 - z_i) * hp[i] + z_i * math.tanh(a_h))
     return out
 
@@ -87,7 +83,7 @@ class TestGruStep:
         # only W_h is set and the second input is zero, so at the second step
         # the gates sit at 0.5 and the candidate at 0: the update halves h
         p = zero_params(3, 2)
-        p.W_h[:] = [[0.6, 0.1], [-0.2, 0.3], [0.9, -0.4]]
+        p["W_h"][:] = [[0.6, 0.1], [-0.2, 0.3], [0.9, -0.4]]
         m = model_of(p, [[0.0, 0.0], [1.0, -0.5]])
         fwd, _ = direction_states(m, [1, 0], 2)
         assert np.all(fwd[1] != 0.0)
@@ -95,7 +91,7 @@ class TestGruStep:
 
     def test_matches_scalar_hand_evaluation(self):
         """Fixed 2x2 weights, two tokens, both reading orders."""
-        p = GruParams(
+        p = dict(
             W_r=np.array([[0.1, -0.2], [0.3, 0.0]]),
             W_z=np.array([[-0.1, 0.4], [0.2, 0.2]]),
             W_h=np.array([[0.5, 0.1], [-0.3, 0.2]]),
@@ -116,17 +112,17 @@ class TestGruStep:
     def test_update_gate_forced_closed_keeps_state(self):
         # the first token opens the update gate, the second shuts it
         p = zero_params(2, 2)
-        p.W_z[:, 0] = 80.0
-        p.b_z[:] = -40.0  # z ~ 1 on [1, 0], z ~ 0 on [0, 1]
-        p.b_h[:] = 0.3
+        p["W_z"][:, 0] = 80.0
+        p["b_z"][:] = -40.0  # z ~ 1 on [1, 0], z ~ 0 on [0, 1]
+        p["b_h"][:] = 0.3
         fwd, _ = direction_states(model_of(p, [[1.0, 0.0], [0.0, 1.0]]), [0, 1], 2)
         np.testing.assert_allclose(fwd[1], math.tanh(0.3), atol=1e-12)
         np.testing.assert_allclose(fwd[2], fwd[1], atol=1e-15)
 
     def test_update_gate_forced_open_takes_candidate(self):
         p = zero_params(2, 2)
-        p.b_z[:] = 40.0  # z ~ 1
-        p.b_h[:] = 0.3
+        p["b_z"][:] = 40.0  # z ~ 1
+        p["b_h"][:] = 0.3
         m = model_of(p, [[1.0, -1.0], [0.0, 0.0], [0.5, 0.5]])
         for states in direction_states(m, [0, 1, 2], 3):
             np.testing.assert_allclose(states[1:], math.tanh(0.3), atol=1e-12)
@@ -138,7 +134,7 @@ class TestGruStep:
         rng = np.random.default_rng(seed)
         h, d = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         draw = lambda *s: rng.normal(0.0, scale, s)
-        p = GruParams(
+        p = dict(
             W_r=draw(h, d), W_z=draw(h, d), W_h=draw(h, d),
             U_r=draw(h, h), U_z=draw(h, h), U_h=draw(h, h),
             b_r=draw(h), b_z=draw(h), b_h=draw(h),
@@ -151,7 +147,8 @@ class TestRunDirection:
     """One direction's states, read from the forward tape."""
 
     def setup_method(self):
-        self.p = init_gru_params(3, 4, np.random.default_rng(0), dtype=np.float64)
+        m = init_model(np.zeros((1, 3)), 4, seed=0)
+        self.p = {name: m[f"fwd.{name}"] for name in GRU_FIELDS}
 
     def test_single_step_equals_gru_step(self):
         x = [0.1, -0.2, 0.3]
@@ -207,14 +204,14 @@ class TestEncodePost:
 
     def test_train_mode_all_rates_zero_equals_infer(self):
         m = tiny_model()
-        masks = make_dropout_masks(m, 1, 3, named_rng(0, "dropout"))
+        masks = make_dropout_masks(m, rates(), 1, 3, named_rng(0, "dropout"))
         train = summary(m, [[2, 3, 4]], [3], masks=masks)
         infer = summary(m, [[2, 3, 4]], [3])
         np.testing.assert_array_equal(train, infer)
 
     def test_output_dropout_scales_survivors_by_two(self):
-        m = tiny_model(dropout_gru_out=0.5)
-        masks = make_dropout_masks(m, 1, 3, named_rng(1, "dropout"))
+        m = tiny_model()
+        masks = make_dropout_masks(m, rates(out=0.5), 1, 3, named_rng(1, "dropout"))
         infer = summary(m, [[2, 3, 4]], [3])[0]
         dropped = summary(m, [[2, 3, 4]], [3], masks=masks)[0]
         for got, base in zip(dropped, infer):
@@ -224,8 +221,8 @@ class TestEncodePost:
 class TestPredict:
     def test_zero_head_gives_half(self):
         m = tiny_model()
-        m.head.w[:] = 0.0
-        m.head.b[:] = 0.0
+        m["head.w"][:] = 0.0
+        m["head.b"][:] = 0.0
         preds = predict_batch(m, np.array([[2, 3, 4]]), np.array([3]))
         np.testing.assert_array_equal(preds, 0.5)
 
@@ -288,11 +285,11 @@ class TestForwardBatch:
         np.testing.assert_array_equal(permuted, preds[perm])
 
     def test_dropout_masks_change_training_forward_only(self):
-        m = tiny_model(seed=4, dropout_embed=0.3, dropout_gru_in=0.3, dropout_gru_out=0.5)
+        m = tiny_model(seed=4)
         ids = np.array([[2, 3, 4]])
         lengths = np.array([3])
         clean, _ = forward_batch(m, ids, lengths)
-        masks = make_dropout_masks(m, 1, 3, named_rng(0, "dropout"))
+        masks = make_dropout_masks(m, rates(0.3, 0.3, 0.5), 1, 3, named_rng(0, "dropout"))
         noisy, _ = forward_batch(m, ids, lengths, masks=masks)
         assert not np.array_equal(clean, noisy)
 
@@ -317,37 +314,34 @@ class TestPackBatch:
 
 class TestInit:
     def test_recurrent_matrices_orthogonal(self):
-        p = init_gru_params(6, 8, np.random.default_rng(0), dtype=np.float64)
-        for u in (p.U_r, p.U_z, p.U_h):
-            np.testing.assert_allclose(u @ u.T, np.eye(8), atol=1e-10)
+        m = init_model(np.zeros((5, 6)), 8, seed=0)
+        for prefix in ("fwd", "bwd"):
+            for u in (m[f"{prefix}.U_{gate}"] for gate in "rzh"):
+                np.testing.assert_allclose(u @ u.T, np.eye(8), atol=1e-10)
 
     def test_input_matrices_bounded(self):
         d, h = 6, 8
-        p = init_gru_params(d, h, np.random.default_rng(0))
+        m = init_model(np.zeros((5, d), dtype=np.float32), h, seed=0)
         bound = math.sqrt(6.0 / (d + h))
-        for w in (p.W_r, p.W_z, p.W_h):
-            assert np.all(np.abs(w) <= bound)
+        for prefix in ("fwd", "bwd"):
+            for gate in "rzh":
+                assert np.all(np.abs(m[f"{prefix}.W_{gate}"]) <= bound)
 
     def test_biases_zero(self):
-        p = init_gru_params(4, 4, np.random.default_rng(0))
-        for b in (p.b_r, p.b_z, p.b_h):
-            np.testing.assert_array_equal(b, 0.0)
+        m = init_model(np.zeros((5, 4), dtype=np.float32), 4, seed=0)
+        for name in ("fwd.b_r", "fwd.b_z", "fwd.b_h", "bwd.b_r", "bwd.b_z", "bwd.b_h", "head.b"):
+            np.testing.assert_array_equal(m[name], 0.0)
 
     def test_same_seed_same_model(self):
-        emb = EmbeddingTable(matrix=np.ones((5, 4), dtype=np.float32))
+        emb = np.ones((5, 4), dtype=np.float32)
         a = init_model(emb, 3, seed=7)
         b = init_model(emb, 3, seed=7)
-        for name, arr in parameter_arrays(a).items():
-            np.testing.assert_array_equal(arr, parameter_arrays(b)[name])
+        for name, arr in a.items():
+            np.testing.assert_array_equal(arr, b[name])
 
     def test_different_directions_differ(self):
         m = tiny_model(seed=2)
-        assert not np.array_equal(m.fwd.W_r, m.bwd.W_r)
-
-    def test_bad_dropout_rate_rejected(self):
-        emb = EmbeddingTable(matrix=np.ones((5, 4), dtype=np.float32))
-        with pytest.raises(ValueError):
-            init_model(emb, 3, seed=0, dropout_embed=1.0)
+        assert not np.array_equal(m["fwd.W_r"], m["bwd.W_r"])
 
 
 # head.b, the last array, declared double precision while the rest stay single
@@ -355,23 +349,42 @@ HEAD_B_AS_F8 = with_header_edit(lambda h: h["arrays"][-1].update(dtype="<f8"))
 
 
 class TestCheckpoint:
-    def roundtrip(self, m, vocab, max_len=16, text_field="postText"):
+    def roundtrip(self, m, vocab, cfg=TrainConfig(max_len=16)):
         buf = io.BytesIO()
-        save_model(m, vocab, buf, max_len=max_len, text_field=text_field)
+        save_model(m, vocab, cfg, buf)
         buf.seek(0)
         return buf, load_model(buf)
 
     def test_bit_exact_roundtrip(self):
-        m = tiny_model(seed=9, dtype=np.float32, dropout_embed=0.2, dropout_gru_out=0.5)
+        m = tiny_model(seed=9, dtype=np.float32)
         vocab = Vocabulary.from_tokens([f"w{i}" for i in range(8)])
-        buf, (back, vocab2, meta) = self.roundtrip(m, vocab)
+        buf, (back, vocab2, meta) = self.roundtrip(m, vocab, rates(0.2, 0.0, 0.5, max_len=16))
         assert vocab2 == vocab
         assert meta == {"d": 4, "h": 3, "max_len": 16, "text_field": "postText"}
-        assert back.dropout_embed == 0.2 and back.dropout_gru_out == 0.5
-        for name, arr in parameter_arrays(m).items():
-            other = parameter_arrays(back)[name]
-            assert arr.dtype == other.dtype
-            np.testing.assert_array_equal(arr, other)
+        header = checkpoint_header(buf.getvalue())
+        assert header["dropout_embed"] == 0.2 and header["dropout_gru_out"] == 0.5
+        assert list(back) == list(m)
+        for name, arr in m.items():
+            assert arr.dtype == back[name].dtype
+            np.testing.assert_array_equal(arr, back[name])
+
+    def test_v1_bytes_are_pinned(self):
+        """Exactly representable arrays, so the bytes do not depend on the numpy
+        build; the digest is that of the v1 writer the format was defined by."""
+        vocab = Vocabulary.from_tokens(["you", "won't", "café"])
+        m = {
+            name: ((np.arange(math.prod(shape), dtype=np.float32) - 4 * i) / 8).reshape(shape)
+            for i, (name, shape) in enumerate(_array_shapes(vocab.size, 3, 2).items())
+        }
+        buf = io.BytesIO()
+        # written from a dict in reverse order: save_model writes the v1 order
+        cfg = rates(0.25, 0.125, 0.5, max_len=7, text_field="targetTitle")
+        save_model(dict(reversed(m.items())), vocab, cfg, buf)
+        raw = buf.getvalue()
+        assert len(raw) == 1597
+        assert hashlib.sha256(raw).hexdigest() == (
+            "2ff13a245735a6c6484993f3fe54e575b3fc4197b835d628ca7f5147c7a65cf9"
+        )
 
     def test_save_is_deterministic(self):
         m = tiny_model(seed=9)
@@ -379,7 +392,7 @@ class TestCheckpoint:
         bufs = []
         for _ in range(2):
             buf = io.BytesIO()
-            save_model(m, vocab, buf, max_len=8)
+            save_model(m, vocab, TrainConfig(max_len=8), buf)
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
 
@@ -400,7 +413,7 @@ class TestCheckpoint:
         m = tiny_model(seed=9)
         vocab = Vocabulary.from_tokens([f"w{i}" for i in range(8)])
         buf = io.BytesIO()
-        save_model(m, vocab, buf, max_len=8)
+        save_model(m, vocab, TrainConfig(max_len=8), buf)
         cut = buf.getvalue()[:-20]
         with pytest.raises(DataError, match="truncated"):
             load_model(io.BytesIO(cut))
@@ -416,6 +429,7 @@ class TestCheckpoint:
             (lambda raw: with_header_blob(raw, b"[1]"), "not a JSON object"),
             (with_header_edit(lambda h: h.pop("h")), "lacks h$"),
             (with_header_edit(lambda h: h.update(d="4")), "positive integers"),
+            (with_header_edit(lambda h: h.update(max_len=10**9)), "max_len 1000000000 exceeds"),
             (with_header_edit(lambda h: h["vocab_tokens"].append(3)), "list of strings"),
             (with_header_edit(lambda h: h["arrays"].pop()), r"missing \['head.b'\]"),
             (with_header_edit(lambda h: h["arrays"][1].update(name="fwd.W_x")), "fwd.W_r"),
@@ -433,7 +447,7 @@ class TestCheckpoint:
         ],
         ids=[
             "short-length-prefix", "cut-header", "huge-header-length", "non-utf8-header",
-            "non-json-header", "header-not-object", "missing-key", "d-not-integer",
+            "non-json-header", "header-not-object", "missing-key", "d-not-integer", "huge-max-len",
             "vocab-not-strings", "array-omitted", "array-renamed", "shape-differs-from-h",
             "shape-differs-from-vocab", "dtype-not-float", "embedding-not-trainable",
             "unknown-text-field", "trailing-bytes", "nan-in-head.b", "mixed-dtypes",
@@ -442,18 +456,19 @@ class TestCheckpoint:
     def test_malformed_checkpoint_rejected(self, damage, message):
         m = tiny_model(seed=9, dtype=np.float32)
         buf = io.BytesIO()
-        save_model(m, Vocabulary.from_tokens([f"w{i}" for i in range(8)]), buf, max_len=8)
+        vocab = Vocabulary.from_tokens([f"w{i}" for i in range(8)])
+        save_model(m, vocab, TrainConfig(max_len=8), buf)
         with pytest.raises(DataError, match=message):
             load_model(io.BytesIO(damage(buf.getvalue())))
 
 
 class TestModelInvariants:
-    def test_parameter_arrays_cover_model(self):
-        m = tiny_model()
-        names = set(parameter_arrays(m))
-        assert "embedding" in names
-        assert {"fwd.W_r", "bwd.U_h", "head.w", "head.b"} <= names
-        assert len(names) == 1 + 9 + 9 + 2
+    def test_init_model_is_the_checkpoint_manifest(self):
+        """Names, order and shapes of init_model's arrays are those save_model writes."""
+        m = tiny_model(vocab_size=10, d=4, h=3)
+        shapes = _array_shapes(10, 4, 3)
+        assert list(m) == list(shapes)
+        assert {name: arr.shape for name, arr in m.items()} == shapes
 
     def test_sigmoid_saturates_without_warnings(self):
         with np.errstate(over="raise"):

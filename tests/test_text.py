@@ -11,7 +11,6 @@ from clickbait_gru.errors import ParseError
 from clickbait_gru.text import (
     PAD_ID,
     UNK_ID,
-    EmbeddingTable,
     Vocabulary,
     build_vocab,
     load_glove,
@@ -126,19 +125,19 @@ class TestLoadGlove:
             glove_stream([("cat", [1.0, 2.0]), ("bird", [9.0, 9.0])]), vocab, d=2
         )
         assert matched == 1
-        assert table.matrix.shape == (4, 2)
-        np.testing.assert_array_equal(table.matrix[vocab.lookup("cat")], [1.0, 2.0])
+        assert table.shape == (4, 2)
+        np.testing.assert_array_equal(table[vocab.lookup("cat")], [1.0, 2.0])
 
     def test_pad_row_stays_zero(self):
         vocab = build_vocab([["cat"]])
         table, _ = load_glove(glove_stream([("cat", [1.0, 2.0])]), vocab, d=2)
-        np.testing.assert_array_equal(table.matrix[PAD_ID], [0.0, 0.0])
+        np.testing.assert_array_equal(table[PAD_ID], [0.0, 0.0])
 
     def test_missing_rows_small_uniform_nonzero(self):
         vocab = build_vocab([["cat", "dog"]])
         table, _ = load_glove(glove_stream([("cat", [1.0, 2.0])]), vocab, d=2, seed=3)
         for row_id in (UNK_ID, vocab.lookup("dog")):
-            row = table.matrix[row_id]
+            row = table[row_id]
             assert np.all(np.abs(row) <= 0.05)
             assert np.any(row != 0.0)
 
@@ -153,25 +152,19 @@ class TestLoadGlove:
         rows = [("cat", [0.5, -0.5])]
         a, _ = load_glove(glove_stream(rows), vocab, d=2, seed=9)
         b, _ = load_glove(glove_stream(rows), vocab, d=2, seed=9)
-        np.testing.assert_array_equal(a.matrix, b.matrix)
+        np.testing.assert_array_equal(a, b)
         c, _ = load_glove(glove_stream(rows), vocab, d=2, seed=10)
-        assert not np.array_equal(a.matrix, c.matrix)
+        assert not np.array_equal(a, c)
 
     def test_duplicate_file_token_first_wins(self):
         vocab = build_vocab([["cat"]])
         stream = glove_stream([("cat", [1.0, 1.0]), ("cat", [2.0, 2.0])])
         table, matched = load_glove(stream, vocab, d=2)
         assert matched == 1
-        np.testing.assert_array_equal(table.matrix[vocab.lookup("cat")], [1.0, 1.0])
+        np.testing.assert_array_equal(table[vocab.lookup("cat")], [1.0, 1.0])
 
     def test_default_dtype_single_precision(self):
         vocab = build_vocab([["cat"]])
         table, _ = load_glove(glove_stream([("cat", [1.0, 2.0])]), vocab, d=2)
-        assert table.matrix.dtype == np.float32
+        assert table.dtype == np.float32
 
-
-class TestEmbeddingTable:
-    def test_shape_properties(self):
-        table = EmbeddingTable(matrix=np.zeros((7, 3), dtype=np.float32))
-        assert table.size == 7
-        assert table.d == 3

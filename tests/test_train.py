@@ -10,15 +10,8 @@ from hypothesis import strategies as st
 
 from clickbait_gru.errors import NumericError
 from clickbait_gru.ingest import LabeledDataset
-from clickbait_gru.nn import (
-    forward_batch,
-    init_model,
-    make_dropout_masks,
-    parameter_arrays,
-    predict_batch,
-)
+from clickbait_gru.nn import MAX_LEN_LIMIT, forward_batch, init_model, predict_batch
 from clickbait_gru.rng import named_rng
-from clickbait_gru.text import EmbeddingTable
 from clickbait_gru.train import (
     RmsPropState,
     RowSparseGrad,
@@ -27,6 +20,7 @@ from clickbait_gru.train import (
     encode_dataset,
     fit,
     grad_check,
+    make_dropout_masks,
     mse_loss,
     rmsprop_update,
     write_history,
@@ -40,6 +34,7 @@ SMALL_BATCH = (
     np.array([3, 2, 5]),
     np.array([0.8, 0.2, 1.0]),
 )
+DROPOUT = TrainConfig(dropout_embed=0.3, dropout_gru_in=0.3, dropout_gru_out=0.5)
 
 
 class TestMseLoss:
@@ -79,8 +74,8 @@ class TestBackprop:
     def test_zero_head_bias_gradient_hand_formula(self):
         """With a zero head every prediction is 0.5; db has a closed form."""
         m = tiny_model(seed=0)
-        m.head.w[:] = 0.0
-        m.head.b[:] = 0.0
+        m["head.w"][:] = 0.0
+        m["head.b"][:] = 0.0
         targets = SMALL_BATCH[2]
         _, grads = backprop(m, *SMALL_BATCH, clip=None)
         expected = sum(2.0 * (0.5 - y) * 0.25 for y in targets) / len(targets)
@@ -121,7 +116,7 @@ class TestBackprop:
 
     def test_nonfinite_loss_names_offending_parameter(self):
         m = tiny_model(seed=2)
-        m.head.b[:] = np.nan
+        m["head.b"][:] = np.nan
         with pytest.raises(NumericError, match="head.b"):
             backprop(m, *SMALL_BATCH)
 
@@ -129,23 +124,22 @@ class TestBackprop:
         # an inf embedding survives the saturating forward pass but turns
         # into 0 * inf = nan inside the weight gradients
         m = tiny_model(seed=2)
-        m.embedding.matrix[2, 0] = np.inf
+        m["embedding"][2, 0] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="fwd."):
             backprop(m, *SMALL_BATCH)
 
     def test_gradients_cover_every_parameter(self):
         m = tiny_model(seed=2)
         _, grads = backprop(m, *SMALL_BATCH)
-        params = parameter_arrays(m)
-        assert set(grads) == set(params)
-        for name in params:
-            assert grads[name].shape == params[name].shape
+        assert set(grads) == set(m)
+        for name in m:
+            assert grads[name].shape == m[name].shape
 
     def test_dropout_masks_gradients_match_finite_differences(self):
         """The masked loss is deterministic given fixed masks, so FD applies."""
-        m = tiny_model(seed=5, dropout_embed=0.3, dropout_gru_in=0.3, dropout_gru_out=0.5)
+        m = tiny_model(seed=5)
         ids, lengths, targets = SMALL_BATCH
-        masks = make_dropout_masks(m, len(ids), ids.shape[1], named_rng(3, "dropout"))
+        masks = make_dropout_masks(m, DROPOUT, len(ids), ids.shape[1], named_rng(3, "dropout"))
 
         def loss_now():
             preds, _ = forward_batch(m, ids, lengths, masks=masks)
@@ -154,7 +148,7 @@ class TestBackprop:
         _, grads = backprop(m, ids, lengths, targets, masks=masks, clip=None)
         step = 1e-6
         rng = np.random.default_rng(0)
-        for name, arr in parameter_arrays(m).items():
+        for name, arr in m.items():
             flat = arr.reshape(-1)
             sample = rng.choice(flat.size, size=min(8, flat.size), replace=False)
             for i in sample:
@@ -175,30 +169,30 @@ class TestBackprop:
         whose row gradients are the per-token gradients; np.add.at folds them
         back onto the shared ids.
         """
-        m = tiny_model(seed=6, dropout_embed=0.3, dropout_gru_in=0.3, dropout_gru_out=0.5)
+        m = tiny_model(seed=6)
         ids = np.array([[2, 5, 2, 7, 0], [5, 5, 3, 0, 0], [2, 0, 0, 0, 0]], dtype=np.int32)
         lengths = np.array([4, 3, 1])
         targets = np.array([0.9, 0.1, 0.6])
-        masks = make_dropout_masks(m, len(ids), ids.shape[1], named_rng(4, "dropout"))
+        masks = make_dropout_masks(m, DROPOUT, len(ids), ids.shape[1], named_rng(4, "dropout"))
         _, grads = backprop(m, ids, lengths, targets, masks=masks, clip=None)
         g = grads["embedding"]
         assert isinstance(g, RowSparseGrad)
         np.testing.assert_array_equal(g.rows, [2, 3, 5, 7])
 
         # one private row per occurrence, appended after the shared table
-        vocab = m.embedding.matrix.shape[0]
+        vocab = m["embedding"].shape[0]
         spread_ids = ids.copy()
         shared = []
         for b, n in enumerate(lengths):
             for t in range(n):
                 spread_ids[b, t] = vocab + len(shared)
                 shared.append(ids[b, t])
-        spread = tiny_model(seed=6, dropout_embed=0.3, dropout_gru_in=0.3, dropout_gru_out=0.5)
-        spread.embedding.matrix = np.concatenate([m.embedding.matrix, m.embedding.matrix[shared]])
+        spread = tiny_model(seed=6)
+        spread["embedding"] = np.concatenate([m["embedding"], m["embedding"][shared]])
         _, spread_grads = backprop(spread, spread_ids, lengths, targets, masks=masks, clip=None)
         per_token = np.asarray(spread_grads["embedding"])[vocab:]
 
-        reference = np.zeros_like(m.embedding.matrix)
+        reference = np.zeros_like(m["embedding"])
         np.add.at(reference, shared, per_token)
         np.testing.assert_allclose(np.asarray(g), reference, rtol=1e-13, atol=1e-16)
         untouched = np.setdiff1d(np.arange(vocab), g.rows)
@@ -212,13 +206,13 @@ class TestBackprop:
         step = 1e-6
         dense = np.asarray(g)
         for row in g.rows:
-            for j in range(m.d):
-                saved = m.embedding.matrix[row, j]
-                m.embedding.matrix[row, j] = saved + step
+            for j in range(m["embedding"].shape[1]):
+                saved = m["embedding"][row, j]
+                m["embedding"][row, j] = saved + step
                 plus = loss_now()
-                m.embedding.matrix[row, j] = saved - step
+                m["embedding"][row, j] = saved - step
                 minus = loss_now()
-                m.embedding.matrix[row, j] = saved
+                m["embedding"][row, j] = saved
                 numeric = (plus - minus) / (2 * step)
                 assert abs(dense[row, j] - numeric) < 1e-6, f"embedding[{row}, {j}]"
 
@@ -228,11 +222,11 @@ class TestGradCheck:
         m = tiny_model(seed=3)
         report = grad_check(m, *SMALL_BATCH, tolerance=1e-4)
         assert report.passed, report.per_array
-        assert set(report.per_array) == set(parameter_arrays(m))
+        assert set(report.per_array) == set(m)
 
     def test_zero_model_at_target_half_has_zero_bias_gradient(self):
         m = tiny_model(seed=3)
-        for arr in parameter_arrays(m).values():
+        for arr in m.values():
             arr[:] = 0.0
         batch = (np.array([[2, 3]]), np.array([2]), np.array([0.5]))
         _, grads = backprop(m, *batch, clip=None)
@@ -248,11 +242,6 @@ class TestGradCheck:
     def test_single_precision_rejected(self):
         m = tiny_model(seed=3, dtype=np.float32)
         with pytest.raises(ValueError, match="float64"):
-            grad_check(m, *SMALL_BATCH)
-
-    def test_dropout_enabled_rejected(self):
-        m = tiny_model(seed=3, dropout_embed=0.2)
-        with pytest.raises(ValueError, match="dropout"):
             grad_check(m, *SMALL_BATCH)
 
 
@@ -367,6 +356,8 @@ class TestTrainConfig:
             {"h": 0},
             {"d": 0},
             {"max_len": 0},
+            {"max_len": MAX_LEN_LIMIT + 1},
+            {"max_len": 10**11},
             {"rho": 1.5},
             {"rho": 1.0},
             {"rho": -0.1},
@@ -387,7 +378,7 @@ def fit_setup(n=24, d=6, seed=0):
     rng = np.random.default_rng(seed)
     matrix = rng.normal(0, 0.3, (vocab.size, d)).astype(np.float32)
     matrix[0] = 0.0
-    return ds, vocab, EmbeddingTable(matrix=matrix)
+    return ds, vocab, matrix
 
 
 class TestFit:
@@ -405,8 +396,9 @@ class TestFit:
         model, history = fit(ds, ds, cfg, vocab, emb)
         assert len(history) == 1 and history[0].epoch == 0
         fresh = init_model(emb, cfg.h, cfg.seed)
-        for name, arr in parameter_arrays(model).items():
-            np.testing.assert_array_equal(arr, parameter_arrays(fresh)[name])
+        assert list(model) == list(fresh)
+        for name, arr in model.items():
+            np.testing.assert_array_equal(arr, fresh[name])
 
     def test_history_has_row_per_epoch(self):
         ds, vocab, emb = fit_setup()
@@ -421,8 +413,8 @@ class TestFit:
         assert [(r.train_mse, r.valid_mse) for r in h1] == [
             (r.train_mse, r.valid_mse) for r in h2
         ]
-        for name, arr in parameter_arrays(m1).items():
-            np.testing.assert_array_equal(arr, parameter_arrays(m2)[name])
+        for name, arr in m1.items():
+            np.testing.assert_array_equal(arr, m2[name])
 
     def test_returned_model_is_best_validation_epoch(self):
         ds, vocab, emb = fit_setup(n=30)
@@ -443,7 +435,7 @@ class TestFit:
 
     def test_nonfinite_embeddings_abort_with_diagnostic(self):
         ds, vocab, emb = fit_setup()
-        emb.matrix[2:, :] = np.nan
+        emb[2:, :] = np.nan
         with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="epoch 0"):
             fit(ds, ds, self.small_cfg(), vocab, emb)
 
