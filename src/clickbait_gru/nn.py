@@ -389,7 +389,8 @@ def _read_header(inp: BinaryIO) -> dict:
 
 def load_model(inp: BinaryIO) -> tuple[Model, Vocabulary, dict]:
     """Read a checkpoint: the model, its vocabulary, and its header's d, h,
-    max_len and text_field. Every array is bit-exact as save_model wrote it.
+    max_len and text_field. Every array is bit-exact as save_model wrote it:
+    `inp.readinto` fills each array's own buffer in place, with no bytes copy.
 
     A checkpoint that is cut short or runs on past its last array, whose
     header is not the v1 JSON, or whose arrays are not the ones save_model
@@ -424,12 +425,9 @@ def load_model(inp: BinaryIO) -> tuple[Model, Vocabulary, dict]:
             raise DataError(
                 f"checkpoint array {name!r} has dtype {entry['dtype']!r}, unlike 'embedding'"
             )
-        dtype = np.dtype(entry["dtype"])
-        count = int(np.prod(shape))
-        data = inp.read(count * dtype.itemsize)
-        if len(data) != count * dtype.itemsize:
+        arrays[name] = np.empty(shape, dtype=entry["dtype"])
+        if inp.readinto(memoryview(arrays[name]).cast("B")) != arrays[name].nbytes:
             raise DataError(f"checkpoint truncated while reading {name!r}")
-        arrays[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
         if not np.isfinite(arrays[name]).all():
             raise DataError(f"checkpoint array {name!r} holds a non-finite value")
     if inp.read(1):

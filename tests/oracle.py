@@ -1,12 +1,22 @@
-"""Straightforward scalar re-implementation of the model forward pass.
+"""Straightforward scalar re-implementations the fast paths must agree with.
 
-Deliberately shares no code with the package: plain Python loops over list
-indices, math.exp/math.tanh, no vectorized operations. Slow and only suitable
-for tiny models; exists so the fast path has something independent to agree
-with.
+`naive_predict` is the model forward pass and deliberately shares no code
+with the package: plain Python loops over list indices, math.exp/math.tanh,
+no vectorized operations. Slow and only suitable for tiny models.
+
+`naive_glove` is the line-by-line GloVe loader that `text.load_glove`
+replaced: every line split, each matched component parsed with `float()`.
+It shares only the OOV rows' random stream with the package, so that whole
+matrices compare bitwise.
 """
 
 import math
+
+import numpy as np
+
+from clickbait_gru.errors import ParseError
+from clickbait_gru.rng import named_rng
+from clickbait_gru.text import OOV_INIT_SCALE
 
 
 def _sigmoid(x: float) -> float:
@@ -85,3 +95,35 @@ def naive_predict(model, token_ids, length) -> float:
     for k in range(2 * h):
         a += w[k] * summary[k]
     return _sigmoid(a)
+
+
+def naive_glove(stream, vocab, d: int, seed: int = 0):
+    """(float32 (vocab.size, d) matrix, matched count) of a GloVe text stream."""
+    matrix = np.zeros((vocab.size, d), dtype=np.float64)
+    found = np.zeros(vocab.size, dtype=bool)
+    matched = 0
+    for lineno, raw in enumerate(stream, start=1):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split(" ")
+        if len(parts) - 1 != d:
+            raise ParseError(
+                f"expected {d} vector components, found {len(parts) - 1}",
+                line=lineno,
+            )
+        token_id = vocab.token_to_id.get(parts[0])
+        if token_id is None or found[token_id]:
+            continue
+        try:
+            matrix[token_id] = [float(x) for x in parts[1:]]
+        except ValueError as exc:
+            raise ParseError(f"bad vector component: {exc}", line=lineno) from exc
+        found[token_id] = True
+        matched += 1
+
+    rng = named_rng(seed, "glove-oov")
+    for token_id in range(1, vocab.size):  # PAD row stays zero
+        if not found[token_id]:
+            matrix[token_id] = rng.uniform(-OOV_INIT_SCALE, OOV_INIT_SCALE, size=d)
+    return matrix.astype(np.float32), matched

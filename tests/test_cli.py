@@ -281,6 +281,26 @@ class TestTrain:
         assert code == 2
         assert "data error" in err
 
+    @pytest.mark.parametrize("epochs", ["0", "1"])
+    @pytest.mark.parametrize("component", ["nan", "-inf", "1e999", "1_0"])
+    def test_glove_component_not_a_finite_number_is_data_error(
+        self, work, tmp_path, capsys, component, epochs
+    ):
+        lines = (work / "glove.txt").read_text(encoding="utf-8").splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("wow "))
+        lines[at] = " ".join(lines[at].split(" ")[:-1] + [component])
+        (tmp_path / "glove.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, err = run(
+            capsys,
+            "train", str(work / "data"), str(work / "data"),
+            "--glove", str(tmp_path / "glove.txt"),
+            "--out", str(tmp_path / "run"),
+            "--dim", "8", "--hidden", "4", "--epochs", epochs, "--seed", "3",
+        )
+        assert code == 2
+        assert err.startswith(f"data error: line {at + 1}: ")
+        assert not (tmp_path / "run").exists()
+
 
 class TestChallengeScript:
     def test_writes_what_train_writes_on_its_split(

@@ -4,6 +4,7 @@ no exception escapes `main`, and a run that succeeds writes strict JSON."""
 import contextlib
 import io
 import json
+import math
 import shutil
 
 import numpy as np
@@ -13,10 +14,10 @@ from hypothesis import strategies as st
 
 from clickbait_gru.cli import main
 from clickbait_gru.ingest import write_dataset
-from clickbait_gru.nn import save_model
+from clickbait_gru.nn import load_model, save_model
 from clickbait_gru.train import TrainConfig
 from clickbait_gru.text import build_vocab, tokenize
-from conftest import synth_dataset, tiny_model
+from conftest import synth_dataset, tiny_model, write_glove
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -42,6 +43,14 @@ CKPT_EDITS = st.one_of(
     st.tuples(st.just("byte"), st.integers(min_value=0), st.integers(0, 255)),
     st.tuples(st.just("cut"), st.integers(min_value=0), st.none()),
     st.tuples(st.just("append"), st.none(), st.binary(min_size=1, max_size=8)),
+)
+# one GloVe line edit: set a field, drop one, add a component, or replace the whole line
+COMPONENT_TEXT = st.sampled_from(["nan", "inf", "-inf", "1e999", "x", "1_0", "\uff11", ""])
+GLOVE_EDITS = st.one_of(
+    st.tuples(st.just("set"), st.integers(min_value=0), COMPONENT_TEXT | st.text(max_size=4)),
+    st.tuples(st.just("drop"), st.integers(min_value=0), st.none()),
+    st.tuples(st.just("add"), st.none(), COMPONENT_TEXT | st.text(max_size=4)),
+    st.tuples(st.just("raw"), st.none(), RAW_LINES),
 )
 # the commands each input file feeds
 COMMANDS = {
@@ -72,7 +81,9 @@ def clean(tmp_path_factory):
     results = "".join(
         json.dumps({"id": record.id, "clickbaitScore": 0.5}) + "\n" for record, _ in ds
     )
+    write_glove(base / "glove.txt", vocab.id_to_token[2:] + ["absent"], d=2)
     files = {
+        "glove.txt": (base / "glove.txt").read_bytes(),
         "instances.jsonl": (base / "data" / "instances.jsonl").read_bytes(),
         "truth.jsonl": (base / "data" / "truth.jsonl").read_bytes(),
         "results.jsonl": results.encode(),
@@ -164,3 +175,45 @@ def test_mutated_inputs_exit_cleanly(clean, name, line_edits, ckpt_edits):
                         strict_json(line)
                 else:
                     strict_json(text)
+
+
+def edit_glove_line(line: bytes, edit) -> bytes:
+    kind, at, value = edit
+    if kind == "raw":
+        return value
+    fields = line.split(b" ")
+    if kind == "set":
+        fields[at % len(fields)] = value.encode("utf-8")
+    elif kind == "drop":
+        del fields[at % len(fields)]
+    else:
+        fields.append(value.encode("utf-8"))
+    return b" ".join(fields)
+
+
+@given(edits=st.lists(st.tuples(st.integers(min_value=0), GLOVE_EDITS), min_size=1, max_size=2))
+@settings(max_examples=150, deadline=None)
+def test_mutated_glove_trains_or_exits_2(clean, edits):
+    """`train --epochs 0` on an edited GloVe file either refuses it with exit 2
+    or writes a finite history and a checkpoint that load_model accepts."""
+    files, base = clean
+    lines = files["glove.txt"].splitlines()
+    for index, edit in edits:
+        index %= len(lines)
+        lines[index] = edit_glove_line(lines[index], edit)
+    glove = base / "in" / "glove.txt"
+    glove.parent.mkdir(exist_ok=True)
+    glove.write_bytes(b"\n".join(lines) + b"\n")
+    out = base / "train-out"
+    shutil.rmtree(out, ignore_errors=True)
+    data = str(base / "data")
+    argv = ["train", data, data, "--glove", str(glove), "--out", str(out),
+            "--dim", "2", "--hidden", "2", "--epochs", "0", "--max-len", "8"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2), code
+    if code == 0:
+        rows = (out / "history.csv").read_text().splitlines()[1:]
+        assert rows and all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+        with open(out / "model.ckpt", "rb") as f:
+            load_model(f)

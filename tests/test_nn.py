@@ -346,6 +346,21 @@ class TestInit:
 
 # head.b, the last array, declared double precision while the rest stay single
 HEAD_B_AS_F8 = with_header_edit(lambda h: h["arrays"][-1].update(dtype="<f8"))
+ARRAY_NAMES = list(_array_shapes(10, 4, 3))
+
+
+def one_byte_short_in(name):
+    """Maps checkpoint bytes to the bytes that end one byte before array `name` does."""
+
+    def cut(raw: bytes) -> bytes:
+        arrays = checkpoint_header(raw)["arrays"]
+        after = arrays[[entry["name"] for entry in arrays].index(name) + 1 :]
+        end = len(raw) - sum(
+            math.prod(entry["shape"]) * np.dtype(entry["dtype"]).itemsize for entry in after
+        )
+        return raw[: end - 1]
+
+    return cut
 
 
 class TestCheckpoint:
@@ -444,14 +459,16 @@ class TestCheckpoint:
                 lambda raw: HEAD_B_AS_F8(raw)[:-4] + struct.pack("<d", 0.5),
                 "'head.b' has dtype '<f8', unlike 'embedding'",
             ),
-        ],
+        ]
+        + [(one_byte_short_in(name), f"truncated while reading '{name}'$") for name in ARRAY_NAMES],
         ids=[
             "short-length-prefix", "cut-header", "huge-header-length", "non-utf8-header",
             "non-json-header", "header-not-object", "missing-key", "d-not-integer", "huge-max-len",
             "vocab-not-strings", "array-omitted", "array-renamed", "shape-differs-from-h",
             "shape-differs-from-vocab", "dtype-not-float", "embedding-not-trainable",
             "unknown-text-field", "trailing-bytes", "nan-in-head.b", "mixed-dtypes",
-        ],
+        ]
+        + [f"cut-in-{name}" for name in ARRAY_NAMES],
     )
     def test_malformed_checkpoint_rejected(self, damage, message):
         m = tiny_model(seed=9, dtype=np.float32)
