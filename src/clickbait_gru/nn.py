@@ -47,7 +47,7 @@ HEADER_KEYS = (
 )
 # a header is the vocabulary plus about 2 KiB; a corrupt length must not size a read
 MAX_HEADER_BYTES = 1 << 28
-# longest token cutoff; ids and dropout masks scale with it (the paper uses 32)
+# longest token cutoff; the (N, max_len) id arrays scale with it (the paper uses 32)
 MAX_LEN_LIMIT = 1024
 
 
@@ -102,10 +102,15 @@ def init_model(embedding: np.ndarray, h: int, seed: int) -> Model:
 
 @dataclass
 class DropoutMasks:
-    """Pre-drawn inverted-dropout masks for one batch; any entry may be None."""
+    """Pre-drawn inverted-dropout masks for one batch (`train.make_dropout_masks`);
+    either may be None.
 
-    embed: np.ndarray | None = None  # (B, T, d)
-    gru_in: np.ndarray | None = None  # (B, 1, d), shared across timesteps
+    `x` multiplies the packed inputs, one row per token in `pack_batch` order:
+    the token's embedding mask times its post's GRU-input mask. `out`
+    multiplies the (B, 2h) summary.
+    """
+
+    x: np.ndarray | None = None  # (N, d)
     out: np.ndarray | None = None  # (B, 2h)
 
 
@@ -255,18 +260,17 @@ def forward_batch(
     """Predictions for a (B, T) id batch; PAD steps beyond each length are skipped.
 
     With `masks` None this is inference; `tests/oracle.py` recomputes each
-    row with scalar loops. `want_cache` also returns what `train.backprop`
-    reads back.
+    row with scalar loops. Otherwise `masks.x` multiplies the packed inputs
+    row for row, so it must be drawn for these `lengths` and width T.
+    `want_cache` also returns what `train.backprop` reads back.
     """
     ids = np.asarray(ids)
     B, T = ids.shape
     pack = pack_batch(lengths, T)
     tokens = ids[pack.rows, pack.steps]
     X = m["embedding"][tokens]
-    if masks is not None and masks.embed is not None:
-        X *= masks.embed[pack.rows, pack.steps]
-    if masks is not None and masks.gru_in is not None:
-        X *= masks.gru_in[pack.rows, 0]
+    if masks is not None and masks.x is not None:
+        X *= masks.x
     h = len(m["fwd.b_r"])
     tapes = [GruTape.empty(len(tokens), h, X.dtype) if want_cache else None for _ in range(2)]
     u = np.zeros((B, 2 * h), dtype=X.dtype)

@@ -23,6 +23,7 @@ from .nn import (
     copy_model,
     forward_batch,
     init_model,
+    pack_batch,
     predict_batch,
 )
 from .rng import named_rng
@@ -124,27 +125,38 @@ class RmsPropState:
 GradientSet = dict[str, "np.ndarray | RowSparseGrad"]
 
 
-def inverted_dropout_mask(shape, rate: float, rng: np.random.Generator, dtype) -> np.ndarray:
-    """Keep mask scaled by 1/(1-rate) so expectations match inference."""
-    keep = rng.random(shape) >= rate
-    return keep.astype(dtype) / dtype.type(1.0 - rate)
-
-
 def make_dropout_masks(
-    m: Model, cfg: TrainConfig, batch_size: int, max_len: int, rng: np.random.Generator
+    m: Model, cfg: TrainConfig, lengths: np.ndarray, width: int, rng: np.random.Generator
 ) -> DropoutMasks:
-    """Masks at `cfg`'s dropout rates for a (batch_size, max_len) batch through `m`;
-    a rate of 0 draws nothing and leaves its mask None."""
+    """Inverted-dropout masks at `cfg`'s rates for a batch of rows of the given
+    `lengths`, each cut to `width` steps, through `m`.
+
+    Survivors are scaled by 1/(1-rate) so expectations match inference. The
+    embedding draw is (N, d), one row per token in `pack_batch` order; the
+    GRU-input draw is (B, d), one row per post shared by all its tokens
+    (Gal & Ghahramani, arXiv:1512.05287); `x` is their product, per token.
+    A rate of 0 draws nothing; `x` is None when both input rates are 0.
+    Draw order: embedding, GRU input, output.
+    """
     dtype = m["embedding"].dtype
     d, h = m["embedding"].shape[1], len(m["fwd.b_r"])
-    embed = gru_in = out = None
+    rows = pack_batch(lengths, width).rows
+
+    def keep(shape, rate: float) -> np.ndarray:
+        return (rng.random(shape) >= rate).astype(dtype) / dtype.type(1.0 - rate)
+
+    x = out = None
     if cfg.dropout_embed > 0.0:
-        embed = inverted_dropout_mask((batch_size, max_len, d), cfg.dropout_embed, rng, dtype)
+        x = keep((len(rows), d), cfg.dropout_embed)
     if cfg.dropout_gru_in > 0.0:
-        gru_in = inverted_dropout_mask((batch_size, 1, d), cfg.dropout_gru_in, rng, dtype)
+        gru_in = keep((len(lengths), d), cfg.dropout_gru_in)[rows]
+        if x is None:
+            x = gru_in
+        else:
+            x *= gru_in
     if cfg.dropout_gru_out > 0.0:
-        out = inverted_dropout_mask((batch_size, 2 * h), cfg.dropout_gru_out, rng, dtype)
-    return DropoutMasks(embed=embed, gru_in=gru_in, out=out)
+        out = keep((len(lengths), 2 * h), cfg.dropout_gru_out)
+    return DropoutMasks(x=x, out=out)
 
 
 def mse_loss(preds, targets) -> float:
@@ -270,10 +282,8 @@ def backprop(
     dX = _gru_backward(m, "fwd", cache.X, pack, cache.fwd, du[:, :h], False, grads)
     dX += _gru_backward(m, "bwd", cache.X, pack, cache.bwd, du[:, h:], True, grads)
 
-    if masks is not None and masks.gru_in is not None:
-        dX *= masks.gru_in[pack.rows, 0]
-    if masks is not None and masks.embed is not None:
-        dX *= masks.embed[pack.rows, pack.steps]
+    if masks is not None and masks.x is not None:
+        dX *= masks.x
     grads["embedding"] = _embedding_grad(cache.tokens, dX, pack, len(m["embedding"]))
 
     # a row-sparse gradient is zero off its rows, so its values are all there is to check
@@ -419,7 +429,7 @@ def fit(
         order = shuffle_rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            masks = make_dropout_masks(model, cfg, len(batch), cfg.max_len, dropout_rng)
+            masks = make_dropout_masks(model, cfg, train_lengths[batch], cfg.max_len, dropout_rng)
             _, grads = backprop(
                 model, train_ids[batch], train_lengths[batch], train_targets[batch], masks=masks
             )

@@ -204,14 +204,14 @@ class TestEncodePost:
 
     def test_train_mode_all_rates_zero_equals_infer(self):
         m = tiny_model()
-        masks = make_dropout_masks(m, rates(), 1, 3, named_rng(0, "dropout"))
+        masks = make_dropout_masks(m, rates(), np.array([3]), 3, named_rng(0, "dropout"))
         train = summary(m, [[2, 3, 4]], [3], masks=masks)
         infer = summary(m, [[2, 3, 4]], [3])
         np.testing.assert_array_equal(train, infer)
 
     def test_output_dropout_scales_survivors_by_two(self):
         m = tiny_model()
-        masks = make_dropout_masks(m, rates(out=0.5), 1, 3, named_rng(1, "dropout"))
+        masks = make_dropout_masks(m, rates(out=0.5), np.array([3]), 3, named_rng(1, "dropout"))
         infer = summary(m, [[2, 3, 4]], [3])[0]
         dropped = summary(m, [[2, 3, 4]], [3], masks=masks)[0]
         for got, base in zip(dropped, infer):
@@ -289,7 +289,9 @@ class TestForwardBatch:
         ids = np.array([[2, 3, 4]])
         lengths = np.array([3])
         clean, _ = forward_batch(m, ids, lengths)
-        masks = make_dropout_masks(m, rates(0.3, 0.3, 0.5), 1, 3, named_rng(0, "dropout"))
+        masks = make_dropout_masks(
+            m, rates(0.3, 0.3, 0.5), lengths, 3, named_rng(0, "dropout")
+        )
         noisy, _ = forward_batch(m, ids, lengths, masks=masks)
         assert not np.array_equal(clean, noisy)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from clickbait_gru.errors import NumericError
 from clickbait_gru.ingest import LabeledDataset
-from clickbait_gru.nn import MAX_LEN_LIMIT, forward_batch, init_model, predict_batch
+from clickbait_gru.nn import MAX_LEN_LIMIT, forward_batch, init_model, pack_batch, predict_batch
 from clickbait_gru.rng import named_rng
 from clickbait_gru.train import (
     RmsPropState,
@@ -68,6 +68,40 @@ class TestMseLoss:
         a = mse_loss([p for p, _ in pairs], [t for _, t in pairs])
         b = mse_loss([p for p, _ in shuffled], [t for _, t in shuffled])
         assert a == b  # fsum makes the reduction exactly rounded
+
+
+class TestDropoutMasks:
+    # one row cut to the width, one empty row
+    LENGTHS = np.array([3, 0, 7, 1])
+    WIDTH = 5
+
+    def test_draws_one_embedding_row_per_real_token(self):
+        m = tiny_model()
+        d, h = 4, 3
+        B, N = len(self.LENGTHS), 3 + 0 + 5 + 1
+        rng, twin = named_rng(0, "dropout"), named_rng(0, "dropout")
+        masks = make_dropout_masks(m, DROPOUT, self.LENGTHS, self.WIDTH, rng)
+        twin.random(N * d + B * d + B * 2 * h)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert masks.x.shape == (N, d)
+        assert masks.out.shape == (B, 2 * h)
+
+    def test_gru_input_mask_is_shared_by_a_posts_tokens(self):
+        cfg = TrainConfig(dropout_embed=0.0, dropout_gru_in=0.5, dropout_gru_out=0.0)
+        masks = make_dropout_masks(tiny_model(), cfg, self.LENGTHS, self.WIDTH, named_rng(1, "d"))
+        rows = pack_batch(self.LENGTHS, self.WIDTH).rows
+        for b in np.unique(rows):
+            post = masks.x[rows == b]
+            np.testing.assert_array_equal(post, np.broadcast_to(post[0], post.shape))
+        assert masks.out is None
+
+    def test_zero_rates_draw_nothing(self):
+        cfg = TrainConfig(dropout_embed=0.0, dropout_gru_in=0.0, dropout_gru_out=0.0)
+        rng = named_rng(0, "dropout")
+        before = rng.bit_generator.state
+        masks = make_dropout_masks(tiny_model(), cfg, self.LENGTHS, self.WIDTH, rng)
+        assert masks.x is None and masks.out is None
+        assert rng.bit_generator.state == before
 
 
 class TestBackprop:
@@ -139,7 +173,7 @@ class TestBackprop:
         """The masked loss is deterministic given fixed masks, so FD applies."""
         m = tiny_model(seed=5)
         ids, lengths, targets = SMALL_BATCH
-        masks = make_dropout_masks(m, DROPOUT, len(ids), ids.shape[1], named_rng(3, "dropout"))
+        masks = make_dropout_masks(m, DROPOUT, lengths, ids.shape[1], named_rng(3, "dropout"))
 
         def loss_now():
             preds, _ = forward_batch(m, ids, lengths, masks=masks)
@@ -173,7 +207,7 @@ class TestBackprop:
         ids = np.array([[2, 5, 2, 7, 0], [5, 5, 3, 0, 0], [2, 0, 0, 0, 0]], dtype=np.int32)
         lengths = np.array([4, 3, 1])
         targets = np.array([0.9, 0.1, 0.6])
-        masks = make_dropout_masks(m, DROPOUT, len(ids), ids.shape[1], named_rng(4, "dropout"))
+        masks = make_dropout_masks(m, DROPOUT, lengths, ids.shape[1], named_rng(4, "dropout"))
         _, grads = backprop(m, ids, lengths, targets, masks=masks, clip=None)
         g = grads["embedding"]
         assert isinstance(g, RowSparseGrad)
