@@ -225,24 +225,16 @@ def _gru_backward(m: Model, prefix: str, X, pack: Packing, tape: GruTape, dh, re
     return dX
 
 
-def _embedding_grad(tokens, dX, pack: Packing, vocab_size: int) -> RowSparseGrad:
-    """Row-sparse gradient of the embedding table: dX summed per token id.
-
-    Each row's sum runs in (batch row, position) order, the order a dense
-    scatter over the (B, T) id grid would add in.
-    """
-    d = dX.shape[1]
-    if not len(tokens):
-        return RowSparseGrad(np.empty(0, dtype=np.intp), dX[:0], (vocab_size, d))
-    width = int(pack.steps.max()) + 1
-    key = (tokens.astype(np.int64) * len(pack.order) + pack.rows) * width + pack.steps
-    by_key = np.argsort(key)
-    sorted_ids = tokens[by_key]
-    starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+def _embedding_grad(tokens, dX, vocab_size: int) -> RowSparseGrad:
+    """Row-sparse gradient of the embedding table: dX summed per token id,
+    each id's rows added in packed order."""
+    by_id = np.argsort(tokens, kind="stable")
+    sorted_ids = tokens[by_id]
+    starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
     return RowSparseGrad(
         rows=sorted_ids[starts],
-        values=np.add.reduceat(dX[by_key], starts, axis=0),
-        shape=(vocab_size, d),
+        values=np.add.reduceat(dX[by_id], starts, axis=0),
+        shape=(vocab_size, dX.shape[1]),
     )
 
 
@@ -284,7 +276,7 @@ def backprop(
 
     if masks is not None and masks.x is not None:
         dX *= masks.x
-    grads["embedding"] = _embedding_grad(cache.tokens, dX, pack, len(m["embedding"]))
+    grads["embedding"] = _embedding_grad(cache.tokens, dX, len(m["embedding"]))
 
     # a row-sparse gradient is zero off its rows, so its values are all there is to check
     stored = {name: g.values if isinstance(g, RowSparseGrad) else g for name, g in grads.items()}
