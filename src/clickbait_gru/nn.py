@@ -49,6 +49,9 @@ HEADER_KEYS = (
 MAX_HEADER_BYTES = 1 << 28
 # longest token cutoff; the (N, max_len) id arrays scale with it (the paper uses 32)
 MAX_LEN_LIMIT = 1024
+# widest embedding (d) or GRU state (h) to train; every weight array scales with them
+# (32x the paper's h = 128)
+WIDTH_LIMIT = 4096
 
 
 def sigmoid(x):
@@ -429,7 +432,12 @@ def load_model(inp: BinaryIO) -> tuple[Model, Vocabulary, dict]:
             raise DataError(
                 f"checkpoint array {name!r} has dtype {entry['dtype']!r}, unlike 'embedding'"
             )
-        arrays[name] = np.empty(shape, dtype=entry["dtype"])
+        try:
+            arrays[name] = np.empty(shape, dtype=entry["dtype"])
+        except (MemoryError, ValueError) as e:  # ValueError: its byte count overflows
+            raise DataError(
+                f"checkpoint array {name!r} of shape {list(shape)} is too large to allocate"
+            ) from e
         if inp.readinto(memoryview(arrays[name]).cast("B")) != arrays[name].nbytes:
             raise DataError(f"checkpoint truncated while reading {name!r}")
         if not np.isfinite(arrays[name]).all():

@@ -1,8 +1,12 @@
 """MSE loss, dropout masks, backpropagation through time, RMSprop, and the training loop.
 
-Gradients are derived by reverse accumulation through the GRU recurrence and
-checked against central finite differences (`grad_check`). The loop trains in
-single precision; gradient checking runs the same code in double precision.
+Gradients are derived by reverse accumulation through the GRU recurrence;
+`tests/gradcheck.py` checks them against central finite differences. The loop
+trains in single precision; gradient checking runs the same code in double
+precision.
+
+Every per-token array a training step makes, the input dropout mask included,
+holds real tokens only, in the packed order of `nn.pack_batch`.
 """
 
 import csv
@@ -16,6 +20,7 @@ from .errors import NumericError
 from .ingest import TEXT_FIELDS, LabeledDataset, PostRecord
 from .nn import (
     MAX_LEN_LIMIT,
+    WIDTH_LIMIT,
     DropoutMasks,
     GruTape,
     Model,
@@ -65,8 +70,9 @@ class TrainConfig:
         for name in ("batch_size", "d", "h", "max_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.max_len > MAX_LEN_LIMIT:
-            raise ValueError(f"max_len must be <= {MAX_LEN_LIMIT}, got {self.max_len}")
+        for name, limit in (("d", WIDTH_LIMIT), ("h", WIDTH_LIMIT), ("max_len", MAX_LEN_LIMIT)):
+            if getattr(self, name) > limit:
+                raise ValueError(f"{name} must be <= {limit}, got {getattr(self, name)}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not 0.0 <= self.rho < 1.0:
@@ -92,17 +98,11 @@ class RowSparseGrad:
     """Gradient of a (V, d) table that is exactly zero outside `rows`.
 
     values[i] is the gradient of row rows[i]; rows are unique and ascending.
-    numpy sees it as the dense array (`__array__`).
     """
 
     rows: np.ndarray  # (k,) int
     values: np.ndarray  # (k, d)
     shape: tuple[int, ...]
-
-    def __array__(self, dtype=None, copy=None):
-        out = np.zeros(self.shape, dtype=self.values.dtype if dtype is None else dtype)
-        out[self.rows] = self.values
-        return out
 
 
 @dataclass
@@ -439,64 +439,3 @@ def write_history(history: list[EpochStats], out: IO[str]) -> None:
     writer.writerow(["epoch", "train_mse", "valid_mse"])
     for row in history:
         writer.writerow([row.epoch, repr(row.train_mse), repr(row.valid_mse)])
-
-
-# --- gradient verification -----------------------------------------------------
-
-
-@dataclass
-class GradCheckReport:
-    per_array: dict[str, float]
-    tolerance: float
-
-    @property
-    def max_rel_error(self) -> float:
-        return max(self.per_array.values())
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_error < self.tolerance
-
-
-def grad_check(
-    m: Model,
-    ids: np.ndarray,
-    lengths: np.ndarray,
-    targets: np.ndarray,
-    tolerance: float = 1e-4,
-    step: float = 1e-5,
-) -> GradCheckReport:
-    """Compare analytic gradients to central differences, element by element.
-
-    Requires a double-precision model. Both sides run without dropout and
-    without clipping, so they see the raw derivative. Relative error per
-    element is |a - n| / max(|a|, |n|, 1e-6); the floor must sit well above the
-    cancellation noise of the difference quotient (about 1e-11 for unit-scale
-    losses at this step), or near-zero derivatives fail on noise alone.
-    """
-    if m["embedding"].dtype != np.float64:
-        raise ValueError("grad_check needs a float64 model")
-
-    def batch_loss() -> float:
-        preds, _ = forward_batch(m, ids, lengths)
-        return mse_loss(preds, targets)
-
-    _, analytic = backprop(m, ids, lengths, targets, clip=None)
-    per_array: dict[str, float] = {}
-    for name, arr in m.items():
-        worst = 0.0
-        flat = arr.reshape(-1)
-        a_flat = np.asarray(analytic[name]).reshape(-1)
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + step
-            plus = batch_loss()
-            flat[i] = saved - step
-            minus = batch_loss()
-            flat[i] = saved
-            numeric = (plus - minus) / (2.0 * step)
-            a = float(a_flat[i])
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
-            worst = max(worst, rel)
-        per_array[name] = worst
-    return GradCheckReport(per_array=per_array, tolerance=tolerance)

@@ -1,14 +1,30 @@
 """Synthetic challenge-shaped data builders shared across the test modules."""
 
+import contextlib
 import json
 import random
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from clickbait_gru.ingest import Judgment, Label, LabeledDataset, PostRecord
-from clickbait_gru.nn import CHECKPOINT_MAGIC, GRU_FIELDS, Model, forward_batch, init_model
+from clickbait_gru.nn import (
+    CHECKPOINT_MAGIC,
+    GRU_FIELDS,
+    Model,
+    _array_shapes,
+    forward_batch,
+    init_model,
+)
+
+# hypothesis's pytest plugin imports this module to explain a failing property
+# test; where libcst is installed that import raises a DeprecationWarning, which
+# under -W error ends the run in INTERNALERROR before the falsifying example shows
+with contextlib.suppress(ImportError), warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 # five-decimal encoding used by the challenge files
 LEVEL_ENC = {0.0: 0.0, 1 / 3: 0.33333, 2 / 3: 0.66667, 1.0: 1.0}
@@ -130,6 +146,19 @@ def with_header_edit(edit):
         return with_header_blob(raw, json.dumps(header).encode("utf-8"))
 
     return apply
+
+
+def with_dim(d: int):
+    """Maps checkpoint bytes to the same bytes with a header that declares
+    width `d` and lists every array in the shape that width gives it."""
+
+    def edit(header):
+        header["d"] = d
+        shapes = _array_shapes(len(header["vocab_tokens"]) + 2, d, header["h"])
+        for entry in header["arrays"]:
+            entry["shape"] = list(shapes[entry["name"]])
+
+    return with_header_edit(edit)
 
 
 @pytest.fixture

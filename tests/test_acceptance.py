@@ -35,7 +35,6 @@ from clickbait_gru.train import (
     backprop,
     encode_dataset,
     fit,
-    grad_check,
     mse_loss,
     rmsprop_update,
 )
@@ -49,6 +48,7 @@ from conftest import (
     tiny_model,
     write_glove,
 )
+from gradcheck import grad_check
 
 DATA_DIR_VAR = "CLICKBAIT_DATA_DIR"
 GLOVE_VAR = "CLICKBAIT_GLOVE"

@@ -21,6 +21,7 @@ from conftest import (
     make_record,
     results_file,
     synth_dataset,
+    with_dim,
     with_header_edit,
     write_glove,
 )
@@ -251,6 +252,8 @@ class TestTrain:
             ([4], [], "JSON object"),
             ({}, ["--hidden", "0"], "h must be"),
             ({}, ["--max-len", str(10**11)], "max_len must be <= "),
+            ({}, ["--hidden", str(10**9)], "h must be <= 4096"),
+            ({}, ["--dim", str(10**9)], "d must be <= 4096"),
         ],
     )
     def test_bad_config_value_is_usage_error(self, work, tmp_path, capsys, config, flags, named):
@@ -452,10 +455,12 @@ class TestPredict:
             with_header_edit(lambda h: h.update(text_field="postMedia")),
             lambda raw: raw[:-4] + struct.pack("<f", math.nan),
             with_header_edit(lambda h: h.update(max_len=10**9)),
+            with_dim(10**11),
+            with_dim(2**62),
         ],
         ids=[
             "short-length-prefix", "cut-header", "head.b-omitted", "trailing-bytes",
-            "unknown-text-field", "nan-in-head.b", "huge-max-len",
+            "unknown-text-field", "nan-in-head.b", "huge-max-len", "huge-d", "d-overflows-size",
         ],
     )
     def test_malformed_checkpoint_is_data_error(self, work, tmp_path, capsys, damage):

@@ -30,6 +30,7 @@ from conftest import (
     direction_states,
     model_of,
     tiny_model,
+    with_dim,
     with_header_blob,
     with_header_edit,
 )
@@ -447,6 +448,8 @@ class TestCheckpoint:
             (with_header_edit(lambda h: h.pop("h")), "lacks h$"),
             (with_header_edit(lambda h: h.update(d="4")), "positive integers"),
             (with_header_edit(lambda h: h.update(max_len=10**9)), "max_len 1000000000 exceeds"),
+            (with_dim(10**11), "'embedding' of shape .* is too large"),
+            (with_dim(2**62), "'embedding' of shape .* is too large"),
             (with_header_edit(lambda h: h["vocab_tokens"].append(3)), "list of strings"),
             (with_header_edit(lambda h: h["arrays"].pop()), r"missing \['head.b'\]"),
             (with_header_edit(lambda h: h["arrays"][1].update(name="fwd.W_x")), "fwd.W_r"),
@@ -466,6 +469,7 @@ class TestCheckpoint:
         ids=[
             "short-length-prefix", "cut-header", "huge-header-length", "non-utf8-header",
             "non-json-header", "header-not-object", "missing-key", "d-not-integer", "huge-max-len",
+            "huge-d", "d-overflows-size",
             "vocab-not-strings", "array-omitted", "array-renamed", "shape-differs-from-h",
             "shape-differs-from-vocab", "dtype-not-float", "embedding-not-trainable",
             "unknown-text-field", "trailing-bytes", "nan-in-head.b", "mixed-dtypes",

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from clickbait_gru.errors import NumericError
 from clickbait_gru.ingest import LabeledDataset
-from clickbait_gru.nn import MAX_LEN_LIMIT, forward_batch, init_model, pack_batch, predict_batch
+from clickbait_gru.nn import (
+    MAX_LEN_LIMIT,
+    WIDTH_LIMIT,
+    forward_batch,
+    init_model,
+    pack_batch,
+    predict_batch,
+)
 from clickbait_gru.rng import named_rng
 from clickbait_gru.train import (
     RmsPropState,
@@ -19,13 +26,13 @@ from clickbait_gru.train import (
     backprop,
     encode_dataset,
     fit,
-    grad_check,
     make_dropout_masks,
     mse_loss,
     rmsprop_update,
     write_history,
 )
 from conftest import make_judgment, make_record, synth_dataset, tiny_model
+from gradcheck import dense, grad_check
 
 
 # (ids, lengths, targets), as encode_dataset returns them
@@ -123,7 +130,7 @@ class TestBackprop:
             if name == "head.b":
                 assert np.any(g != 0.0)
             else:
-                np.testing.assert_array_equal(g, 0.0)
+                np.testing.assert_array_equal(dense(g), 0.0)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -133,7 +140,7 @@ class TestBackprop:
         m = tiny_model(seed=2)
         _, grads = backprop(m, *SMALL_BATCH, clip=1e-4)
         for g in grads.values():
-            assert np.all(np.abs(g) <= 1e-4)
+            assert np.all(np.abs(dense(g)) <= 1e-4)
 
     def test_loss_matches_mse_loss(self):
         m = tiny_model(seed=2)
@@ -193,7 +200,7 @@ class TestBackprop:
                 minus = loss_now()
                 flat[i] = saved
                 numeric = (plus - minus) / (2 * step)
-                analytic = np.asarray(grads[name]).reshape(-1)[i]
+                analytic = dense(grads[name]).reshape(-1)[i]
                 assert abs(analytic - numeric) < 1e-6, f"{name}[{i}]"
 
     def test_embedding_gradient_is_segment_sum_of_token_gradients(self):
@@ -224,13 +231,13 @@ class TestBackprop:
         spread = tiny_model(seed=6)
         spread["embedding"] = np.concatenate([m["embedding"], m["embedding"][shared]])
         _, spread_grads = backprop(spread, spread_ids, lengths, targets, masks=masks, clip=None)
-        per_token = np.asarray(spread_grads["embedding"])[vocab:]
+        per_token = dense(spread_grads["embedding"])[vocab:]
 
         reference = np.zeros_like(m["embedding"])
         np.add.at(reference, shared, per_token)
-        np.testing.assert_allclose(np.asarray(g), reference, rtol=1e-13, atol=1e-16)
+        np.testing.assert_allclose(dense(g), reference, rtol=1e-13, atol=1e-16)
         untouched = np.setdiff1d(np.arange(vocab), g.rows)
-        np.testing.assert_array_equal(np.asarray(g)[untouched], 0.0)
+        np.testing.assert_array_equal(dense(g)[untouched], 0.0)
 
         # central differences on every touched row
         def loss_now():
@@ -238,7 +245,7 @@ class TestBackprop:
             return mse_loss(preds, targets)
 
         step = 1e-6
-        dense = np.asarray(g)
+        full = dense(g)
         for row in g.rows:
             for j in range(m["embedding"].shape[1]):
                 saved = m["embedding"][row, j]
@@ -248,7 +255,7 @@ class TestBackprop:
                 minus = loss_now()
                 m["embedding"][row, j] = saved
                 numeric = (plus - minus) / (2 * step)
-                assert abs(dense[row, j] - numeric) < 1e-6, f"embedding[{row}, {j}]"
+                assert abs(full[row, j] - numeric) < 1e-6, f"embedding[{row}, {j}]"
 
 
 class TestGradCheck:
@@ -353,7 +360,7 @@ class TestRmsprop:
             values = rng.normal(0.0, 2.0, (len(rows), d)).astype(dtype)
             g = RowSparseGrad(rows=rows, values=values, shape=(vocab, d))
             rmsprop_update(lazy_p, {"embedding": g}, lazy_state, cfg)
-            rmsprop_update(dense_p, {"embedding": np.asarray(g)}, dense_state, cfg)
+            rmsprop_update(dense_p, {"embedding": dense(g)}, dense_state, cfg)
             np.testing.assert_allclose(lazy_p["embedding"], dense_p["embedding"], rtol=rtol)
             np.testing.assert_allclose(
                 lazy_state.acc["embedding"][rows], dense_state.acc["embedding"][rows], rtol=rtol
@@ -392,6 +399,8 @@ class TestTrainConfig:
             {"max_len": 0},
             {"max_len": MAX_LEN_LIMIT + 1},
             {"max_len": 10**11},
+            {"d": WIDTH_LIMIT + 1},
+            {"h": 10**9},
             {"rho": 1.5},
             {"rho": 1.0},
             {"rho": -0.1},
