@@ -105,12 +105,10 @@ def init_model(embedding: np.ndarray, h: int, seed: int) -> Model:
 
 @dataclass
 class DropoutMasks:
-    """Pre-drawn inverted-dropout masks for one batch (`train.make_dropout_masks`);
-    either may be None.
+    """Pre-drawn inverted-dropout masks for one batch; either may be None.
 
-    `x` multiplies the packed inputs, one row per token in `pack_batch` order:
-    the token's embedding mask times its post's GRU-input mask. `out`
-    multiplies the (B, 2h) summary.
+    `x` multiplies the packed inputs: each token's embedding mask times its
+    post's GRU-input mask. `out` multiplies the summary.
     """
 
     x: np.ndarray | None = None  # (N, d)

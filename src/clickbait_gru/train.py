@@ -128,15 +128,13 @@ GradientSet = dict[str, "np.ndarray | RowSparseGrad"]
 def make_dropout_masks(
     m: Model, cfg: TrainConfig, lengths: np.ndarray, width: int, rng: np.random.Generator
 ) -> DropoutMasks:
-    """Inverted-dropout masks at `cfg`'s rates for a batch of rows of the given
-    `lengths`, each cut to `width` steps, through `m`.
+    """Inverted-dropout masks at `cfg`'s rates for rows of the given `lengths`,
+    each cut to `width` steps; survivors scale by 1/(1-rate).
 
-    Survivors are scaled by 1/(1-rate) so expectations match inference. The
-    embedding draw is (N, d), one row per token in `pack_batch` order; the
-    GRU-input draw is (B, d), one row per post shared by all its tokens
-    (Gal & Ghahramani, arXiv:1512.05287); `x` is their product, per token.
-    A rate of 0 draws nothing; `x` is None when both input rates are 0.
-    Draw order: embedding, GRU input, output.
+    The embedding draw is (N, d), one row per token in `pack_batch` order; the
+    GRU-input draw is (B, d), one row per post shared by all its tokens (Gal &
+    Ghahramani, arXiv:1512.05287). A rate of 0 draws nothing. Draw order:
+    embedding, GRU input, output.
     """
     dtype = m["embedding"].dtype
     d, h = m["embedding"].shape[1], len(m["fwd.b_r"])
@@ -150,10 +148,7 @@ def make_dropout_masks(
         x = keep((len(rows), d), cfg.dropout_embed)
     if cfg.dropout_gru_in > 0.0:
         gru_in = keep((len(lengths), d), cfg.dropout_gru_in)[rows]
-        if x is None:
-            x = gru_in
-        else:
-            x *= gru_in
+        x = gru_in if x is None else x * gru_in
     if cfg.dropout_gru_out > 0.0:
         out = keep((len(lengths), 2 * h), cfg.dropout_gru_out)
     return DropoutMasks(x=x, out=out)

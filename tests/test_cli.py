@@ -455,7 +455,7 @@ class TestPredict:
             with_header_edit(lambda h: h.update(text_field="postMedia")),
             lambda raw: raw[:-4] + struct.pack("<f", math.nan),
             with_header_edit(lambda h: h.update(max_len=10**9)),
-            with_dim(10**11),
+            with_dim(10**13),
             with_dim(2**62),
         ],
         ids=[
