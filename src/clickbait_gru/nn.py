@@ -17,10 +17,12 @@ The new state is a convex combination of h_prev and c, so states stay in
 
 Batches run packed and time-major (`pack_batch`): rows are stable-sorted by
 length, longest first, so the rows still reading at step t are a prefix of
-that order, and each real token owns one packed row. A step projects only
-those rows, with the three gates stacked per call into one input and one
-recurrent weight stack (`stack_gates`), so it costs two matmul calls and no
-PAD work.
+that order, and each real token owns one packed row. The three gates are
+stacked into one input and one recurrent weight stack (`stack_gates`). Each
+direction projects its inputs, x W + b, in one matmul before its step loop;
+at inference, where no dropout applies, it projects each distinct token id
+once. A step then costs one recurrent matmul over the rows still reading and
+no PAD work.
 
 The model is a plain dict of named arrays (`Model`), the names and order
 being those of the checkpoint; it carries no training settings.
@@ -176,8 +178,10 @@ class GruTape:
     """Per-token values of one direction that BPTT reads back, in packed rows.
 
     `gates` holds U_h h_prev, r, z and c for every token, one (N, h) block
-    per gate. The backward pass overwrites the blocks with the gradients
-    d(U_h h_prev), d a_r, d a_z and d a_c, a being the gate pre-activations.
+    per gate. The forward pass first fills the r, z and c blocks with the
+    input projections x W + b, and each step completes its rows in place. The
+    backward pass overwrites the blocks with the gradients d(U_h h_prev),
+    d a_r, d a_z and d a_c, a being the gate pre-activations.
     """
 
     h_prev: np.ndarray  # (N, h) state entering the step
@@ -205,46 +209,58 @@ class ForwardCache:
     u_drop: np.ndarray  # (B, 2h) summary after output dropout
 
 
-def _run_gru_batch(m: Model, prefix: str, X, pack: Packing, reverse: bool, tape: GruTape | None):
+def _run_gru_batch(
+    m: Model, prefix: str, X, pack: Packing, reverse: bool, tape: GruTape | None, src
+):
     """Final states (live rows, h) of direction `prefix`, in sorted row order.
+
+    All rows of `X` are projected, x W + b, in one matmul before the step
+    loop. With `tape`, `X` has one row per packed token, and the projections
+    fill the tape's r, z and c blocks, which each step completes in place.
+    Without one, `X` has one row per distinct input, packed token k reading
+    row src[k], and each step gathers its rows' projections.
 
     The forward direction starts every live row at step 0; the reverse one
     starts a row at step length - 1. Either way the rows a step updates are
     a prefix of the sorted rows, so `h` is updated in place on that prefix.
-    Fills `tape` when given; without one, each step's gates reuse the front
-    rows of one step-sized buffer.
     """
     W, U, b = stack_gates(m, prefix)
     h = np.zeros((len(pack.live), U.shape[1]), dtype=X.dtype)
-    gates = tape.gates if tape is not None else np.empty((4, *h.shape), dtype=X.dtype)
+    proj = tape.gates[1:] if tape is not None else np.empty((3, len(X), h.shape[1]), X.dtype)
+    np.matmul(X, W, out=proj)
+    proj += b
+    hu = np.empty((3, *h.shape), dtype=X.dtype)  # U_h h, U_r h, U_z h on the front rows
+    picked = np.empty_like(hu) if tape is None else None
     order = range(len(pack.counts))
     # exp overflow for very negative pre-activations saturates the gate to exactly 0
     with np.errstate(over="ignore"):
         for t in reversed(order) if reverse else order:
             n = pack.counts[t]
             s = slice(pack.offsets[t], pack.offsets[t] + n)
-            g = gates[:, s] if tape is not None else gates[:, :n]
+            if tape is not None:
+                a = proj[:, s]
+            else:  # src is in range; any mode but "raise" writes straight into out
+                a = np.take(proj, src[s], axis=1, out=picked[:, :n], mode="clip")
             h_prev = h[:n]
-            np.matmul(h_prev, U, out=g[:3])  # U_h h, U_r h, U_z h
-            a = X[s] @ W
-            rz = g[1:3]
-            rz += a[:2]
-            rz += b[:2]
+            u = hu[:, :n]
+            np.matmul(h_prev, U, out=u)
+            rz = a[:2]
+            rz += u[1:]
             # rz = sigmoid(rz), in place
             np.negative(rz, out=rz)
             np.exp(rz, out=rz)
             rz += 1.0
             np.reciprocal(rz, out=rz)
-            c = g[3]
-            np.multiply(g[1], g[0], out=c)
-            c += a[2]
-            c += b[2]
+            c = a[2]
+            np.multiply(a[0], u[0], out=u[1])
+            c += u[1]
             np.tanh(c, out=c)
             if tape is not None:
+                tape.gates[0, s] = u[0]
                 tape.h_prev[s] = h_prev
             # h = (1 - z) * h_prev + z * c, written over h_prev
-            z = g[2]
-            keep = 1.0 - z
+            z = a[1]
+            keep = np.subtract(1.0, z, out=u[1])
             keep *= h_prev
             np.multiply(z, c, out=h_prev)
             h_prev += keep
@@ -264,19 +280,28 @@ def forward_batch(
     row with scalar loops. Otherwise `masks.x` multiplies the packed inputs
     row for row, so it must be drawn for these `lengths` and width T.
     `want_cache` also returns what `train.backprop` reads back.
+
+    Without `masks.x` and without a cache, equal ids give equal inputs, so
+    each direction projects each distinct id of the batch once; otherwise it
+    projects every token into its tape.
     """
     ids = np.asarray(ids)
     B, T = ids.shape
     pack = pack_batch(lengths, T)
     tokens = ids[pack.rows, pack.steps]
-    X = m["embedding"][tokens]
-    if masks is not None and masks.x is not None:
-        X *= masks.x
+    x_mask = masks.x if masks is not None else None
+    if want_cache or x_mask is not None:
+        X, src = m["embedding"][tokens], None
+        if x_mask is not None:
+            X *= x_mask
+    else:
+        rows, src = np.unique(tokens, return_inverse=True)
+        X = m["embedding"][rows]
     h = len(m["fwd.b_r"])
-    tapes = [GruTape.empty(len(tokens), h, X.dtype) if want_cache else None for _ in range(2)]
+    tapes = [GruTape.empty(len(tokens), h, X.dtype) if src is None else None for _ in range(2)]
     u = np.zeros((B, 2 * h), dtype=X.dtype)
-    u[pack.live, :h] = _run_gru_batch(m, "fwd", X, pack, False, tapes[0])
-    u[pack.live, h:] = _run_gru_batch(m, "bwd", X, pack, True, tapes[1])
+    u[pack.live, :h] = _run_gru_batch(m, "fwd", X, pack, False, tapes[0], src)
+    u[pack.live, h:] = _run_gru_batch(m, "bwd", X, pack, True, tapes[1], src)
     if masks is not None and masks.out is not None:
         u = u * masks.out
     preds = sigmoid(u @ m["head.w"] + m["head.b"][0])
@@ -398,15 +423,21 @@ def load_model(inp: BinaryIO) -> tuple[Model, Vocabulary, dict]:
     `inp.readinto` fills each array's own buffer in place, with no bytes copy.
 
     A checkpoint that is cut short or runs on past its last array, whose
-    header is not the v1 JSON, or whose arrays are not the ones save_model
-    writes for the header's d, h and vocabulary, in one dtype and finite,
-    raises DataError.
+    header is not the v1 JSON or repeats a vocabulary token, or whose arrays
+    are not the ones save_model writes for the header's d, h and vocabulary,
+    in one dtype and finite, raises DataError.
     """
     magic = inp.read(len(CHECKPOINT_MAGIC))
     if magic != CHECKPOINT_MAGIC:
         raise DataError("not a model checkpoint (bad magic bytes)")
     header = _read_header(inp)
-    shapes = _array_shapes(len(header["vocab_tokens"]) + 2, header["d"], header["h"])
+    tokens = header["vocab_tokens"]
+    vocab = Vocabulary.from_tokens(tokens)
+    if len(vocab.token_to_id) != len(tokens):
+        # the dict keeps a repeated token's last id; its earlier ids could never be looked up
+        repeated = next(tok for i, tok in enumerate(tokens, 2) if vocab.token_to_id[tok] != i)
+        raise DataError(f"checkpoint vocab_tokens repeat {repeated!r}")
+    shapes = _array_shapes(len(tokens) + 2, header["d"], header["h"])
     entries = header["arrays"] if isinstance(header["arrays"], list) else []
     names = [entry.get("name") if isinstance(entry, dict) else None for entry in entries]
     if names != list(shapes):
@@ -443,7 +474,6 @@ def load_model(inp: BinaryIO) -> tuple[Model, Vocabulary, dict]:
     if inp.read(1):
         raise DataError("checkpoint has bytes after its last array")
 
-    vocab = Vocabulary.from_tokens(header["vocab_tokens"])
     meta = {
         "d": header["d"],
         "h": header["h"],

@@ -457,10 +457,12 @@ class TestPredict:
             with_header_edit(lambda h: h.update(max_len=10**9)),
             with_dim(10**13),
             with_dim(2**62),
+            with_header_edit(lambda h: h["vocab_tokens"].__setitem__(1, h["vocab_tokens"][0])),
         ],
         ids=[
             "short-length-prefix", "cut-header", "head.b-omitted", "trailing-bytes",
             "unknown-text-field", "nan-in-head.b", "huge-max-len", "huge-d", "d-overflows-size",
+            "vocab-repeats-token",
         ],
     )
     def test_malformed_checkpoint_is_data_error(self, work, tmp_path, capsys, damage):

@@ -296,6 +296,47 @@ class TestForwardBatch:
         noisy, _ = forward_batch(m, ids, lengths, masks=masks)
         assert not np.array_equal(clean, noisy)
 
+    @pytest.mark.parametrize(
+        "ids, lengths",
+        [
+            ([[5, 5, 5, 5], [5, 5, 0, 0], [5, 5, 5, 0], [5, 0, 0, 0]], [4, 2, 3, 1]),
+            ([[1, 1, 7, 1], [1, 1, 1, 0], [2, 1, 1, 1], [1, 0, 0, 0]], [4, 3, 4, 1]),
+            ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], [0, 0, 0]),
+        ],
+        ids=["one-id-everywhere", "unk-heavy", "only-empty-posts"],
+    )
+    def test_repeated_ids_match_oracle(self, ids, lengths):
+        """Inference projects each distinct id once; every token reading a
+        shared projection still gets the scalar oracle's result."""
+        m = tiny_model(seed=6)
+        ids, lengths = np.array(ids, dtype=np.int32), np.array(lengths)
+        preds = predict_batch(m, ids, lengths)
+        singles = [naive_predict(m, row, n) for row, n in zip(ids, lengths)]
+        np.testing.assert_allclose(preds, singles, rtol=0, atol=1e-12)
+
+    def test_cache_keeps_per_token_inputs(self):
+        m = tiny_model(seed=4)
+        ids = np.array([[2, 2, 3, 0], [3, 2, 0, 0], [1, 1, 1, 1]], dtype=np.int32)
+        lengths = np.array([3, 2, 4])
+        _, cache = forward_batch(m, ids, lengths, want_cache=True)
+        np.testing.assert_array_equal(cache.tokens, ids[cache.pack.rows, cache.pack.steps])
+        np.testing.assert_array_equal(cache.X, m["embedding"][cache.tokens])
+
+    def test_tape_holds_each_tokens_gates(self):
+        """After the forward pass each tape row holds U_h h_prev, r, z and c
+        of its token, recomputed here from the taped h_prev."""
+        m = tiny_model(seed=8)
+        ids = np.array([[2, 3, 4, 2], [5, 2, 0, 0], [4, 0, 0, 0]], dtype=np.int32)
+        _, cache = forward_batch(m, ids, np.array([4, 2, 1]), want_cache=True)
+        for prefix, tape in (("fwd", cache.fwd), ("bwd", cache.bwd)):
+            p = {name: m[f"{prefix}.{name}"] for name in GRU_FIELDS}
+            X, hp = cache.X, tape.h_prev
+            uh = hp @ p["U_h"].T
+            r = sigmoid(X @ p["W_r"].T + hp @ p["U_r"].T + p["b_r"])
+            z = sigmoid(X @ p["W_z"].T + hp @ p["U_z"].T + p["b_z"])
+            c = np.tanh(X @ p["W_h"].T + r * uh + p["b_h"])
+            np.testing.assert_allclose(tape.gates, [uh, r, z, c], rtol=0, atol=1e-12)
+
 
 class TestPackBatch:
     def test_time_major_layout(self):
@@ -452,6 +493,7 @@ class TestCheckpoint:
             (with_dim(10**13), "'embedding' of shape .* is too large"),
             (with_dim(2**62), "'embedding' of shape .* is too large"),
             (with_header_edit(lambda h: h["vocab_tokens"].append(3)), "list of strings"),
+            (with_header_edit(lambda h: h["vocab_tokens"].__setitem__(5, "w2")), "repeat 'w2'$"),
             (with_header_edit(lambda h: h["arrays"].pop()), r"missing \['head.b'\]"),
             (with_header_edit(lambda h: h["arrays"][1].update(name="fwd.W_x")), "fwd.W_r"),
             (with_header_edit(lambda h: h["arrays"][4].update(shape=[3, 4])), "'fwd.U_r' has"),
@@ -471,8 +513,9 @@ class TestCheckpoint:
             "short-length-prefix", "cut-header", "huge-header-length", "non-utf8-header",
             "non-json-header", "header-not-object", "missing-key", "d-not-integer", "huge-max-len",
             "huge-d", "d-overflows-size",
-            "vocab-not-strings", "array-omitted", "array-renamed", "shape-differs-from-h",
-            "shape-differs-from-vocab", "dtype-not-float", "embedding-not-trainable",
+            "vocab-not-strings", "vocab-repeats-token", "array-omitted", "array-renamed",
+            "shape-differs-from-h", "shape-differs-from-vocab", "dtype-not-float",
+            "embedding-not-trainable",
             "unknown-text-field", "trailing-bytes", "nan-in-head.b", "mixed-dtypes",
         ]
         + [f"cut-in-{name}" for name in ARRAY_NAMES],

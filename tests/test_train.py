@@ -265,6 +265,17 @@ class TestGradCheck:
         assert report.passed, report.per_array
         assert set(report.per_array) == set(m)
 
+    def test_repeated_ids_pass(self):
+        """The loss side projects each distinct id once, backprop each token."""
+        m = tiny_model(seed=5)
+        batch = (
+            np.array([[2, 2, 2, 2], [1, 2, 1, 1], [1, 1, 0, 0], [0, 0, 0, 0]], dtype=np.int32),
+            np.array([4, 4, 2, 0]),
+            np.array([0.9, 0.1, 0.6, 0.3]),
+        )
+        report = grad_check(m, *batch, tolerance=1e-4)
+        assert report.passed, report.per_array
+
     def test_zero_model_at_target_half_has_zero_bias_gradient(self):
         m = tiny_model(seed=3)
         for arr in m.values():
