@@ -5,8 +5,10 @@ Protocol: a stratified 30% of the corpus is set aside as the test split, a
 further stratified slice of the remainder serves as validation for best-epoch
 selection, and the model trains on the rest with the default recipe (100-d
 embeddings, hidden size 128 per direction, batch 64, dropout 0.2/0.2/0.5,
-RMSprop). The seven-metric report for the test split is printed and written
-next to the checkpoint.
+RMSprop). Each stage is a `clickbait-gru` subcommand: split, split, train,
+predict, evaluate. Under --out land the splits (train_full/, test/, train/,
+valid/), model.ckpt, history.csv, the test split's preds.jsonl and
+report.json, its seven-metric report, which is also printed.
 
 Expects the corpus directory to hold instances.jsonl + truth.jsonl and the
 embedding file to be GloVe-format text matching --dim.
@@ -18,11 +20,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from clickbait_gru.cli import train_and_save
-from clickbait_gru.ingest import atomic_open, load_dataset, stratified_split
-from clickbait_gru.metrics import evaluate
-from clickbait_gru.nn import predict_batch
-from clickbait_gru.train import TrainConfig, encode_dataset
+from clickbait_gru.cli import main as cli
 
 
 def parse_args():
@@ -42,25 +40,28 @@ def parse_args():
 
 def main() -> int:
     args = parse_args()
-    ds = load_dataset(args.data_dir)
-    train_full, test = stratified_split(ds, args.test_fraction, args.seed)
-    train, valid = stratified_split(train_full, args.valid_fraction, args.seed)
-    print(f"records: train {len(train)}, valid {len(valid)}, test {len(test)}")
-
-    cfg = TrainConfig(epochs=args.epochs, d=args.dim, h=args.hidden, seed=args.seed)
-    model, vocab, history, matched = train_and_save(train, valid, cfg, args.glove, args.out)
-    print(f"vocabulary: {vocab.size} ids, {matched} with pretrained vectors")
-    best = min(history, key=lambda row: row.valid_mse)
-    print(f"best validation mse {best.valid_mse!r} at epoch {best.epoch}/{cfg.epochs}")
-
-    ids, lengths, _ = encode_dataset(test, vocab, cfg.max_len, cfg.text_field)
-    preds = predict_batch(model, ids, lengths)
-    report = evaluate(list(preds), [judgment for _, judgment in test])
-    text = report.to_json()
-    print(text)
-    with atomic_open(os.path.join(args.out, "report.json")) as f:
-        f.write(text + "\n")
-    print(f"artifacts in {args.out}/")
+    out, seed = args.out, str(args.seed)
+    train_full, test, train, valid = (os.path.join(out, name)
+                                      for name in ("train_full", "test", "train", "valid"))
+    preds = os.path.join(out, "preds.jsonl")
+    steps = [
+        ["split", args.data_dir, train_full, test, "--fraction", str(args.test_fraction),
+         "--seed", seed],
+        ["split", train_full, train, valid, "--fraction", str(args.valid_fraction),
+         "--seed", seed],
+        ["train", train, valid, "--glove", args.glove, "--out", out, "--epochs", str(args.epochs),
+         "--dim", str(args.dim), "--hidden", str(args.hidden), "--seed", seed],
+        ["predict", os.path.join(out, "model.ckpt"),
+         "--instances", os.path.join(test, "instances.jsonl"), "--out", preds],
+        ["evaluate", preds, "--truth", os.path.join(test, "truth.jsonl"),
+         "--out", os.path.join(out, "report.json")],
+    ]
+    for argv in steps:
+        code = cli(argv)
+        if code != 0:
+            print(f"step {argv[0]} failed with exit code {code}", file=sys.stderr)
+            return code
+    print(f"artifacts in {out}/")
     return 0
 
 

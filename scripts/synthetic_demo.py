@@ -47,7 +47,7 @@ def synth_corpus(n: int, seed: int) -> LabeledDataset:
             scores=scores, mean=sum(scores) / 5.0, median=median, class_label=label
         )
         records.append((PostRecord(id=str(i), post_text=[" ".join(words)]), judgment))
-    return LabeledDataset(records=records)
+    return records
 
 
 def write_embeddings(path: str, d: int, seed: int) -> None:

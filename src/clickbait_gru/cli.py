@@ -19,12 +19,12 @@ from .errors import DataError, NumericError, ParseError
 from .ingest import (
     TEXT_FIELDS,
     atomic_open,
-    build_dataset,
     finite_number,
     index_by_id,
     load_dataset,
     parse_instances,
     parse_truth,
+    read_dataset,
     read_objects,
     stratified_split,
     write_dataset,
@@ -121,11 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_analyze(args) -> int:
-    with open(args.instances, encoding="utf-8") as f:
-        records = parse_instances(f)
-    with open(args.truth, encoding="utf-8") as f:
-        truths = parse_truth(f)
-    write_analytics(build_dataset(records, truths), args.out)
+    write_analytics(read_dataset(args.instances, args.truth), args.out)
     return EXIT_OK
 
 
@@ -157,33 +153,26 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig(**values)
 
 
-def train_and_save(train_ds, valid_ds, cfg: TrainConfig, glove_path: str, out_dir: str):
-    """Vocabulary from the training posts, GloVe-initialized embeddings, `fit`,
-    then the best-epoch checkpoint and the history CSV written under out_dir.
-
-    Returns (model, vocab, history, matched), matched being the number of
-    vocabulary tokens the GloVe file had vectors for.
-    """
-    vocab = build_vocab(
-        tokenize(record.field_text(cfg.text_field)) for record, _ in train_ds
-    )
-    with open(glove_path, encoding="utf-8") as f:
-        embeddings, matched = load_glove(f, vocab, cfg.d, seed=cfg.seed)
-    model, history = fit(train_ds, valid_ds, cfg, vocab, embeddings)
-
-    os.makedirs(out_dir, exist_ok=True)
-    with atomic_open(os.path.join(out_dir, CHECKPOINT_FILENAME), binary=True) as f:
-        save_model(model, vocab, cfg, f)
-    with atomic_open(os.path.join(out_dir, HISTORY_FILENAME)) as f:
-        write_history(history, f)
-    return model, vocab, history, matched
-
-
 def cmd_train(args) -> int:
+    """Vocabulary, GloVe-initialized embeddings, `fit`, then the best epoch's
+    checkpoint and the history CSV under --out."""
     cfg = _train_config(args)
     train_ds = load_dataset(args.train_dir)
     valid_ds = load_dataset(args.valid_dir)
-    _, vocab, history, matched = train_and_save(train_ds, valid_ds, cfg, args.glove, args.out)
+    if not train_ds or not valid_ds:
+        raise DataError("train and valid datasets must be non-empty")
+    vocab = build_vocab(
+        tokenize(record.field_text(cfg.text_field)) for record, _ in train_ds
+    )
+    with open(args.glove, encoding="utf-8") as f:
+        embeddings, matched = load_glove(f, vocab, cfg.d, seed=cfg.seed)
+    model, history = fit(train_ds, valid_ds, cfg, vocab, embeddings)
+
+    os.makedirs(args.out, exist_ok=True)
+    with atomic_open(os.path.join(args.out, CHECKPOINT_FILENAME), binary=True) as f:
+        save_model(model, vocab, cfg, f)
+    with atomic_open(os.path.join(args.out, HISTORY_FILENAME)) as f:
+        write_history(history, f)
 
     best = min(history, key=lambda row: row.valid_mse)
     print(f"embeddings matched: {matched}/{vocab.size - 2}")
@@ -235,6 +224,8 @@ def cmd_evaluate(args) -> int:
         results = _parse_results(f)
     with open(args.truth, encoding="utf-8") as f:
         truths = parse_truth(f)
+    if len(truths) < 2:
+        raise DataError(f"evaluate needs at least 2 truth lines, got {len(truths)}")
     missing = [rec_id for rec_id, _ in truths if rec_id not in results]
     if missing:
         shown = ", ".join(missing[:20])
@@ -258,10 +249,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, UnicodeDecodeError) as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as e:
+    except (DataError, UnicodeDecodeError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as e:

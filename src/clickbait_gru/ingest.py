@@ -10,7 +10,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 from .errors import DataError, ParseError
 from .rng import named_rng
@@ -71,15 +71,8 @@ class Judgment:
     class_label: Label
 
 
-@dataclass(frozen=True)
-class LabeledDataset:
-    records: list[tuple[PostRecord, Judgment]]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
+LabeledDataset = list[tuple[PostRecord, Judgment]]
+"""Posts paired with their judgments, as `build_dataset` joins them."""
 
 
 def read_objects(stream: Iterable[str]) -> Iterator[tuple[int, dict]]:
@@ -250,18 +243,24 @@ def build_dataset(
             f"{len(unlabeled)} instance ids have no truth line "
             f"(first: {unlabeled[0]!r})"
         )
-    return LabeledDataset(records=joined)
+    return joined
 
 
-def load_dataset(directory: str) -> LabeledDataset:
-    """Load instances.jsonl + truth.jsonl from a dataset directory."""
-    instances_path = os.path.join(directory, INSTANCES_FILENAME)
-    truth_path = os.path.join(directory, TRUTH_FILENAME)
+def read_dataset(instances_path: str, truth_path: str) -> LabeledDataset:
+    """Parse an instances file and a truth file and join them on id
+    (`build_dataset`), in truth-file order."""
     with open(instances_path, encoding="utf-8") as f:
         records = parse_instances(f)
     with open(truth_path, encoding="utf-8") as f:
         truths = parse_truth(f)
     return build_dataset(records, truths)
+
+
+def load_dataset(directory: str) -> LabeledDataset:
+    """`read_dataset` of the instances.jsonl and truth.jsonl in `directory`."""
+    return read_dataset(
+        os.path.join(directory, INSTANCES_FILENAME), os.path.join(directory, TRUTH_FILENAME)
+    )
 
 
 def validate_label_rule(ds: LabeledDataset) -> list[tuple[str, float, Label]]:
@@ -322,9 +321,9 @@ def stratified_split(
         picked = rng.permutation(len(members))[: alloc[label]]
         test_idx.update(members[i] for i in picked)
 
-    train_records = [ds.records[i] for i in range(n) if i not in test_idx]
-    test_records = [ds.records[i] for i in range(n) if i in test_idx]
-    return LabeledDataset(train_records), LabeledDataset(test_records)
+    train = [ds[i] for i in range(n) if i not in test_idx]
+    test = [ds[i] for i in range(n) if i in test_idx]
+    return train, test
 
 
 @dataclass(frozen=True)
@@ -354,36 +353,6 @@ def find_duplicate_posts(ds: LabeledDataset) -> list[DuplicateGroup]:
     return dupes
 
 
-def _instance_json(rec: PostRecord) -> str:
-    return json.dumps(
-        {
-            "id": rec.id,
-            "postText": rec.post_text,
-            "postTimestamp": rec.post_timestamp,
-            "postMedia": rec.post_media,
-            "targetTitle": rec.target_title,
-            "targetDescription": rec.target_description,
-            "targetKeywords": rec.target_keywords,
-            "targetParagraphs": rec.target_paragraphs,
-            "targetCaptions": rec.target_captions,
-        },
-        ensure_ascii=False,
-    )
-
-
-def _truth_json(rec_id: str, judgment: Judgment) -> str:
-    return json.dumps(
-        {
-            "id": rec_id,
-            "truthJudgments": list(judgment.scores),
-            "truthMean": judgment.mean,
-            "truthMedian": judgment.median,
-            "truthClass": judgment.class_label.value,
-        },
-        ensure_ascii=False,
-    )
-
-
 @contextlib.contextmanager
 def atomic_open(path: str, binary: bool = False):
     """A new file to write `path` through, in place of `open(path, "w")`.
@@ -405,20 +374,29 @@ def atomic_open(path: str, binary: bool = False):
         raise
 
 
-def write_instances(records: Iterable[PostRecord], out: TextIO) -> None:
-    for rec in records:
-        out.write(_instance_json(rec) + "\n")
-
-
-def write_truth(pairs: Iterable[tuple[str, Judgment]], out: TextIO) -> None:
-    for rec_id, judgment in pairs:
-        out.write(_truth_json(rec_id, judgment) + "\n")
-
-
 def write_dataset(ds: LabeledDataset, directory: str) -> None:
-    """Write a dataset as the standard two-file directory layout."""
+    """Write a dataset as the standard two-file directory layout: in each
+    file one JSON line per post, in dataset order, non-ASCII text unescaped."""
     os.makedirs(directory, exist_ok=True)
     with atomic_open(os.path.join(directory, INSTANCES_FILENAME)) as f:
-        write_instances((rec for rec, _ in ds), f)
+        for rec, _ in ds:
+            f.write(json.dumps({
+                "id": rec.id,
+                "postText": rec.post_text,
+                "postTimestamp": rec.post_timestamp,
+                "postMedia": rec.post_media,
+                "targetTitle": rec.target_title,
+                "targetDescription": rec.target_description,
+                "targetKeywords": rec.target_keywords,
+                "targetParagraphs": rec.target_paragraphs,
+                "targetCaptions": rec.target_captions,
+            }, ensure_ascii=False) + "\n")
     with atomic_open(os.path.join(directory, TRUTH_FILENAME)) as f:
-        write_truth(((rec.id, j) for rec, j in ds), f)
+        for rec, judgment in ds:
+            f.write(json.dumps({
+                "id": rec.id,
+                "truthJudgments": list(judgment.scores),
+                "truthMean": judgment.mean,
+                "truthMedian": judgment.median,
+                "truthClass": judgment.class_label.value,
+            }, ensure_ascii=False) + "\n")

@@ -272,31 +272,27 @@ def forward_batch(
     ids: np.ndarray,
     lengths: np.ndarray,
     masks: DropoutMasks | None = None,
-    want_cache: bool = False,
 ) -> tuple[np.ndarray, ForwardCache | None]:
     """Predictions for a (B, T) id batch; PAD steps beyond each length are skipped.
 
-    With `masks` None this is inference; `tests/oracle.py` recomputes each
-    row with scalar loops. Otherwise `masks.x` multiplies the packed inputs
-    row for row, so it must be drawn for these `lengths` and width T.
-    `want_cache` also returns what `train.backprop` reads back.
-
-    Without `masks.x` and without a cache, equal ids give equal inputs, so
-    each direction projects each distinct id of the batch once; otherwise it
-    projects every token into its tape.
+    With `masks` None this is inference and returns no cache: equal ids give
+    equal inputs, so each direction projects each distinct id once, and
+    `tests/oracle.py` recomputes each row with scalar loops. With `masks`,
+    `DropoutMasks()` for none, every token is projected into its tape and the
+    `ForwardCache` that `train.backprop` reads is returned; `masks.x` multiplies
+    the packed inputs row for row, so it must be drawn for these `lengths` and width T.
     """
     ids = np.asarray(ids)
     B, T = ids.shape
     pack = pack_batch(lengths, T)
     tokens = ids[pack.rows, pack.steps]
-    x_mask = masks.x if masks is not None else None
-    if want_cache or x_mask is not None:
-        X, src = m["embedding"][tokens], None
-        if x_mask is not None:
-            X *= x_mask
-    else:
+    if masks is None:
         rows, src = np.unique(tokens, return_inverse=True)
         X = m["embedding"][rows]
+    else:
+        X, src = m["embedding"][tokens], None
+        if masks.x is not None:
+            X *= masks.x
     h = len(m["fwd.b_r"])
     tapes = [GruTape.empty(len(tokens), h, X.dtype) if src is None else None for _ in range(2)]
     u = np.zeros((B, 2 * h), dtype=X.dtype)
@@ -305,7 +301,7 @@ def forward_batch(
     if masks is not None and masks.out is not None:
         u = u * masks.out
     preds = sigmoid(u @ m["head.w"] + m["head.b"][0])
-    if not want_cache:
+    if masks is None:
         return preds, None
     return preds, ForwardCache(
         pack=pack, tokens=tokens, X=X, fwd=tapes[0], bwd=tapes[1], u_drop=u

@@ -1,6 +1,7 @@
 """Tokenization, vocabulary construction, and GloVe-initialized embeddings."""
 
 import itertools
+import re
 import string
 from collections import Counter
 from dataclasses import dataclass
@@ -25,7 +26,10 @@ OOV_INIT_SCALE = 0.05
 # under 1 MB with 256, at the same speed.
 GLOVE_BLOCK_LINES = 256
 
-_ASCII_PUNCT = frozenset(string.punctuation)
+# a token is one ASCII punctuation character, or a run of non-whitespace
+# that neither starts nor ends with one
+_PUNCT = re.escape(string.punctuation)
+_TOKEN = re.compile(rf"[{_PUNCT}]|[^\s{_PUNCT}](?:\S*[^\s{_PUNCT}])?")
 
 
 def tokenize(text: str) -> list[str]:
@@ -34,22 +38,7 @@ def tokenize(text: str) -> list[str]:
     Punctuation inside a chunk (don't, u.s.) is left alone; each peeled
     character becomes its own token, in text order.
     """
-    tokens: list[str] = []
-    for chunk in text.lower().split():
-        i, j = 0, len(chunk)
-        lead = []
-        while i < j and chunk[i] in _ASCII_PUNCT:
-            lead.append(chunk[i])
-            i += 1
-        trail = []
-        while j > i and chunk[j - 1] in _ASCII_PUNCT:
-            trail.append(chunk[j - 1])
-            j -= 1
-        tokens.extend(lead)
-        if i < j:
-            tokens.append(chunk[i:j])
-        tokens.extend(reversed(trail))
-    return tokens
+    return _TOKEN.findall(text.lower())
 
 
 @dataclass(frozen=True)

@@ -244,13 +244,14 @@ def backprop(
     """Batch MSE and its exact gradient for every parameter array.
 
     The batch is a (B, T) id array, its (B,) lengths and its (B,) float
-    targets, as `encode_dataset` returns them. Gradients are accumulated
-    over the batch, then clipped elementwise to [-clip, clip] (pass
-    clip=None to disable, e.g. for finite-difference comparison).
+    targets, as `encode_dataset` returns them; `masks` None is no dropout.
+    Gradients are accumulated over the batch, then clipped elementwise to
+    [-clip, clip] (pass clip=None to disable, e.g. for finite-difference comparison).
     """
     if len(ids) == 0:
         raise ValueError("batch must be non-empty")
-    preds, cache = forward_batch(m, ids, lengths, masks=masks, want_cache=True)
+    masks = masks or DropoutMasks()
+    preds, cache = forward_batch(m, ids, lengths, masks)
     loss = mse_loss(preds, targets)
 
     grads: GradientSet = dict.fromkeys(m)
@@ -263,13 +264,13 @@ def backprop(
     grads["head.w"] = da @ cache.u_drop
     grads["head.b"] = da.sum(keepdims=True)
     du = np.outer(da, m["head.w"])
-    if masks is not None and masks.out is not None:
+    if masks.out is not None:
         du = du * masks.out
     du = du[pack.live]
     dX = _gru_backward(m, "fwd", cache.X, pack, cache.fwd, du[:, :h], False, grads)
     dX += _gru_backward(m, "bwd", cache.X, pack, cache.bwd, du[:, h:], True, grads)
 
-    if masks is not None and masks.x is not None:
+    if masks.x is not None:
         dX *= masks.x
     grads["embedding"] = _embedding_grad(cache.tokens, dX, len(m["embedding"]))
 

@@ -12,6 +12,7 @@ import pytest
 from clickbait_gru.ingest import Judgment, Label, LabeledDataset, PostRecord
 from clickbait_gru.nn import (
     CHECKPOINT_MAGIC,
+    DropoutMasks,
     GRU_FIELDS,
     Model,
     _array_shapes,
@@ -67,7 +68,7 @@ def synth_dataset(n: int, seed: int = 0, clickbait_every: int = 3) -> LabeledDat
         if bait:
             text = "wow " + text
         records.append((make_record(str(1000 + i), text), make_judgment(levels)))
-    return LabeledDataset(records=records)
+    return records
 
 
 def write_glove(path, words, d: int, seed: int = 1) -> None:
@@ -106,11 +107,11 @@ def model_of(gru: dict, matrix) -> Model:
 def direction_states(m: Model, ids, length: int):
     """Every state each direction passes through on one post, in reading order.
 
-    Read from `forward_batch(..., want_cache=True)`: the tape holds the state
+    Read from the cache of a taped `forward_batch`: the tape holds the state
     entering each token, the summary the final state. Each result is
     (length + 1, h), starting with the zero initial state.
     """
-    _, cache = forward_batch(m, np.asarray([ids]), np.asarray([length]), want_cache=True)
+    _, cache = forward_batch(m, np.asarray([ids]), np.asarray([length]), DropoutMasks())
     final = cache.u_drop[0]
     h = len(m["fwd.b_r"])
     fwd = np.vstack([cache.fwd.h_prev, final[:h]])

@@ -8,9 +8,14 @@ no vectorized operations. Slow and only suitable for tiny models.
 replaced: every line split, each matched component parsed with `float()`.
 It shares only the OOV rows' random stream with the package, so that whole
 matrices compare bitwise.
+
+`naive_tokenize` is the chunk-by-chunk tokenizer that `text.tokenize`'s
+single regex replaced: split on whitespace, then peel punctuation off each
+chunk's ends one character at a time.
 """
 
 import math
+import string
 
 import numpy as np
 
@@ -127,3 +132,24 @@ def naive_glove(stream, vocab, d: int, seed: int = 0):
         if not found[token_id]:
             matrix[token_id] = rng.uniform(-OOV_INIT_SCALE, OOV_INIT_SCALE, size=d)
     return matrix.astype(np.float32), matched
+
+
+def naive_tokenize(text: str) -> list[str]:
+    """Lowercase, split on whitespace, peel leading/trailing ASCII punctuation,
+    each peeled character its own token, in text order."""
+    tokens: list[str] = []
+    for chunk in text.lower().split():
+        i, j = 0, len(chunk)
+        lead = []
+        while i < j and chunk[i] in string.punctuation:
+            lead.append(chunk[i])
+            i += 1
+        trail = []
+        while j > i and chunk[j - 1] in string.punctuation:
+            trail.append(chunk[j - 1])
+            j -= 1
+        tokens.extend(lead)
+        if i < j:
+            tokens.append(chunk[i:j])
+        tokens.extend(reversed(trail))
+    return tokens

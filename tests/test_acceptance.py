@@ -259,7 +259,7 @@ def test_criterion_6_challenge_corpus_statistics():
         assert table[0.0][Label.CLICKBAIT] == 0
         assert table[1.0][Label.NO_CLICKBAIT] == 0
 
-    combined = LabeledDataset(records=ds1.records + ds2.records)
+    combined = ds1 + ds2
     assert len(find_duplicate_posts(combined)) == 408
 
     ncb_max = max(

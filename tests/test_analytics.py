@@ -34,7 +34,7 @@ def dataset_of(rows) -> LabeledDataset:
         (make_record(str(i), text), make_judgment(levels))
         for i, (text, levels) in enumerate(rows)
     ]
-    return LabeledDataset(records=records)
+    return records
 
 
 BAIT = (1, 1, 1, 0, 0)  # median 1 -> clickbait
@@ -43,7 +43,7 @@ PLAIN = (0, 0, 0, 1 / 3, 1 / 3)  # median 0 -> no-clickbait
 
 class TestClassCounts:
     def test_empty_dataset(self):
-        assert class_counts(LabeledDataset(records=[])) == (0, 0, 0)
+        assert class_counts([]) == (0, 0, 0)
 
     def test_synthetic_construction(self, dataset60):
         # every third record is clickbait by construction
@@ -64,7 +64,7 @@ class TestMedianLabelTable:
         assert table[1.0 / 3.0][NCB] == 1
 
     def test_all_eight_cells_present(self):
-        table = median_label_table(LabeledDataset(records=[]))
+        table = median_label_table([])
         assert sorted(table) == sorted(JUDGMENT_LEVELS)
         for level in JUDGMENT_LEVELS:
             assert set(table[level]) == {CB, NCB}

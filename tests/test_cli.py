@@ -12,8 +12,9 @@ import pytest
 
 from clickbait_gru.cli import main
 from clickbait_gru.ingest import load_dataset, stratified_split, write_dataset
-from clickbait_gru.nn import load_model, save_model
-from clickbait_gru.train import TrainConfig
+from clickbait_gru.metrics import evaluate
+from clickbait_gru.nn import load_model, predict_batch, save_model
+from clickbait_gru.train import TrainConfig, encode_posts
 
 from conftest import (
     WORDS,
@@ -273,6 +274,22 @@ class TestTrain:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("empty_side", ["train", "valid"])
+    def test_empty_dataset_is_data_error(self, work, tmp_path, capsys, empty_side):
+        write_dataset([], str(tmp_path / "empty"))
+        dirs = {"train": str(work / "data"), "valid": str(work / "data")}
+        dirs[empty_side] = str(tmp_path / "empty")
+        code, _, err = run(
+            capsys,
+            "train", dirs["train"], dirs["valid"],
+            "--glove", str(work / "glove.txt"),
+            "--out", str(tmp_path / "run"),
+            "--dim", "8", "--hidden", "4", "--epochs", "1",
+        )
+        assert code == 2
+        assert err == "data error: train and valid datasets must be non-empty\n"
+        assert not (tmp_path / "run").exists()
+
     def test_glove_dim_mismatch_is_data_error(self, work, tmp_path, capsys):
         code, _, err = run(
             capsys,
@@ -306,18 +323,22 @@ class TestTrain:
 
 
 class TestChallengeScript:
+    FLAGS = ["--dim", "8", "--hidden", "4", "--epochs", "1"]
+
+    def run_script(self, challenge_dir, glove_file, out):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_challenge_experiment.py"
+        subprocess.run(
+            [sys.executable, str(script), str(challenge_dir), "--glove", str(glove_file),
+             "--out", str(out), *self.FLAGS],
+            check=True, capture_output=True,
+        )
+
     def test_writes_what_train_writes_on_its_split(
         self, challenge_dir, glove_file, tmp_path, capsys
     ):
         """The script's checkpoint and history equal `train`'s on the same
         train/valid split with the same flags."""
-        flags = ["--dim", "8", "--hidden", "4", "--epochs", "1"]
-        script = Path(__file__).resolve().parents[1] / "scripts" / "run_challenge_experiment.py"
-        subprocess.run(
-            [sys.executable, str(script), str(challenge_dir), "--glove", str(glove_file),
-             "--out", str(tmp_path / "script"), *flags],
-            check=True, capture_output=True,
-        )
+        self.run_script(challenge_dir, glove_file, tmp_path / "script")
         # the script's protocol at its default seed 0: test 30%, then valid 15% of the rest
         train_full, _ = stratified_split(load_dataset(str(challenge_dir)), 0.3, 0)
         train, valid = stratified_split(train_full, 0.15, 0)
@@ -325,12 +346,29 @@ class TestChallengeScript:
         write_dataset(valid, str(tmp_path / "valid"))
         code, _, _ = run(
             capsys, "train", str(tmp_path / "train"), str(tmp_path / "valid"),
-            "--glove", str(glove_file), "--out", str(tmp_path / "cli"), *flags,
+            "--glove", str(glove_file), "--out", str(tmp_path / "cli"), *self.FLAGS,
         )
         assert code == 0
         for name in ARTIFACTS:
             script_bytes = (tmp_path / "script" / name).read_bytes()
             assert script_bytes == (tmp_path / "cli" / name).read_bytes(), name
+
+    def test_report_scores_its_test_split(self, challenge_dir, glove_file, tmp_path):
+        """The script's report.json, runtime aside, is `evaluate` of its
+        checkpoint's scores for its 30% test split, computed in process."""
+        out = tmp_path / "script"
+        self.run_script(challenge_dir, glove_file, out)
+        _, test = stratified_split(load_dataset(str(challenge_dir)), 0.3, 0)
+        with open(out / "model.ckpt", "rb") as f:
+            model, vocab, meta = load_model(f)
+        ids, lengths = encode_posts(
+            [record for record, _ in test], vocab, meta["max_len"], meta["text_field"]
+        )
+        preds = predict_batch(model, ids, lengths)
+        expected = json.loads(evaluate(list(preds), [j for _, j in test]).to_json())
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        del expected["runtime"], report["runtime"]
+        assert report == expected
 
 
 class TestPredict:
@@ -523,7 +561,7 @@ class TestEvaluate:
             capsys, "evaluate", str(results), "--truth", str(work / "data" / "truth.jsonl")
         )
         assert code == 2
-        assert ds.records[0][0].id in err
+        assert ds[0][0].id in err
 
     def test_bad_json_line_reported(self, work, tmp_path, capsys):
         results = tmp_path / "results.jsonl"
@@ -621,15 +659,26 @@ class TestEvaluate:
         assert code == 1
         assert "usage error" in err
 
+    @pytest.mark.parametrize("n_truth", [0, 1])
+    def test_fewer_than_two_truth_lines_is_data_error(self, tmp_path, capsys, n_truth):
+        ds = [(make_record("1", "post"), make_judgment((0, 0, 0, 0, 0)))][:n_truth]
+        write_dataset(ds, str(tmp_path / "few"))
+        results = tmp_path / "results.jsonl"
+        results_file(results, [(rec.id, 0.5) for rec, _ in ds])
+        code, msg, err = run(
+            capsys, "evaluate", str(results), "--truth", str(tmp_path / "few" / "truth.jsonl")
+        )
+        assert code == 2
+        assert msg == ""
+        assert err == f"data error: evaluate needs at least 2 truth lines, got {n_truth}\n"
+
     def test_constant_truth_warns_about_r2(self, tmp_path, capsys):
         data = tmp_path / "flat"
         records = [
             (make_record(str(i), f"post {i}"), make_judgment((1, 1, 1, 1, 1)))
             for i in range(3)
         ]
-        from clickbait_gru.ingest import LabeledDataset
-
-        write_dataset(LabeledDataset(records=records), str(data))
+        write_dataset(records, str(data))
         results = tmp_path / "results.jsonl"
         results_file(results, [(str(i), 0.5 + 0.1 * i) for i in range(3)])
         code, msg, err = run(

@@ -13,7 +13,6 @@ from clickbait_gru.errors import DataError, ParseError
 from clickbait_gru.ingest import (
     Judgment,
     Label,
-    LabeledDataset,
     atomic_open,
     build_dataset,
     derive_label,
@@ -201,7 +200,7 @@ class TestLabelRule:
         bad = Judgment(
             scores=(1.0,) * 5, mean=1.0, median=1.0, class_label=Label.NO_CLICKBAIT
         )
-        ds = LabeledDataset(records=[(make_record("x", "t"), bad)])
+        ds = [(make_record("x", "t"), bad)]
         violations = validate_label_rule(ds)
         assert violations == [("x", 1.0, Label.NO_CLICKBAIT)]
 
@@ -219,8 +218,7 @@ class TestStratifiedSplit:
         for i in range(19538):
             levels = (1.0,) * 5 if i < 4761 else (0.0,) * 5
             records.append((make_record(str(i), f"post {i}"), make_judgment(levels)))
-        ds = LabeledDataset(records=records)
-        train, test = stratified_split(ds, 0.3, seed=11)
+        train, test = stratified_split(records, 0.3, seed=11)
         test_cb = sum(1 for _, j in test if j.class_label is Label.CLICKBAIT)
         assert len(test) == 5861
         assert test_cb == 1428
@@ -247,7 +245,7 @@ class TestStratifiedSplit:
             (make_record(str(i), "t"), make_judgment((0.0,) * 5)) for i in range(10)
         ]
         with pytest.raises(DataError, match="zero members"):
-            stratified_split(LabeledDataset(records=records), 0.3, seed=0)
+            stratified_split(records, 0.3, seed=0)
 
     def test_order_within_splits_preserved(self, dataset60):
         train, test = stratified_split(dataset60, 0.3, seed=4)
@@ -266,12 +264,11 @@ class TestStratifiedSplit:
     @settings(max_examples=60, deadline=None)
     def test_partition_property(self, n_cb, n_ncb, fraction, seed):
         """Split is a disjoint partition; test size follows round-half-up."""
-        records = [
+        ds = [
             (make_record(f"c{i}", "x"), make_judgment((1.0,) * 5)) for i in range(n_cb)
         ] + [
             (make_record(f"n{i}", "x"), make_judgment((0.0,) * 5)) for i in range(n_ncb)
         ]
-        ds = LabeledDataset(records=records)
         train, test = stratified_split(ds, fraction, seed)
         train_ids = {r.id for r, _ in train}
         test_ids = {r.id for r, _ in test}
@@ -290,7 +287,7 @@ class TestDuplicates:
             (make_record(str(i), t), make_judgment(lv))
             for i, (t, lv) in enumerate(zip(texts, levels))
         ]
-        groups = find_duplicate_posts(LabeledDataset(records=records))
+        groups = find_duplicate_posts(records)
         assert [(g.text, g.count) for g in groups] == [("aaa", 3), ("bbb", 2)]
         assert groups[0].clickbait == 2 and groups[0].no_clickbait == 1
 
@@ -307,7 +304,7 @@ class TestDuplicates:
             (make_record(str(i), f"text{c}"), make_judgment((0.0,) * 5))
             for i, c in enumerate(text_codes)
         ]
-        groups = find_duplicate_posts(LabeledDataset(records=records))
+        groups = find_duplicate_posts(records)
         total = len(text_codes)
         distinct = len(set(text_codes))
         assert sum(g.count for g in groups) == total - distinct + len(groups)

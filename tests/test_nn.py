@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from clickbait_gru.errors import DataError
 from clickbait_gru.nn import (
     GRU_FIELDS,
+    DropoutMasks,
     _array_shapes,
     forward_batch,
     init_model,
@@ -49,7 +50,7 @@ def rates(embed=0.0, gru_in=0.0, out=0.0, **cfg) -> TrainConfig:
 
 def summary(m, ids, lengths, masks=None):
     """The (B, 2h) summary the head reads, after output dropout when masked."""
-    _, cache = forward_batch(m, np.asarray(ids), np.asarray(lengths), masks=masks, want_cache=True)
+    _, cache = forward_batch(m, np.asarray(ids), np.asarray(lengths), masks or DropoutMasks())
     return cache.u_drop
 
 
@@ -318,7 +319,7 @@ class TestForwardBatch:
         m = tiny_model(seed=4)
         ids = np.array([[2, 2, 3, 0], [3, 2, 0, 0], [1, 1, 1, 1]], dtype=np.int32)
         lengths = np.array([3, 2, 4])
-        _, cache = forward_batch(m, ids, lengths, want_cache=True)
+        _, cache = forward_batch(m, ids, lengths, DropoutMasks())
         np.testing.assert_array_equal(cache.tokens, ids[cache.pack.rows, cache.pack.steps])
         np.testing.assert_array_equal(cache.X, m["embedding"][cache.tokens])
 
@@ -327,7 +328,7 @@ class TestForwardBatch:
         of its token, recomputed here from the taped h_prev."""
         m = tiny_model(seed=8)
         ids = np.array([[2, 3, 4, 2], [5, 2, 0, 0], [4, 0, 0, 0]], dtype=np.int32)
-        _, cache = forward_batch(m, ids, np.array([4, 2, 1]), want_cache=True)
+        _, cache = forward_batch(m, ids, np.array([4, 2, 1]), DropoutMasks())
         for prefix, tape in (("fwd", cache.fwd), ("bwd", cache.bwd)):
             p = {name: m[f"{prefix}.{name}"] for name in GRU_FIELDS}
             X, hp = cache.X, tape.h_prev

@@ -20,7 +20,7 @@ from clickbait_gru.text import (
 )
 from clickbait_gru.train import encode_posts
 from conftest import make_record
-from oracle import naive_glove
+from oracle import naive_glove, naive_tokenize
 
 
 class TestTokenize:
@@ -56,6 +56,12 @@ class TestTokenize:
     def test_tokens_never_contain_whitespace(self, s):
         for tok in tokenize(s):
             assert tok and not any(c.isspace() for c in tok)
+
+    @given(st.text(alphabet=st.sampled_from(" \t\x1c\u2003\u0130-'.!?(aZ5é"), max_size=40)
+           | st.text(max_size=80))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_chunk_peeling_reference(self, s):
+        assert tokenize(s) == naive_tokenize(s)
 
 
 class TestVocabulary:

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clickbait_gru.errors import NumericError
-from clickbait_gru.ingest import LabeledDataset
 from clickbait_gru.nn import (
     MAX_LEN_LIMIT,
     WIDTH_LIMIT,
@@ -495,9 +494,8 @@ class TestFit:
 
     def test_empty_dataset_rejected(self):
         ds, vocab, emb = fit_setup()
-        empty = LabeledDataset(records=[])
         with pytest.raises(ValueError):
-            fit(empty, ds, self.small_cfg(), vocab, emb)
+            fit([], ds, self.small_cfg(), vocab, emb)
 
     def test_dimension_mismatch_rejected(self):
         ds, vocab, emb = fit_setup(d=6)
