@@ -9,7 +9,8 @@ external plotting; nothing here renders images.
 import csv
 import json
 import os
-from dataclasses import dataclass
+import statistics
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -49,11 +50,10 @@ class BoxStats:
 
 @dataclass(frozen=True)
 class Histogram:
-    """Per-class binned values; unit is 'count' or 'percent' (of the class)."""
+    """Per-class binned values: counts, or percentages of the class."""
 
     bin_edges: np.ndarray
     per_class: dict[Label, np.ndarray]
-    unit: str
 
 
 def class_counts(ds: LabeledDataset) -> tuple[int, int, int]:
@@ -70,12 +70,6 @@ def median_label_table(ds: LabeledDataset) -> dict[float, dict[Label, int]]:
     return table
 
 
-def _range_median(ordered, lo: int, hi: int) -> float:
-    """Median of ordered[lo..hi] inclusive; mean of the two centrals when even."""
-    span = hi - lo + 1
-    return (ordered[lo + (span - 1) // 2] + ordered[lo + span // 2]) / 2.0
-
-
 def box_stats(values) -> BoxStats:
     """Five-number summary with Tukey hinges for the quartiles.
 
@@ -86,14 +80,13 @@ def box_stats(values) -> BoxStats:
     n = len(ordered)
     if n == 0:
         raise ValueError("box stats of empty sequence")
-    median = _range_median(ordered, 0, n - 1)
-    if n % 2:
-        q1 = _range_median(ordered, 0, n // 2)
-        q3 = _range_median(ordered, n // 2, n - 1)
-    else:
-        q1 = _range_median(ordered, 0, n // 2 - 1)
-        q3 = _range_median(ordered, n // 2, n - 1)
-    return BoxStats(min=ordered[0], q1=q1, median=median, q3=q3, max=ordered[-1])
+    return BoxStats(
+        min=ordered[0],
+        q1=statistics.median(ordered[: (n + 1) // 2]),
+        median=statistics.median(ordered),
+        q3=statistics.median(ordered[n // 2 :]),
+        max=ordered[-1],
+    )
 
 
 def _means_by_class(ds: LabeledDataset) -> dict[Label, list[float]]:
@@ -121,7 +114,7 @@ def score_histogram(ds: LabeledDataset, bins: int) -> Histogram:
     per_class = {
         label: np.histogram(means, bins=edges)[0] for label, means in by_class.items()
     }
-    return Histogram(bin_edges=edges, per_class=per_class, unit="count")
+    return Histogram(bin_edges=edges, per_class=per_class)
 
 
 def length_distribution(ds: LabeledDataset, bin_width: int = 10) -> Histogram:
@@ -144,11 +137,18 @@ def length_distribution(ds: LabeledDataset, bin_width: int = 10) -> Histogram:
         counts = np.histogram(values, bins=edges)[0]
         total = len(values)
         per_class[label] = 100.0 * counts / total if total else counts.astype(np.float64)
-    return Histogram(bin_edges=edges, per_class=per_class, unit="percent")
+    return Histogram(bin_edges=edges, per_class=per_class)
 
 
 def _format_level(level: float) -> str:
     return f"{level:.5f}".rstrip("0").rstrip(".")
+
+
+def _write_csv(out_dir: str, name: str, header: list[str], rows) -> None:
+    with atomic_open(os.path.join(out_dir, name)) as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def write_analytics(ds: LabeledDataset, out_dir: str) -> None:
@@ -170,54 +170,34 @@ def write_analytics(ds: LabeledDataset, out_dir: str) -> None:
         json.dump(counts, f, indent=2, sort_keys=True)
         f.write("\n")
 
+    cb, ncb = Label.CLICKBAIT, Label.NO_CLICKBAIT
     table = median_label_table(ds)
-    with atomic_open(os.path.join(out_dir, "fig1_median_label.csv")) as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["median_level", "clickbait", "no_clickbait"])
-        for level in JUDGMENT_LEVELS:
-            w.writerow(
-                [_format_level(level), table[level][Label.CLICKBAIT], table[level][Label.NO_CLICKBAIT]]
-            )
+    _write_csv(out_dir, "fig1_median_label.csv", ["median_level", "clickbait", "no_clickbait"], [
+        [_format_level(level), table[level][cb], table[level][ncb]] for level in JUDGMENT_LEVELS
+    ])
 
     boxes = score_box_stats(ds)
-    with atomic_open(os.path.join(out_dir, "fig2_box.csv")) as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["class", "min", "q1", "median", "q3", "max"])
-        for label in (Label.CLICKBAIT, Label.NO_CLICKBAIT):
-            b = boxes[label]
-            w.writerow([label.value] + [repr(v) for v in (b.min, b.q1, b.median, b.q3, b.max)])
+    _write_csv(out_dir, "fig2_box.csv", ["class", "min", "q1", "median", "q3", "max"], [
+        [label.value] + [repr(v) for v in astuple(boxes[label])] for label in (cb, ncb)
+    ])
 
-    scores = score_histogram(ds, SCORE_BINS)
-    with atomic_open(os.path.join(out_dir, "fig3_score_hist.csv")) as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["bin_start", "bin_end", "clickbait", "no_clickbait"])
-        for i in range(len(scores.bin_edges) - 1):
-            w.writerow(
-                [
-                    repr(float(scores.bin_edges[i])),
-                    repr(float(scores.bin_edges[i + 1])),
-                    int(scores.per_class[Label.CLICKBAIT][i]),
-                    int(scores.per_class[Label.NO_CLICKBAIT][i]),
-                ]
-            )
+    # a histogram row is one bin: its two edges, then each class's value
+    hist = score_histogram(ds, SCORE_BINS)
+    edges = hist.bin_edges
+    header = ["bin_start", "bin_end", "clickbait", "no_clickbait"]
+    _write_csv(out_dir, "fig3_score_hist.csv", header, [
+        [repr(float(lo)), repr(float(hi)), int(c), int(n)]
+        for lo, hi, c, n in zip(edges, edges[1:], hist.per_class[cb], hist.per_class[ncb])
+    ])
 
-    lengths = length_distribution(ds, bin_width=LENGTH_BIN_WIDTH)
-    with atomic_open(os.path.join(out_dir, "fig4_length_hist.csv")) as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["bin_start", "bin_end", "clickbait_pct", "no_clickbait_pct"])
-        for i in range(len(lengths.bin_edges) - 1):
-            w.writerow(
-                [
-                    int(lengths.bin_edges[i]),
-                    int(lengths.bin_edges[i + 1]),
-                    repr(float(lengths.per_class[Label.CLICKBAIT][i])),
-                    repr(float(lengths.per_class[Label.NO_CLICKBAIT][i])),
-                ]
-            )
+    hist = length_distribution(ds, bin_width=LENGTH_BIN_WIDTH)
+    edges = hist.bin_edges
+    header = ["bin_start", "bin_end", "clickbait_pct", "no_clickbait_pct"]
+    _write_csv(out_dir, "fig4_length_hist.csv", header, [
+        [int(lo), int(hi), repr(float(c)), repr(float(n))]
+        for lo, hi, c, n in zip(edges, edges[1:], hist.per_class[cb], hist.per_class[ncb])
+    ])
 
-    groups = find_duplicate_posts(ds)
-    with atomic_open(os.path.join(out_dir, "duplicates.csv")) as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["post_text", "count", "clickbait", "no_clickbait"])
-        for g in groups:
-            w.writerow([g.text, g.count, g.clickbait, g.no_clickbait])
+    _write_csv(out_dir, "duplicates.csv", ["post_text", "count", "clickbait", "no_clickbait"], [
+        [g.text, g.count, g.clickbait, g.no_clickbait] for g in find_duplicate_posts(ds)
+    ])

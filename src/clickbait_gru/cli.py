@@ -42,22 +42,6 @@ EXIT_NUMERIC = 3
 CHECKPOINT_FILENAME = "model.ckpt"
 HISTORY_FILENAME = "history.csv"
 
-# CLI flag name -> TrainConfig field
-TRAIN_FLAG_FIELDS = {
-    "dim": "d",
-    "hidden": "h",
-    "batch": "batch_size",
-    "lr": "learning_rate",
-    "epochs": "epochs",
-    "dropout_embed": "dropout_embed",
-    "dropout_in": "dropout_gru_in",
-    "dropout_out": "dropout_gru_out",
-    "max_len": "max_len",
-    "seed": "seed",
-    "text_field": "text_field",
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad flags; remap to the usage-error code."""
 
@@ -91,14 +75,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--glove", required=True, help="GloVe text file")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", help="JSON file overriding training defaults")
-    p.add_argument("--dim", type=int, help="embedding dimension (default 100)")
-    p.add_argument("--hidden", type=int, help="GRU hidden size per direction (default 128)")
-    p.add_argument("--batch", type=int, help="mini-batch size (default 64)")
-    p.add_argument("--lr", type=float, help="learning rate (default 1e-3)")
+    p.add_argument("--dim", dest="d", type=int, help="embedding dimension (default 100)")
+    p.add_argument("--hidden", dest="h", type=int,
+                   help="GRU hidden size per direction (default 128)")
+    p.add_argument("--batch", dest="batch_size", type=int, help="mini-batch size (default 64)")
+    p.add_argument("--lr", dest="learning_rate", type=float, help="learning rate (default 1e-3)")
     p.add_argument("--epochs", type=int, help="epoch budget (default 20)")
     p.add_argument("--dropout-embed", type=float, help="embedding dropout (default 0.2)")
-    p.add_argument("--dropout-in", type=float, help="GRU input dropout (default 0.2)")
-    p.add_argument("--dropout-out", type=float, help="summary dropout (default 0.5)")
+    p.add_argument("--dropout-in", dest="dropout_gru_in", type=float,
+                   help="GRU input dropout (default 0.2)")
+    p.add_argument("--dropout-out", dest="dropout_gru_out", type=float,
+                   help="summary dropout (default 0.5)")
     p.add_argument("--max-len", type=int, help="token cutoff per post (default 32)")
     p.add_argument("--seed", type=int, help="random seed (default 0)")
     p.add_argument("--text-field", choices=TEXT_FIELDS, help="text source (default postText)")
@@ -135,21 +122,22 @@ def cmd_split(args) -> int:
 
 
 def _train_config(args) -> TrainConfig:
+    """`TrainConfig` from its defaults, then --config's JSON object, then every
+    flag given; each flag's `dest` is the field it sets."""
     values = dataclasses.asdict(TrainConfig())
     if args.config:
         with open(args.config, encoding="utf-8") as f:
-            overrides = json.load(f)
+            try:
+                overrides = json.load(f)
+            except RecursionError:  # json recurses once per nesting level
+                raise ValueError("config file is nested too deeply for JSON") from None
         if not isinstance(overrides, dict):
             raise ValueError("config file must hold a JSON object of training fields")
-        field_names = set(values)
-        unknown = sorted(set(overrides) - field_names)
+        unknown = sorted(set(overrides) - set(values))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         values.update(overrides)
-    for flag, field_name in TRAIN_FLAG_FIELDS.items():
-        flag_value = getattr(args, flag)
-        if flag_value is not None:
-            values[field_name] = flag_value
+    values.update({k: v for k, v in vars(args).items() if k in values and v is not None})
     return TrainConfig(**values)
 
 
@@ -249,7 +237,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, UnicodeDecodeError, OSError) as e:
+    except (DataError, UnicodeError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as e:

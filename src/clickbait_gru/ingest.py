@@ -158,10 +158,6 @@ def derive_label(median: float) -> Label:
     return Label.CLICKBAIT if level >= 0.5 else Label.NO_CLICKBAIT
 
 
-def _median_of_five(scores) -> float:
-    return sorted(scores)[2]
-
-
 def parse_truth(stream: Iterable[str]) -> list[tuple[str, Judgment]]:
     """Parse a truth.jsonl stream, validating each judgment line.
 
@@ -195,7 +191,7 @@ def parse_truth(stream: Iterable[str]) -> list[tuple[str, Judgment]]:
             raise ParseError(
                 f"truthMean {mean!r} inconsistent with scores {scores!r}", line=lineno
             )
-        if not abs(median - _median_of_five(scores)) <= LEVEL_TOLERANCE:
+        if not abs(median - sorted(scores)[2]) <= LEVEL_TOLERANCE:
             raise ParseError(
                 f"truthMedian {median!r} inconsistent with scores {scores!r}",
                 line=lineno,

@@ -6,6 +6,7 @@ example order. Classification treats the clickbait class as positive.
 
 import json
 import math
+import statistics
 import time
 from dataclasses import dataclass
 
@@ -39,14 +40,6 @@ class EvalReport:
             },
             indent=2,
         )
-
-
-def lower_median(values) -> float:
-    """Median taking the lower of the two central values for even counts."""
-    ordered = sorted(values)
-    if not ordered:
-        raise ValueError("median of empty sequence")
-    return ordered[(len(ordered) - 1) // 2]
 
 
 def confusion(pred_labels, true_labels) -> tuple[int, int, int, int]:
@@ -94,7 +87,7 @@ def evaluate(preds, truth: list[Judgment], threshold: float = 0.5) -> EvalReport
 
     ss_res = math.fsum((p - m) ** 2 for p, m in zip(preds, means))
     mse = ss_res / n
-    medae = lower_median(abs(p - m) for p, m in zip(preds, means))
+    medae = statistics.median_low(abs(p - m) for p, m in zip(preds, means))
 
     pred_labels = [Label.CLICKBAIT if p >= threshold else Label.NO_CLICKBAIT for p in preds]
     tp, fp, fn, tn = confusion(pred_labels, [j.class_label for j in truth])

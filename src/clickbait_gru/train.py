@@ -239,14 +239,13 @@ def backprop(
     lengths: np.ndarray,
     targets: np.ndarray,
     masks: DropoutMasks | None = None,
-    clip: float | None = CLIP_LIMIT,
 ) -> tuple[float, GradientSet]:
     """Batch MSE and its exact gradient for every parameter array.
 
     The batch is a (B, T) id array, its (B,) lengths and its (B,) float
     targets, as `encode_dataset` returns them; `masks` None is no dropout.
-    Gradients are accumulated over the batch, then clipped elementwise to
-    [-clip, clip] (pass clip=None to disable, e.g. for finite-difference comparison).
+    Gradients are accumulated over the batch and not clipped; `rmsprop_update`
+    clips them.
     """
     if len(ids) == 0:
         raise ValueError("batch must be non-empty")
@@ -276,10 +275,6 @@ def backprop(
 
     # a row-sparse gradient is zero off its rows, so its values are all there is to check
     stored = {name: g.values if isinstance(g, RowSparseGrad) else g for name, g in grads.items()}
-    if clip is not None:
-        for g in stored.values():
-            np.clip(g, -clip, clip, out=g)
-
     if not math.isfinite(loss):
         raise NumericError(f"non-finite loss: {_first_nonfinite(m, stored)}")
     for name, g in stored.items():
@@ -306,9 +301,11 @@ def rmsprop_update(
 ) -> None:
     """In-place RMSprop step: acc <- rho*acc + (1-rho)*g^2, p <- p - lr*g/(sqrt(acc)+eps).
 
-    A `RowSparseGrad` updates its rows only, decaying each row's accumulator
-    for the steps it skipped (see `RmsPropState`); in exact arithmetic that
-    equals the dense step on the densified gradient.
+    Each gradient element is first clipped, in place, to [-CLIP_LIMIT,
+    CLIP_LIMIT], as Keras's `clipvalue` does. A `RowSparseGrad` updates its
+    rows only, decaying each row's accumulator for the steps it skipped (see
+    `RmsPropState`); in exact arithmetic that equals the dense step on the
+    densified gradient.
     """
     state.step += 1
     for name, p in params.items():
@@ -323,6 +320,7 @@ def rmsprop_update(
             if last is None:
                 last = state.last_step[name] = np.full(p.shape[0], state.step - 1)
             rows, g = g.rows, g.values
+            np.clip(g, -CLIP_LIMIT, CLIP_LIMIT, out=g)
             elapsed = state.step - last[rows]
             last[rows] = state.step
             a = acc[rows]
@@ -331,6 +329,7 @@ def rmsprop_update(
             acc[rows] = a
             p[rows] -= cfg.learning_rate * g / (np.sqrt(a) + cfg.epsilon)
             continue
+        np.clip(g, -CLIP_LIMIT, CLIP_LIMIT, out=g)
         acc *= cfg.rho
         acc += (1.0 - cfg.rho) * g * g
         p -= cfg.learning_rate * g / (np.sqrt(acc) + cfg.epsilon)

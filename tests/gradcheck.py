@@ -46,8 +46,8 @@ def grad_check(
 ) -> GradCheckReport:
     """Compare analytic gradients to central differences, element by element.
 
-    Requires a double-precision model. Both sides run without dropout and
-    without clipping, so they see the raw derivative. Relative error per
+    Requires a double-precision model. Both sides run without dropout, and
+    `backprop` does not clip, so they see the raw derivative. Relative error per
     element is |a - n| / max(|a|, |n|, 1e-6); the floor must sit well above the
     cancellation noise of the difference quotient (about 1e-11 for unit-scale
     losses at this step), or near-zero derivatives fail on noise alone.
@@ -59,7 +59,7 @@ def grad_check(
         preds, _ = forward_batch(m, ids, lengths)
         return mse_loss(preds, targets)
 
-    _, analytic = backprop(m, ids, lengths, targets, clip=None)
+    _, analytic = backprop(m, ids, lengths, targets)
     per_array: dict[str, float] = {}
     for name, arr in m.items():
         worst = 0.0

@@ -1,6 +1,7 @@
 """Dataset statistics: counts, quartiles, histograms, and the artifact writer."""
 
 import csv
+import hashlib
 import json
 import statistics
 
@@ -144,7 +145,6 @@ class TestScoreHistogram:
         hist = score_histogram(dataset60, bins=20)
         total, clickbait, non_clickbait = class_counts(dataset60)
         assert len(hist.bin_edges) == 21
-        assert hist.unit == "count"
         assert int(hist.per_class[CB].sum()) == clickbait
         assert int(hist.per_class[NCB].sum()) == non_clickbait
 
@@ -165,7 +165,6 @@ class TestLengthDistribution:
         # lengths: clickbait 3 and 12 chars, no-clickbait 5 chars
         ds = dataset_of([("abc", BAIT), ("twelve chars", BAIT), ("plain", PLAIN)])
         hist = length_distribution(ds, bin_width=10)
-        assert hist.unit == "percent"
         assert hist.bin_edges.tolist() == [0, 10, 20]
         assert hist.per_class[CB].tolist() == [50.0, 50.0]
         assert hist.per_class[NCB].tolist() == [100.0, 0.0]
@@ -230,6 +229,25 @@ class TestWriteAnalytics:
         assert rows[1] == ["click me now", "3", "2", "1"]
         assert rows[2] == ["plain report", "2", "0", "2"]
         assert len(rows) == 3
+
+    def test_bytes_are_pinned(self, dataset60, tmp_path):
+        """sha256 of each artifact on the 60-record fixture; a change to a
+        writer's format, a float's repr or a quartile rule shows here."""
+        digests = {
+            "fig1_median_label.csv":
+                "d6f2808a65d6609631f697b142884003f3de5c5d8d91005a795a79f75cc11ece",
+            "fig2_box.csv": "b5fe4d557168c690beaa2c784d46fb68be2535105215cd4468f32c34cf549e75",
+            "fig3_score_hist.csv":
+                "4f9ae51cd3b4b8b2a0b3c30574eb5abbc1c63387bc32f0eef32babafa189f6cc",
+            "fig4_length_hist.csv":
+                "7556131f9d5728cd826c857e208100ead110a0b91ae2bffefac36dcb8a367a32",
+            "duplicates.csv": "80cfbf068a942973268c9a1fe1d6912ba64b913d4a04c7d6a92d182ced401e5d",
+            "counts.json": "a8471ae08f8543966c8544e93a34012cb4cb6cd62387bfb144661dd0fec901ae",
+        }
+        write_analytics(dataset60, str(tmp_path))
+        assert set(digests) == set(ANALYTICS_FILENAMES)
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
     def test_rerun_is_byte_identical(self, dataset60, tmp_path):
         first = tmp_path / "a"

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line pipeline, in process via main()."""
 
+import dataclasses
 import json
 import math
 import struct
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clickbait_gru.cli import main
+from clickbait_gru.cli import _train_config, build_parser, main
 from clickbait_gru.ingest import load_dataset, stratified_split, write_dataset
 from clickbait_gru.metrics import evaluate
 from clickbait_gru.nn import load_model, predict_batch, save_model
@@ -38,6 +39,7 @@ def spliced(base: bytes, line: bytes) -> bytes:
 DEEP = b"[" * 100_000
 BIG = b"1" + b"0" * 5000  # past the interpreter's 4300-digit int conversion limit
 HUGE = b"1" + b"0" * 400  # converts to int, but not to a finite float
+SURROGATE = b'{"postText": ["\\ud800"]}'  # valid JSON, but no UTF-8 writer can encode it
 
 
 def run(capsys, *argv):
@@ -134,6 +136,20 @@ class TestAnalyze:
         assert err.startswith("data error: ") and expect in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_shared_lone_surrogate_text_is_data_error(self, work, tmp_path, capsys):
+        """Two posts with the same unencodable text reach duplicates.csv."""
+        lines = (work / "data" / "instances.jsonl").read_bytes().splitlines()
+        lines[:2] = [spliced(line, SURROGATE) for line in lines[:2]]
+        bad = tmp_path / "instances.jsonl"
+        bad.write_bytes(b"\n".join(lines) + b"\n")
+        code, _, err = run(
+            capsys, "analyze", "--instances", str(bad), "--truth", dataset_paths(work / "data")[1],
+            "--out", str(tmp_path / "stats"),
+        )
+        assert code == 2
+        assert err.startswith("data error: ") and "surrogates not allowed" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestSplit:
     def test_partitions_preserving_classes(self, work, tmp_path, capsys):
@@ -163,6 +179,18 @@ class TestSplit:
             run(capsys, "split", str(work / "data"), str(tmp_path / f"train{seed}"), str(test_out), "--seed", seed)
             ids.append({rec.id for rec, _ in load_dataset(str(test_out))})
         assert ids[0] != ids[1]
+
+    def test_lone_surrogate_is_data_error(self, work, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        lines = (work / "data" / "instances.jsonl").read_bytes().splitlines()
+        lines[0] = spliced(lines[0], SURROGATE)
+        (data / "instances.jsonl").write_bytes(b"\n".join(lines) + b"\n")
+        (data / "truth.jsonl").write_bytes((work / "data" / "truth.jsonl").read_bytes())
+        code, _, err = run(capsys, "split", str(data), str(tmp_path / "a"), str(tmp_path / "b"))
+        assert code == 2
+        assert err.startswith("data error: ") and "surrogates not allowed" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_bad_fraction_is_usage_error(self, work, tmp_path, capsys):
         code, _, err = run(
@@ -255,11 +283,13 @@ class TestTrain:
             ({}, ["--max-len", str(10**11)], "max_len must be <= "),
             ({}, ["--hidden", str(10**9)], "h must be <= 4096"),
             ({}, ["--dim", str(10**9)], "d must be <= 4096"),
+            # raw text: json.dumps cannot nest this deep
+            pytest.param(b"[" * 200_000 + b"]" * 200_000, [], "nested too deeply", id="deep"),
         ],
     )
     def test_bad_config_value_is_usage_error(self, work, tmp_path, capsys, config, flags, named):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(config))
+        cfg_path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
         code, _, err = run(
             capsys,
             "train", str(work / "data"), str(work / "data"),
@@ -273,6 +303,28 @@ class TestTrain:
         assert err.startswith("usage error") and named in err
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "run").exists()
+
+    def test_every_flag_sets_its_field(self):
+        flags = {
+            "--dim": ("d", 7),
+            "--hidden": ("h", 5),
+            "--batch": ("batch_size", 9),
+            "--lr": ("learning_rate", 0.01),
+            "--epochs": ("epochs", 4),
+            "--dropout-embed": ("dropout_embed", 0.1),
+            "--dropout-in": ("dropout_gru_in", 0.15),
+            "--dropout-out": ("dropout_gru_out", 0.35),
+            "--max-len": ("max_len", 20),
+            "--seed": ("seed", 6),
+            "--text-field": ("text_field", "targetTitle"),
+        }
+        argv = ["train", "tr", "va", "--glove", "g.txt", "--out", "run"]
+        for flag, (_, value) in flags.items():
+            argv += [flag, str(value)]
+        cfg = _train_config(build_parser().parse_args(argv))
+        assert cfg == TrainConfig(**dict(flags.values()))
+        # every field has a flag but rho and epsilon, which only --config sets
+        assert {f for f, _ in flags.values()} == set(dataclasses.asdict(cfg)) - {"rho", "epsilon"}
 
     @pytest.mark.parametrize("empty_side", ["train", "valid"])
     def test_empty_dataset_is_data_error(self, work, tmp_path, capsys, empty_side):

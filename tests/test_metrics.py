@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clickbait_gru.ingest import Judgment, Label
-from clickbait_gru.metrics import EvalReport, confusion, evaluate, lower_median
+from clickbait_gru.metrics import EvalReport, confusion, evaluate
 from clickbait_gru.train import mse_loss
 
 CB, NCB = Label.CLICKBAIT, Label.NO_CLICKBAIT
@@ -37,21 +37,6 @@ def labeled_inputs(confusion_spec):
 
 def spec_pairs(tp, fp, fn, tn):
     return [(CB, CB)] * tp + [(CB, NCB)] * fp + [(NCB, CB)] * fn + [(NCB, NCB)] * tn
-
-
-class TestLowerMedian:
-    def test_odd_count(self):
-        assert lower_median([3.0, 1.0, 2.0]) == 2.0
-
-    def test_even_count_takes_lower_central(self):
-        assert lower_median([4.0, 1.0, 3.0, 2.0]) == 2.0
-
-    def test_single(self):
-        assert lower_median([7.0]) == 7.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            lower_median([])
 
 
 class TestConfusion:
@@ -122,8 +107,11 @@ class TestEvaluate:
         assert math.isclose(report.r2, 1.0 - 0.125 / 0.5, rel_tol=1e-12)
 
     def test_median_absolute_error_lower_median(self):
-        truth = [judgment(0.0), judgment(0.0), judgment(0.0), judgment(0.0)]
-        report = evaluate([0.1, 0.2, 0.3, 0.4], truth)
+        """An even count takes the lower central error, an odd count the middle one."""
+        truth = [judgment(0.0)] * 4
+        report = evaluate([0.4, 0.1, 0.3, 0.2], truth)
+        assert report.median_absolute_error == pytest.approx(0.2, abs=1e-15)
+        report = evaluate([0.3, 0.1, 0.2], truth[:3])
         assert report.median_absolute_error == pytest.approx(0.2, abs=1e-15)
 
     def test_threshold_is_inclusive(self):

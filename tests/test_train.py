@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from clickbait_gru.errors import NumericError
 from clickbait_gru.nn import (
+    GRU_FIELDS,
     MAX_LEN_LIMIT,
     WIDTH_LIMIT,
     forward_batch,
@@ -19,6 +20,7 @@ from clickbait_gru.nn import (
 )
 from clickbait_gru.rng import named_rng
 from clickbait_gru.train import (
+    CLIP_LIMIT,
     RmsPropState,
     RowSparseGrad,
     TrainConfig,
@@ -117,13 +119,13 @@ class TestBackprop:
         m["head.w"][:] = 0.0
         m["head.b"][:] = 0.0
         targets = SMALL_BATCH[2]
-        _, grads = backprop(m, *SMALL_BATCH, clip=None)
+        _, grads = backprop(m, *SMALL_BATCH)
         expected = sum(2.0 * (0.5 - y) * 0.25 for y in targets) / len(targets)
         np.testing.assert_allclose(grads["head.b"], [expected], rtol=1e-12)
 
     def test_zero_length_batch_touches_only_head(self):
         m = tiny_model(seed=1)
-        loss, grads = backprop(m, np.array([[0, 0]]), np.array([0]), np.array([0.9]), clip=None)
+        loss, grads = backprop(m, np.array([[0, 0]]), np.array([0]), np.array([0.9]))
         assert loss > 0.0
         for name, g in grads.items():
             if name == "head.b":
@@ -135,23 +137,34 @@ class TestBackprop:
         with pytest.raises(ValueError):
             backprop(tiny_model(), np.zeros((0, 3), dtype=np.int32), np.zeros(0), np.zeros(0))
 
-    def test_clip_bounds_gradients(self):
+    def test_returns_the_exact_gradient_past_the_clip_limit(self):
+        """Both directions share weights and read a palindrome alike, so a head
+        of +100 on one and -100 on the other keeps the prediction at sigmoid of
+        the head bias while the summary's gradient is +-25 per unit."""
         m = tiny_model(seed=2)
-        _, grads = backprop(m, *SMALL_BATCH, clip=1e-4)
-        for g in grads.values():
-            assert np.all(np.abs(dense(g)) <= 1e-4)
+        for name in GRU_FIELDS:
+            m[f"bwd.{name}"] = m[f"fwd.{name}"].copy()
+        h = len(m["fwd.b_h"])
+        m["head.w"][:] = np.repeat([100.0, -100.0], h)
+        batch = (np.array([[2, 3, 2]], dtype=np.int32), np.array([3]), np.array([0.0]))
+        _, grads = backprop(m, *batch)
+        assert np.abs(grads["fwd.b_h"]).max() > CLIP_LIMIT  # about 27
+        # the +-100 head scales the loss's rounding noise by 100; a wider step
+        # keeps the difference quotient's share of it well under the tolerance
+        report = grad_check(m, *batch, tolerance=1e-4, step=1e-4)
+        assert report.passed, report.per_array
 
     def test_loss_matches_mse_loss(self):
         m = tiny_model(seed=2)
-        loss, _ = backprop(m, *SMALL_BATCH, clip=None)
+        loss, _ = backprop(m, *SMALL_BATCH)
         ids, lengths, targets = SMALL_BATCH
         preds, _ = forward_batch(m, ids, lengths)
         assert loss == mse_loss(preds, targets)
 
     def test_batch_order_invariant_loss(self):
         m = tiny_model(seed=2)
-        a, _ = backprop(m, *SMALL_BATCH, clip=None)
-        b, _ = backprop(m, *(arr[::-1] for arr in SMALL_BATCH), clip=None)
+        a, _ = backprop(m, *SMALL_BATCH)
+        b, _ = backprop(m, *(arr[::-1] for arr in SMALL_BATCH))
         assert a == b
 
     def test_nonfinite_loss_names_offending_parameter(self):
@@ -185,7 +198,7 @@ class TestBackprop:
             preds, _ = forward_batch(m, ids, lengths, masks=masks)
             return mse_loss(preds, targets)
 
-        _, grads = backprop(m, ids, lengths, targets, masks=masks, clip=None)
+        _, grads = backprop(m, ids, lengths, targets, masks=masks)
         step = 1e-6
         rng = np.random.default_rng(0)
         for name, arr in m.items():
@@ -214,7 +227,7 @@ class TestBackprop:
         lengths = np.array([4, 3, 1])
         targets = np.array([0.9, 0.1, 0.6])
         masks = make_dropout_masks(m, DROPOUT, lengths, ids.shape[1], named_rng(4, "dropout"))
-        _, grads = backprop(m, ids, lengths, targets, masks=masks, clip=None)
+        _, grads = backprop(m, ids, lengths, targets, masks=masks)
         g = grads["embedding"]
         assert isinstance(g, RowSparseGrad)
         np.testing.assert_array_equal(g.rows, [2, 3, 5, 7])
@@ -229,7 +242,7 @@ class TestBackprop:
                 shared.append(ids[b, t])
         spread = tiny_model(seed=6)
         spread["embedding"] = np.concatenate([m["embedding"], m["embedding"][shared]])
-        _, spread_grads = backprop(spread, spread_ids, lengths, targets, masks=masks, clip=None)
+        _, spread_grads = backprop(spread, spread_ids, lengths, targets, masks=masks)
         per_token = dense(spread_grads["embedding"])[vocab:]
 
         reference = np.zeros_like(m["embedding"])
@@ -280,7 +293,7 @@ class TestGradCheck:
         for arr in m.values():
             arr[:] = 0.0
         batch = (np.array([[2, 3]]), np.array([2]), np.array([0.5]))
-        _, grads = backprop(m, *batch, clip=None)
+        _, grads = backprop(m, *batch)
         np.testing.assert_array_equal(grads["head.b"], 0.0)
         assert grad_check(m, *batch).passed
 
@@ -377,6 +390,32 @@ class TestRmsprop:
             )
         np.testing.assert_array_equal(lazy_p["embedding"][11], start[11])
         assert lazy_state.acc["embedding"].dtype == dtype
+
+    def test_gradients_are_clipped_before_the_step(self):
+        """Dense and row-sparse gradients of +-1e6 step exactly as +-CLIP_LIMIT
+        would, and are left clipped."""
+        rng = np.random.default_rng(0)
+        start = {"w": rng.normal(size=(2, 3)), "embedding": rng.normal(size=(5, 3))}
+        signs = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]])
+
+        def step(scale):
+            params = {name: arr.copy() for name, arr in start.items()}
+            grads = {
+                "w": scale * signs,
+                "embedding": RowSparseGrad(rows=np.array([1, 3]), values=scale * signs,
+                                           shape=(5, 3)),
+            }
+            state = RmsPropState()
+            rmsprop_update(params, grads, state, TrainConfig())
+            return params, grads, state
+
+        huge, huge_grads, huge_state = step(1e6)
+        limit, _, limit_state = step(CLIP_LIMIT)
+        for name in start:
+            np.testing.assert_array_equal(huge[name], limit[name])
+            np.testing.assert_array_equal(huge_state.acc[name], limit_state.acc[name])
+        np.testing.assert_array_equal(huge_grads["w"], CLIP_LIMIT * signs)
+        np.testing.assert_array_equal(huge_grads["embedding"].values, CLIP_LIMIT * signs)
 
     def test_shape_mismatch_rejected(self):
         params = {"p": np.zeros(3)}
