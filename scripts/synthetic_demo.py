@@ -46,7 +46,9 @@ def synth_corpus(n: int, seed: int) -> LabeledDataset:
         judgment = Judgment(
             scores=scores, mean=sum(scores) / 5.0, median=median, class_label=label
         )
-        records.append((PostRecord(id=str(i), post_text=[" ".join(words)]), judgment))
+        # a post with no timestamp, media or linked article, as parse_instances reads one
+        record = PostRecord(str(i), [" ".join(words)], "", [], "", "", "", [], [])
+        records.append((record, judgment))
     return records
 
 

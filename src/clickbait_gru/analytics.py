@@ -7,6 +7,7 @@ external plotting; nothing here renders images.
 """
 
 import csv
+import io
 import json
 import os
 import statistics
@@ -144,21 +145,19 @@ def _format_level(level: float) -> str:
     return f"{level:.5f}".rstrip("0").rstrip(".")
 
 
-def _write_csv(out_dir: str, name: str, header: list[str], rows) -> None:
-    with atomic_open(os.path.join(out_dir, name)) as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+def _csv_bytes(header: list[str], rows) -> bytes:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue().encode("utf-8")
 
 
 def write_analytics(ds: LabeledDataset, out_dir: str) -> None:
     """Write the six analytics artifacts into out_dir (created if missing), with
     SCORE_BINS score-histogram bins and LENGTH_BIN_WIDTH-character length bins.
 
-    Output bytes are a pure function of the dataset, so reruns are identical.
+    Output bytes are a pure function of the dataset, so reruns are identical;
+    all six are rendered before the first is written, so a data error writes none.
     """
-    os.makedirs(out_dir, exist_ok=True)
-
     total, clickbait, non_clickbait = class_counts(ds)
     counts = {
         "total": total,
@@ -166,18 +165,16 @@ def write_analytics(ds: LabeledDataset, out_dir: str) -> None:
         "no_clickbait": non_clickbait,
         "label_rule_violations": len(validate_label_rule(ds)),
     }
-    with atomic_open(os.path.join(out_dir, COUNTS_FILENAME)) as f:
-        json.dump(counts, f, indent=2, sort_keys=True)
-        f.write("\n")
+    payloads = {COUNTS_FILENAME: (json.dumps(counts, indent=2, sort_keys=True) + "\n").encode()}
 
     cb, ncb = Label.CLICKBAIT, Label.NO_CLICKBAIT
     table = median_label_table(ds)
-    _write_csv(out_dir, "fig1_median_label.csv", ["median_level", "clickbait", "no_clickbait"], [
+    payloads["fig1_median_label.csv"] = _csv_bytes(["median_level", "clickbait", "no_clickbait"], [
         [_format_level(level), table[level][cb], table[level][ncb]] for level in JUDGMENT_LEVELS
     ])
 
     boxes = score_box_stats(ds)
-    _write_csv(out_dir, "fig2_box.csv", ["class", "min", "q1", "median", "q3", "max"], [
+    payloads["fig2_box.csv"] = _csv_bytes(["class", "min", "q1", "median", "q3", "max"], [
         [label.value] + [repr(v) for v in astuple(boxes[label])] for label in (cb, ncb)
     ])
 
@@ -185,7 +182,7 @@ def write_analytics(ds: LabeledDataset, out_dir: str) -> None:
     hist = score_histogram(ds, SCORE_BINS)
     edges = hist.bin_edges
     header = ["bin_start", "bin_end", "clickbait", "no_clickbait"]
-    _write_csv(out_dir, "fig3_score_hist.csv", header, [
+    payloads["fig3_score_hist.csv"] = _csv_bytes(header, [
         [repr(float(lo)), repr(float(hi)), int(c), int(n)]
         for lo, hi, c, n in zip(edges, edges[1:], hist.per_class[cb], hist.per_class[ncb])
     ])
@@ -193,11 +190,16 @@ def write_analytics(ds: LabeledDataset, out_dir: str) -> None:
     hist = length_distribution(ds, bin_width=LENGTH_BIN_WIDTH)
     edges = hist.bin_edges
     header = ["bin_start", "bin_end", "clickbait_pct", "no_clickbait_pct"]
-    _write_csv(out_dir, "fig4_length_hist.csv", header, [
+    payloads["fig4_length_hist.csv"] = _csv_bytes(header, [
         [int(lo), int(hi), repr(float(c)), repr(float(n))]
         for lo, hi, c, n in zip(edges, edges[1:], hist.per_class[cb], hist.per_class[ncb])
     ])
 
-    _write_csv(out_dir, "duplicates.csv", ["post_text", "count", "clickbait", "no_clickbait"], [
+    payloads["duplicates.csv"] = _csv_bytes(["post_text", "count", "clickbait", "no_clickbait"], [
         [g.text, g.count, g.clickbait, g.no_clickbait] for g in find_duplicate_posts(ds)
     ])
+
+    os.makedirs(out_dir, exist_ok=True)
+    for name, payload in payloads.items():
+        with atomic_open(os.path.join(out_dir, name), binary=True) as f:
+            f.write(payload)

@@ -8,9 +8,9 @@ import contextlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DataError, ParseError
 from .rng import named_rng
@@ -31,19 +31,22 @@ class Label(str, Enum):
     NO_CLICKBAIT = "no-clickbait"
 
 
-@dataclass(frozen=True)
-class PostRecord:
+LABELS = {label.value: label for label in Label}
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+class PostRecord(NamedTuple):
     """One post with its linked-article fields (media files are never opened)."""
 
     id: str
     post_text: list[str]
-    post_timestamp: str = ""
-    post_media: list[str] = field(default_factory=list)
-    target_title: str = ""
-    target_description: str = ""
-    target_keywords: str = ""
-    target_paragraphs: list[str] = field(default_factory=list)
-    target_captions: list[str] = field(default_factory=list)
+    post_timestamp: str
+    post_media: list[str]
+    target_title: str
+    target_description: str
+    target_keywords: str
+    target_paragraphs: list[str]
+    target_captions: list[str]
 
     @property
     def text(self) -> str:
@@ -61,8 +64,7 @@ class PostRecord:
         raise ValueError(f"unknown text field: {field_name!r}")
 
 
-@dataclass(frozen=True)
-class Judgment:
+class Judgment(NamedTuple):
     """Five annotator scores with their mean, median, and binary class."""
 
     scores: tuple[float, ...]
@@ -78,21 +80,31 @@ LabeledDataset = list[tuple[PostRecord, Judgment]]
 def read_objects(stream: Iterable[str]) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line of a JSONL stream.
 
-    A line that is not a JSON object, or an object without an "id", raises
-    ParseError with its line number.
+    A line that is not a JSON object with an "id", or that escapes a lone
+    surrogate, which UTF-8 cannot encode, raises ParseError with its line number.
     """
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line:
             continue
-        try:
-            obj = json.loads(line)
+        try:  # json.loads minus its two whitespace scans, which a stripped line does not need
+            obj, end = _raw_decode(line)
+        except (ValueError, RecursionError):
+            end = -1
+        try:  # a line raw_decode rejects or leaves a tail on gets json.loads's own error
+            if end != len(line):
+                obj = json.loads(line)
         except (ValueError, RecursionError) as exc:  # also integers past the digit limit
             raise ParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})", line=lineno) from exc
         if not isinstance(obj, dict):
             raise ParseError(f"expected a JSON object, got {type(obj).__name__}", line=lineno)
         if "id" not in obj:
             raise ParseError("missing 'id'", line=lineno)
+        if "\\ud" in line or "\\uD" in line:
+            try:
+                json.dumps(obj, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ParseError(f"text UTF-8 cannot encode ({exc.reason})", line=lineno) from None
         yield lineno, obj
 
 
@@ -114,7 +126,7 @@ def _as_str_list(obj: dict, key: str, lineno: int) -> list[str]:
     if isinstance(value, str):
         return [value]
     if isinstance(value, list):
-        return [str(v) for v in value]
+        return list(map(str, value))
     raise ParseError(
         f"{key} must be a string, a list or null, got {type(value).__name__}", line=lineno
     )
@@ -130,15 +142,15 @@ def parse_instances(stream: Iterable[str]) -> list[PostRecord]:
     """Parse an instances.jsonl stream, one PostRecord per non-empty line."""
     return [
         PostRecord(
-            id=str(obj["id"]),
-            post_text=_as_str_list(obj, "postText", lineno),
-            post_timestamp=_as_str(obj.get("postTimestamp")),
-            post_media=_as_str_list(obj, "postMedia", lineno),
-            target_title=_as_str(obj.get("targetTitle")),
-            target_description=_as_str(obj.get("targetDescription")),
-            target_keywords=_as_str(obj.get("targetKeywords")),
-            target_paragraphs=_as_str_list(obj, "targetParagraphs", lineno),
-            target_captions=_as_str_list(obj, "targetCaptions", lineno),
+            str(obj["id"]),
+            _as_str_list(obj, "postText", lineno),
+            _as_str(obj.get("postTimestamp")),
+            _as_str_list(obj, "postMedia", lineno),
+            _as_str(obj.get("targetTitle")),
+            _as_str(obj.get("targetDescription")),
+            _as_str(obj.get("targetKeywords")),
+            _as_str_list(obj, "targetParagraphs", lineno),
+            _as_str_list(obj, "targetCaptions", lineno),
         )
         for lineno, obj in read_objects(stream)
     ]
@@ -146,10 +158,12 @@ def parse_instances(stream: Iterable[str]) -> list[PostRecord]:
 
 def snap_to_level(value: float) -> float:
     """Nearest of the four judgment levels, or raise if none is within tolerance."""
-    nearest = min(JUDGMENT_LEVELS, key=lambda level: abs(level - value))
-    if abs(nearest - value) > LEVEL_TOLERANCE:
-        raise DataError(f"judgment value {value!r} is not one of the four score levels")
-    return nearest
+    # level k is k / 3; the range test also rejects NaN and keeps value * 3 finite
+    if -LEVEL_TOLERANCE <= value <= 1.0 + LEVEL_TOLERANCE:
+        nearest = JUDGMENT_LEVELS[round(value * 3.0)]
+        if abs(nearest - value) <= LEVEL_TOLERANCE:
+            return nearest
+    raise DataError(f"judgment value {value!r} is not one of the four score levels")
 
 
 def derive_label(median: float) -> Label:
@@ -197,10 +211,9 @@ def parse_truth(stream: Iterable[str]) -> list[tuple[str, Judgment]]:
                 line=lineno,
             )
         raw_class = obj.get("truthClass")
-        try:
-            label = Label(raw_class)
-        except ValueError:
-            raise ParseError(f"unknown truthClass {raw_class!r}", line=lineno) from None
+        label = LABELS.get(raw_class) if isinstance(raw_class, str) else None
+        if label is None:
+            raise ParseError(f"unknown truthClass {raw_class!r}", line=lineno)
         rec_id = str(obj["id"])
         if rec_id in out:
             raise ParseError(f"duplicate truth id {rec_id!r}", line=lineno)

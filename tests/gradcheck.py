@@ -1,16 +1,24 @@
-"""Finite-difference check of `train.backprop`'s gradients.
+"""Finite-difference and complex-step checks of `train.backprop`'s gradients.
 
 `grad_check` compares every analytic gradient element with a central
-difference of the batch loss. `dense` turns a row-sparse embedding gradient
-into the full (V, d) array it stands for, so tests can compare it whole.
+difference of the batch loss. `complex_step_check` compares it with the
+complex-step derivative, Im loss(x + ih) / h, which subtracts nothing and so
+gives the derivative to rounding at any tiny h (Squire & Trapp, SIAM Review
+1998; Martins, Sturdza & Alonso, ACM TOMS 2003). That needs every op on the
+forward path to be analytic: `abs`, `maximum` or `clip` on values would break
+it. `dense` turns a row-sparse embedding gradient into the full (V, d) array
+it stands for, so tests can compare it whole.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from clickbait_gru.nn import Model, forward_batch
+from clickbait_gru.nn import DropoutMasks, Model, forward_batch
 from clickbait_gru.train import RowSparseGrad, backprop, mse_loss
+
+# h: the real part of loss(x + ih) differs from loss(x) by O(h^2), far below rounding
+COMPLEX_STEP = 1e-30
 
 
 def dense(g) -> np.ndarray:
@@ -77,4 +85,54 @@ def grad_check(
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
             worst = max(worst, rel)
         per_array[name] = worst
+    return GradCheckReport(per_array=per_array, tolerance=tolerance)
+
+
+def complex_step_gradient(
+    m: Model,
+    ids: np.ndarray,
+    lengths: np.ndarray,
+    targets: np.ndarray,
+    masks: DropoutMasks | None = None,
+) -> dict[str, np.ndarray]:
+    """d loss / d element for every element of `m`, as Im loss(x + ih) / h
+    with h = COMPLEX_STEP.
+
+    `forward_batch` runs on a complex128 copy of the model; the loss is the
+    batch MSE taken in complex arithmetic (`mse_loss` sums reals only).
+    """
+    cm = {name: arr.astype(np.complex128) for name, arr in m.items()}
+    grads = {}
+    for name, arr in cm.items():
+        flat = arr.reshape(-1)
+        g = np.empty(flat.size)
+        for i in range(flat.size):
+            saved = flat[i]
+            flat[i] = saved + 1j * COMPLEX_STEP
+            preds, _ = forward_batch(cm, ids, lengths, masks=masks)
+            g[i] = np.mean((preds - targets) ** 2).imag / COMPLEX_STEP
+            flat[i] = saved
+        grads[name] = g.reshape(arr.shape)
+    return grads
+
+
+def complex_step_check(
+    m: Model,
+    ids: np.ndarray,
+    lengths: np.ndarray,
+    targets: np.ndarray,
+    masks: DropoutMasks | None = None,
+    tolerance: float = 1e-8,
+) -> GradCheckReport:
+    """Compare `backprop`'s gradients, under `masks`, to complex-step
+    derivatives, element by element, with `grad_check`'s relative error."""
+    if m["embedding"].dtype != np.float64:
+        raise ValueError("complex_step_check needs a float64 model")
+    numeric = complex_step_gradient(m, ids, lengths, targets, masks)
+    _, analytic = backprop(m, ids, lengths, targets, masks=masks)
+    per_array = {}
+    for name, n in numeric.items():
+        a = dense(analytic[name])
+        rel = np.abs(a - n) / np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-6)
+        per_array[name] = float(rel.max())
     return GradCheckReport(per_array=per_array, tolerance=tolerance)

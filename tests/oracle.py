@@ -12,14 +12,30 @@ matrices compare bitwise.
 `naive_tokenize` is the chunk-by-chunk tokenizer that `text.tokenize`'s
 single regex replaced: split on whitespace, then peel punctuation off each
 chunk's ends one character at a time.
+
+`naive_parse_instances` and `naive_parse_truth` are the JSONL parsers that
+`ingest`'s typed-tuple ones replaced: every line through `json.loads`, each
+judgment level found by a nearest-level search (`naive_snap_to_level`), each
+class by calling the `Label` enum, each record built by keyword. They build
+the package's record types, so results compare with `==`. They predate the
+lone-surrogate rule, so they accept text that `ingest.read_objects` rejects.
 """
 
+import json
 import math
 import string
 
 import numpy as np
 
-from clickbait_gru.errors import ParseError
+from clickbait_gru.errors import DataError, ParseError
+from clickbait_gru.ingest import (
+    JUDGMENT_LEVELS,
+    LEVEL_TOLERANCE,
+    Judgment,
+    Label,
+    PostRecord,
+    finite_number,
+)
 from clickbait_gru.rng import named_rng
 from clickbait_gru.text import OOV_INIT_SCALE
 
@@ -153,3 +169,111 @@ def naive_tokenize(text: str) -> list[str]:
             tokens.append(chunk[i:j])
         tokens.extend(reversed(trail))
     return tokens
+
+
+def naive_read_objects(stream):
+    """(line number, object) for each non-blank line; ParseError for a line
+    that is not a JSON object with an "id"."""
+    for lineno, raw in enumerate(stream, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})", line=lineno) from exc
+        if not isinstance(obj, dict):
+            raise ParseError(f"expected a JSON object, got {type(obj).__name__}", line=lineno)
+        if "id" not in obj:
+            raise ParseError("missing 'id'", line=lineno)
+        yield lineno, obj
+
+
+def _as_str_list(obj: dict, key: str, lineno: int) -> list[str]:
+    value = obj.get(key)
+    if value is None:
+        return []
+    if isinstance(value, str):
+        return [value]
+    if isinstance(value, list):
+        return [str(v) for v in value]
+    raise ParseError(
+        f"{key} must be a string, a list or null, got {type(value).__name__}", line=lineno
+    )
+
+
+def _as_str(value) -> str:
+    if value is None:
+        return ""
+    return str(value)
+
+
+def naive_parse_instances(stream) -> list[PostRecord]:
+    """One PostRecord per non-blank instances line."""
+    return [
+        PostRecord(
+            id=str(obj["id"]),
+            post_text=_as_str_list(obj, "postText", lineno),
+            post_timestamp=_as_str(obj.get("postTimestamp")),
+            post_media=_as_str_list(obj, "postMedia", lineno),
+            target_title=_as_str(obj.get("targetTitle")),
+            target_description=_as_str(obj.get("targetDescription")),
+            target_keywords=_as_str(obj.get("targetKeywords")),
+            target_paragraphs=_as_str_list(obj, "targetParagraphs", lineno),
+            target_captions=_as_str_list(obj, "targetCaptions", lineno),
+        )
+        for lineno, obj in naive_read_objects(stream)
+    ]
+
+
+def naive_snap_to_level(value: float) -> float:
+    """Nearest of the four judgment levels, or DataError if none is within tolerance."""
+    nearest = min(JUDGMENT_LEVELS, key=lambda level: abs(level - value))
+    if abs(nearest - value) > LEVEL_TOLERANCE:
+        raise DataError(f"judgment value {value!r} is not one of the four score levels")
+    return nearest
+
+
+def naive_parse_truth(stream) -> list[tuple[str, Judgment]]:
+    """(id, Judgment) per non-blank truth line, each line validated in full."""
+    out = {}
+    for lineno, obj in naive_read_objects(stream):
+        scores = obj.get("truthJudgments")
+        if not isinstance(scores, list) or len(scores) != 5:
+            raise ParseError(
+                f"expected exactly 5 judgment scores, got {scores!r}", line=lineno
+            )
+        numbers = tuple(map(finite_number, scores))
+        if None in numbers:
+            raise ParseError(f"judgment scores must be finite numbers, got {scores!r}", line=lineno)
+        scores = numbers
+        try:
+            for s in scores:
+                naive_snap_to_level(s)
+        except DataError as exc:
+            raise ParseError(str(exc), line=lineno) from exc
+
+        mean = finite_number(obj.get("truthMean"))
+        median = finite_number(obj.get("truthMedian"))
+        if mean is None or median is None:
+            key = "truthMean" if mean is None else "truthMedian"
+            raise ParseError(f"{key} must be a finite number, got {obj.get(key)!r}", line=lineno)
+        if not abs(mean - sum(scores) / 5.0) <= LEVEL_TOLERANCE:
+            raise ParseError(
+                f"truthMean {mean!r} inconsistent with scores {scores!r}", line=lineno
+            )
+        if not abs(median - sorted(scores)[2]) <= LEVEL_TOLERANCE:
+            raise ParseError(
+                f"truthMedian {median!r} inconsistent with scores {scores!r}",
+                line=lineno,
+            )
+        raw_class = obj.get("truthClass")
+        try:
+            label = Label(raw_class)
+        except ValueError:
+            raise ParseError(f"unknown truthClass {raw_class!r}", line=lineno) from None
+        rec_id = str(obj["id"])
+        if rec_id in out:
+            raise ParseError(f"duplicate truth id {rec_id!r}", line=lineno)
+        out[rec_id] = Judgment(scores, mean, median, label)
+    return list(out.items())

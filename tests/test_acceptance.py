@@ -48,7 +48,7 @@ from conftest import (
     tiny_model,
     write_glove,
 )
-from gradcheck import grad_check
+from gradcheck import complex_step_check, grad_check
 
 DATA_DIR_VAR = "CLICKBAIT_DATA_DIR"
 GLOVE_VAR = "CLICKBAIT_GLOVE"
@@ -79,6 +79,17 @@ def test_criterion_1_gradients_match_finite_differences():
         assert report.passed, f"trial {trial}: max rel error {report.max_rel_error:g}"
     assert worst < 1e-4
     assert time.perf_counter() - start < 30.0
+
+
+def test_criterion_1_models_match_complex_step_gradients():
+    """Criterion 1's 20 models and batches against complex-step derivatives,
+    which carry no cancellation error, at 1e-8."""
+    for trial in range(20):
+        rng = np.random.default_rng(1000 + trial)
+        m = tiny_model(vocab_size=10, d=4, h=3, seed=trial)
+        batch = random_batch(rng, n=1 + trial % 4, vocab_size=10, max_len=5)
+        report = complex_step_check(m, *batch, tolerance=1e-8)
+        assert report.passed, f"trial {trial}: max rel error {report.max_rel_error:g}"
 
 
 def test_criterion_2_forward_pass_matches_naive_oracle():

@@ -149,6 +149,27 @@ class TestAnalyze:
         assert code == 2
         assert err.startswith("data error: ") and "surrogates not allowed" in err
         assert len(err.strip().splitlines()) == 1
+        assert "line 1: " in err
+        assert not (tmp_path / "stats").exists()
+
+    def test_one_class_dataset_leaves_an_earlier_set_unchanged(self, work, tmp_path, capsys):
+        """A data error found by the fifth table writes none of the six."""
+        instances, truth = dataset_paths(work / "data")
+        out = tmp_path / "stats"
+        assert run(capsys, "analyze", "--instances", instances, "--truth", truth,
+                   "--out", str(out))[0] == 0
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(earlier) == 6
+        one_class = tmp_path / "one_class"
+        ds = [(make_record(str(i), "plain post"), make_judgment((0, 0, 0, 0, 0))) for i in range(5)]
+        write_dataset(ds, str(one_class))
+        instances, truth = dataset_paths(one_class)
+        code, _, err = run(
+            capsys, "analyze", "--instances", instances, "--truth", truth, "--out", str(out)
+        )
+        assert code == 2
+        assert err == "data error: class 'clickbait' has no records\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
 
 
 class TestSplit:
@@ -191,6 +212,8 @@ class TestSplit:
         assert code == 2
         assert err.startswith("data error: ") and "surrogates not allowed" in err
         assert len(err.strip().splitlines()) == 1
+        assert "line 1: " in err
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
     def test_bad_fraction_is_usage_error(self, work, tmp_path, capsys):
         code, _, err = run(

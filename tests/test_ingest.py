@@ -9,13 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clickbait_gru.cli import _parse_results
 from clickbait_gru.errors import DataError, ParseError
 from clickbait_gru.ingest import (
+    JUDGMENT_LEVELS,
+    LEVEL_TOLERANCE,
     Judgment,
     Label,
     atomic_open,
     build_dataset,
     derive_label,
+    finite_number,
     find_duplicate_posts,
     load_dataset,
     parse_instances,
@@ -26,6 +30,7 @@ from clickbait_gru.ingest import (
     write_dataset,
 )
 from conftest import make_judgment, make_record, synth_dataset
+from oracle import naive_parse_instances, naive_parse_truth, naive_snap_to_level
 
 
 def instance_line(rec_id="i1", **extra):
@@ -162,6 +167,185 @@ class TestLevels:
         assert derive_label(0.66667) is Label.CLICKBAIT
         assert derive_label(1.0) is Label.CLICKBAIT
         assert derive_label(0.0) is Label.NO_CLICKBAIT
+
+
+def _boundary_values() -> list[float]:
+    """Each level, its five-decimal encoding and the level +-2e-3; the 50 float
+    neighbours on each side of every level +-LEVEL_TOLERANCE edge; the extremes."""
+    values = [0.33333, 0.66667, 1e308, -1e308, 5e-324, -5e-324, 1e-3, 1.001]
+    for level in JUDGMENT_LEVELS:
+        values += [level, level - 2e-3, level + 2e-3]
+        for edge in (level - LEVEL_TOLERANCE, level + LEVEL_TOLERANCE):
+            values.append(edge)
+            below = above = edge
+            for _ in range(50):
+                below = math.nextafter(below, -math.inf)
+                above = math.nextafter(above, math.inf)
+                values += [below, above]
+    return values
+
+
+BOUNDARY = _boundary_values()
+SCORES = (
+    st.sampled_from(BOUNDARY)
+    | st.floats(allow_nan=False)
+    | st.booleans()
+    | st.integers(-1, 3)
+    | st.just(10**400)  # an integer past the float range
+    | st.text(max_size=3)
+    | st.none()
+)
+# mostly valid values, so most lines pass most checks
+LEVELS = st.sampled_from([0.0, 0.33333, 0.66667, 1.0, 1 / 3, 2 / 3, 0, 1])
+LEVEL_SCORES = st.sampled_from(range(30)).flatmap(
+    lambda k: SCORES if k == 0 else st.sampled_from(BOUNDARY) if k == 1 else LEVELS
+)
+ODD_CLASSES = (
+    st.sampled_from(["Clickbait", "maybe", ""])
+    | st.lists(st.integers(0, 3), max_size=2)
+    | st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2)
+    | st.integers(0, 3)
+    | st.floats(allow_nan=False)
+    | st.booleans()
+    | st.none()
+)
+CLASSES = st.sampled_from(range(10)).flatmap(
+    lambda k: ODD_CLASSES if k == 0 else st.sampled_from(["clickbait", "no-clickbait"])
+)
+IDS = st.sampled_from(["a", "b", "1", 1, 2, None])  # repeats are likely; 1 and "1" are one id
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=5,
+)
+# lines that are blank, not JSON, not one object, or not an object with an id
+ODD_LINES = st.sampled_from([
+    "", "   ", "\t", "{nope", "[1]", '"s"', "NaN", "{}", '{"id": 1} {"id": 2}', '{"id": 1}x',
+    '\ufeff{"id": 1}', '{"id": 1', "[" * 2000, '{"id": ' + "1" * 5000 + "}",
+])
+
+
+@st.composite
+def truth_objects(draw):
+    """A truth line's object; one in ten has a malformed score list or lacks a key."""
+    obj = {"id": draw(IDS)}
+    kind = draw(st.sampled_from(range(20)))
+    if kind == 0:
+        obj["truthJudgments"] = draw(st.lists(SCORES, max_size=6) | SCORES)
+    else:
+        obj["truthJudgments"] = draw(st.lists(LEVEL_SCORES, min_size=5, max_size=5))
+    scores = obj["truthJudgments"]
+    numbers = [finite_number(s) for s in scores] if isinstance(scores, list) else [None]
+    if None not in numbers and len(numbers) == 5 and draw(st.sampled_from(range(4))):
+        # stored statistics mostly consistent, so the later checks are reached
+        offsets = st.sampled_from([0.0] * 16 + [LEVEL_TOLERANCE, -2e-3, 1 / 3])
+        obj["truthMean"] = sum(numbers) / 5.0 + draw(offsets)
+        obj["truthMedian"] = sorted(numbers)[2] + draw(offsets)
+    else:
+        obj["truthMean"], obj["truthMedian"] = draw(SCORES), draw(SCORES)
+    obj["truthClass"] = draw(CLASSES)
+    if kind == 1:
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    return obj
+
+
+@st.composite
+def instance_objects(draw):
+    """An instances line's object: an id, a post, and up to four fields set to
+    any JSON value."""
+    fields = ["id", "postText", "postTimestamp", "postMedia", "targetTitle",
+              "targetDescription", "targetKeywords", "targetParagraphs", "targetCaptions"]
+    obj = {"id": draw(IDS), "postText": [draw(st.text(max_size=8))]}
+    for key in draw(st.lists(st.sampled_from(fields), max_size=4)):
+        obj[key] = draw(JSON_VALUES)
+    return obj
+
+
+def jsonl(objects, draw) -> str:
+    """The objects as JSONL, with some lines padded and some odd lines mixed in."""
+    lines = []
+    for obj in objects:
+        if draw(st.sampled_from(range(15))) == 0:
+            lines.append(draw(ODD_LINES))
+        pad = draw(st.sampled_from(["", " ", "\t "]))
+        lines.append(pad + json.dumps(obj) + pad)
+    return "\n".join(lines) + "\n"
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type, message and line of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the comparison covers the type too
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+class TestAgainstReference:
+    """The parsers against the line-by-line references they replaced."""
+
+    def test_snap_to_level_on_boundary_values(self):
+        for value in BOUNDARY:
+            assert outcome(snap_to_level, value) == outcome(naive_snap_to_level, value), value
+
+    @given(st.floats(allow_nan=False))
+    @settings(max_examples=300, deadline=None)
+    def test_snap_to_level(self, value):
+        assert outcome(snap_to_level, value) == outcome(naive_snap_to_level, value)
+
+    def test_snap_to_level_rejects_nan(self):
+        with pytest.raises(DataError, match="nan is not one of the four"):
+            snap_to_level(math.nan)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_parse_truth(self, data):
+        text = jsonl(data.draw(st.lists(truth_objects(), max_size=4)), data.draw)
+        got = outcome(parse_truth, io.StringIO(text))
+        want = outcome(naive_parse_truth, io.StringIO(text))
+        assert got == want
+        if isinstance(want, list):
+            assert [type(j) for _, j in got] == [Judgment] * len(got)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_parse_instances(self, data):
+        text = jsonl(data.draw(st.lists(instance_objects(), max_size=6)), data.draw)
+        got = outcome(parse_instances, io.StringIO(text))
+        assert got == outcome(naive_parse_instances, io.StringIO(text))
+
+    def test_unhashable_truth_class_is_the_same_parse_error(self):
+        for raw in ([1], {"a": 1}, None, 1, 0.5):
+            text = truth_line(truthClass=raw)
+            got = outcome(parse_truth, io.StringIO(text))
+            assert got == outcome(naive_parse_truth, io.StringIO(text))
+            with pytest.raises(ParseError, match=r"^line 1: unknown truthClass "):
+                parse_truth(io.StringIO(text))
+
+
+class TestLoneSurrogate:
+    """A JSON escape of half a surrogate pair names its line in every input file."""
+
+    @pytest.mark.parametrize("escape", ["\\ud800", "\\uDBFF", "\\udc00", "\\ude00\\ud83d"])
+    def test_rejected_with_its_line(self, escape):
+        good = instance_line("a")
+        bad = '{"id": "b", "postText": ["x' + escape + 'y"]}'
+        with pytest.raises(ParseError, match=r"^line 3: .*surrogates not allowed"):
+            parse_instances(io.StringIO(good + "\n\n" + bad + "\n"))
+        truth = truth_line("b")[:-1] + ', "note": "' + escape + '"}'
+        with pytest.raises(ParseError, match=r"^line 2: .*surrogates not allowed"):
+            parse_truth(io.StringIO(truth_line("a") + "\n" + truth))
+        results = '{"id": "' + escape + '", "clickbaitScore": 0.5}'
+        with pytest.raises(ParseError, match=r"^line 1: .*surrogates not allowed"):
+            _parse_results(io.StringIO(results))
+        key = '{"id": "b", "' + escape + '": 1}'
+        with pytest.raises(ParseError, match=r"^line 1: .*surrogates not allowed"):
+            parse_instances(io.StringIO(key))
+
+    def test_pairs_and_escaped_backslashes_accepted(self):
+        line = '{"id": "a", "postText": ["\\ud83d\\ude00", "\\\\ud800", "\\u00e9"]}'
+        (rec,) = parse_instances(io.StringIO(line))
+        assert rec.post_text == ["\U0001f600", "\\ud800", "\u00e9"]
 
 
 class TestBuildDataset:

@@ -13,10 +13,12 @@ from clickbait_gru.nn import (
     GRU_FIELDS,
     MAX_LEN_LIMIT,
     WIDTH_LIMIT,
+    DropoutMasks,
     forward_batch,
     init_model,
     pack_batch,
     predict_batch,
+    sigmoid,
 )
 from clickbait_gru.rng import named_rng
 from clickbait_gru.train import (
@@ -33,7 +35,7 @@ from clickbait_gru.train import (
     write_history,
 )
 from conftest import make_judgment, make_record, synth_dataset, tiny_model
-from gradcheck import dense, grad_check
+from gradcheck import complex_step_check, complex_step_gradient, dense, grad_check
 
 
 # (ids, lengths, targets), as encode_dataset returns them
@@ -43,6 +45,21 @@ SMALL_BATCH = (
     np.array([0.8, 0.2, 1.0]),
 )
 DROPOUT = TrainConfig(dropout_embed=0.3, dropout_gru_in=0.3, dropout_gru_out=0.5)
+
+
+def clip_limit_case(seed: int):
+    """(model, batch) whose exact gradient passes CLIP_LIMIT at a small loss.
+
+    Both directions share weights and read a palindrome alike, so a head of
+    +100 on one and -100 on the other keeps the prediction at sigmoid of the
+    head bias while the summary's gradient is +-25 per unit.
+    """
+    m = tiny_model(seed=seed)
+    for name in GRU_FIELDS:
+        m[f"bwd.{name}"] = m[f"fwd.{name}"].copy()
+    h = len(m["fwd.b_h"])
+    m["head.w"][:] = np.repeat([100.0, -100.0], h)
+    return m, (np.array([[2, 3, 2]], dtype=np.int32), np.array([3]), np.array([0.0]))
 
 
 class TestMseLoss:
@@ -138,15 +155,7 @@ class TestBackprop:
             backprop(tiny_model(), np.zeros((0, 3), dtype=np.int32), np.zeros(0), np.zeros(0))
 
     def test_returns_the_exact_gradient_past_the_clip_limit(self):
-        """Both directions share weights and read a palindrome alike, so a head
-        of +100 on one and -100 on the other keeps the prediction at sigmoid of
-        the head bias while the summary's gradient is +-25 per unit."""
-        m = tiny_model(seed=2)
-        for name in GRU_FIELDS:
-            m[f"bwd.{name}"] = m[f"fwd.{name}"].copy()
-        h = len(m["fwd.b_h"])
-        m["head.w"][:] = np.repeat([100.0, -100.0], h)
-        batch = (np.array([[2, 3, 2]], dtype=np.int32), np.array([3]), np.array([0.0]))
+        m, batch = clip_limit_case(seed=2)
         _, grads = backprop(m, *batch)
         assert np.abs(grads["fwd.b_h"]).max() > CLIP_LIMIT  # about 27
         # the +-100 head scales the loss's rounding noise by 100; a wider step
@@ -307,6 +316,59 @@ class TestGradCheck:
         m = tiny_model(seed=3, dtype=np.float32)
         with pytest.raises(ValueError, match="float64"):
             grad_check(m, *SMALL_BATCH)
+
+
+class TestComplexStep:
+    """`backprop` against complex-step derivatives, which need no step tuning."""
+
+    def test_exact_gradient_past_the_clip_limit(self):
+        """The +-100 head: seed 2 as in `TestBackprop`, and 3 and 8, where
+        central differences at step 1e-5 exceed 1e-4 on correct gradients."""
+        for seed in (2, 3, 8):
+            m, batch = clip_limit_case(seed)
+            report = complex_step_check(m, *batch, tolerance=1e-8)
+            assert report.passed, (seed, report.per_array)
+
+    def test_dropout_masks(self):
+        m = tiny_model(seed=5)
+        ids, lengths, targets = SMALL_BATCH
+        masks = make_dropout_masks(m, DROPOUT, lengths, ids.shape[1], named_rng(3, "dropout"))
+        assert masks.x is not None and masks.out is not None
+        report = complex_step_check(m, ids, lengths, targets, masks=masks, tolerance=1e-8)
+        assert report.passed, report.per_array
+        assert set(report.per_array) == set(m)
+
+    @pytest.mark.parametrize("masks", [None, DropoutMasks()], ids=["inference", "training"])
+    def test_forward_path_is_analytic(self, masks):
+        """A one-token post has a closed-form gradient: h_prev is 0, so each
+        direction's state is z * c. An op on the forward path that is not
+        analytic (abs, maximum, clip on values) loses or bends the imaginary
+        part, and the complex-step result leaves this closed form."""
+        m = tiny_model(seed=4)
+        ids, lengths, y = np.array([[2, 0]], dtype=np.int32), np.array([1]), 0.2
+        x = m["embedding"][2]
+        u, d_u = [], []
+        for p in ("fwd", "bwd"):
+            z = sigmoid(m[f"{p}.W_z"] @ x + m[f"{p}.b_z"])
+            c = np.tanh(m[f"{p}.W_h"] @ x + m[f"{p}.b_h"])
+            u.append(z * c)
+            d_u.append((z * (1.0 - c**2), c * z * (1.0 - z)))  # d state / d b_h, d b_z
+        pred = sigmoid(m["head.w"] @ np.concatenate(u) + m["head.b"][0])
+        d_a = 2.0 * (pred - y) * pred * (1.0 - pred)  # d loss / d head pre-activation
+        got = complex_step_gradient(m, ids, lengths, np.array([y]), masks=masks)
+        h = len(m["fwd.b_h"])
+        np.testing.assert_allclose(got["head.b"], [d_a], rtol=1e-13)
+        np.testing.assert_allclose(got["head.w"], d_a * np.concatenate(u), rtol=1e-13)
+        for k, p in enumerate(("fwd", "bwd")):
+            w = m["head.w"][k * h:(k + 1) * h]
+            np.testing.assert_allclose(got[f"{p}.b_h"], d_a * w * d_u[k][0], rtol=1e-13)
+            np.testing.assert_allclose(got[f"{p}.b_z"], d_a * w * d_u[k][1], rtol=1e-13)
+            np.testing.assert_array_equal(got[f"{p}.b_r"], 0.0)
+
+    def test_single_precision_rejected(self):
+        m = tiny_model(seed=3, dtype=np.float32)
+        with pytest.raises(ValueError, match="float64"):
+            complex_step_check(m, *SMALL_BATCH)
 
 
 class TestRmsprop:
