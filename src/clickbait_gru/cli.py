@@ -180,9 +180,9 @@ def cmd_predict(args) -> int:
     if bad:
         raise NumericError(f"the model scores {bad} of {len(scores)} posts non-finite")
     with atomic_open(args.out) as f:
-        for record, score in zip(records, scores):
-            f.write(json.dumps({"id": record.id, "clickbaitScore": float(score)}))
-            f.write("\n")
+        # json.dumps writes a float with float.__repr__, so these are its bytes
+        for record, score in zip(records, scores.tolist()):
+            f.write(f'{{"id": {json.dumps(record.id)}, "clickbaitScore": {score!r}}}\n')
     print(f"scored {len(records)} instances")
     return EXIT_OK
 

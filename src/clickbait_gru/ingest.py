@@ -80,8 +80,9 @@ LabeledDataset = list[tuple[PostRecord, Judgment]]
 def read_objects(stream: Iterable[str]) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line of a JSONL stream.
 
-    A line that is not a JSON object with an "id", or that escapes a lone
-    surrogate, which UTF-8 cannot encode, raises ParseError with its line number.
+    A line that is not a JSON object with an "id" that is a string or an
+    integer (not a bool), or that escapes a lone surrogate, which UTF-8
+    cannot encode, raises ParseError with its line number.
     """
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
@@ -100,6 +101,10 @@ def read_objects(stream: Iterable[str]) -> Iterator[tuple[int, dict]]:
             raise ParseError(f"expected a JSON object, got {type(obj).__name__}", line=lineno)
         if "id" not in obj:
             raise ParseError("missing 'id'", line=lineno)
+        if type(obj["id"]) not in (str, int):
+            raise ParseError(
+                f"id must be a string or an integer, got {type(obj['id']).__name__}", line=lineno
+            )
         if "\\ud" in line or "\\uD" in line:
             try:
                 json.dumps(obj, ensure_ascii=False).encode("utf-8")
@@ -114,8 +119,10 @@ def finite_number(value) -> float | None:
     if type(value) is float and math.isfinite(value):
         return value
     if type(value) is int:
-        with contextlib.suppress(OverflowError):
+        try:
             return float(value)
+        except OverflowError:
+            pass
     return None
 
 

@@ -21,8 +21,8 @@ that order, and each real token owns one packed row. The three gates are
 stacked into one input and one recurrent weight stack (`stack_gates`). Each
 direction projects its inputs, x W + b, in one matmul before its step loop;
 at inference, where no dropout applies, it projects each distinct token id
-once. A step then costs one recurrent matmul over the rows still reading and
-no PAD work.
+once. A step then costs one recurrent matmul over the rows still reading
+(none on a direction's first step, from h = 0) and no PAD work.
 
 The model is a plain dict of named arrays (`Model`), the names and order
 being those of the checkpoint; it carries no training settings.
@@ -120,16 +120,19 @@ class DropoutMasks:
 def stack_gates(m: Model, prefix: str):
     """The gates of direction `prefix` stacked on a leading gate axis for batched GEMMs.
 
-    Returns W (3, d, h) holding W_r, W_z, W_h transposed, U (3, h, h)
-    holding U_h, U_r, U_z transposed, and b (3, 1, h) holding b_r, b_z,
-    b_h. x @ W and h_prev @ U are then one matmul each, with every gate's
-    result a contiguous block; U's gate order is that of `GruTape.gates`.
+    Returns W (3, d, h) holding -W_r, -W_z, W_h transposed, U (3, h, h)
+    holding U_h, -U_r, -U_z transposed, and b (3, 1, h) holding -b_r,
+    -b_z, b_h. x @ W and h_prev @ U are then one matmul each, with every
+    gate's result a contiguous block; U's gate order is that of
+    `GruTape.gates`. The r and z blocks are negated so that a step takes
+    their sigmoid as 1 / (1 + exp(a)) with no negation pass; negation is
+    exact, so every r and z keeps its value bit for bit.
     """
     W_r, W_z, W_h, U_r, U_z, U_h, b_r, b_z, b_h = (m[f"{prefix}.{n}"] for n in GRU_FIELDS)
     return (
-        np.stack([W_r.T, W_z.T, W_h.T]),
-        np.stack([U_h.T, U_r.T, U_z.T]),
-        np.stack([b_r, b_z, b_h])[:, None, :],
+        np.stack([-W_r.T, -W_z.T, W_h.T]),
+        np.stack([U_h.T, -U_r.T, -U_z.T]),
+        np.stack([-b_r, -b_z, b_h])[:, None, :],
     )
 
 
@@ -179,7 +182,9 @@ class GruTape:
 
     `gates` holds U_h h_prev, r, z and c for every token, one (N, h) block
     per gate. The forward pass first fills the r, z and c blocks with the
-    input projections x W + b, and each step completes its rows in place. The
+    input projections of `stack_gates`, x W + b for c and its negation for r
+    and z, and each step completes its rows in place. A direction's first
+    step starts from h = 0, so its rows' U_h h_prev and h_prev are zero. The
     backward pass overwrites the blocks with the gradients d(U_h h_prev),
     d a_r, d a_z and d a_c, a being the gate pre-activations.
     """
@@ -223,6 +228,8 @@ def _run_gru_batch(
     The forward direction starts every live row at step 0; the reverse one
     starts a row at step length - 1. Either way the rows a step updates are
     a prefix of the sorted rows, so `h` is updated in place on that prefix.
+    Every row of the first step run starts from h = 0, so that step runs no
+    recurrent matmul.
     """
     W, U, b = stack_gates(m, prefix)
     h = np.zeros((len(pack.live), U.shape[1]), dtype=X.dtype)
@@ -232,9 +239,9 @@ def _run_gru_batch(
     hu = np.empty((3, *h.shape), dtype=X.dtype)  # U_h h, U_r h, U_z h on the front rows
     picked = np.empty_like(hu) if tape is None else None
     order = range(len(pack.counts))
-    # exp overflow for very negative pre-activations saturates the gate to exactly 0
+    # exp overflow for very positive negated pre-activations saturates the gate to exactly 0
     with np.errstate(over="ignore"):
-        for t in reversed(order) if reverse else order:
+        for i, t in enumerate(reversed(order) if reverse else order):
             n = pack.counts[t]
             s = slice(pack.offsets[t], pack.offsets[t] + n)
             if tape is not None:
@@ -243,27 +250,30 @@ def _run_gru_batch(
                 a = np.take(proj, src[s], axis=1, out=picked[:, :n], mode="clip")
             h_prev = h[:n]
             u = hu[:, :n]
-            np.matmul(h_prev, U, out=u)
             rz = a[:2]
-            rz += u[1:]
-            # rz = sigmoid(rz), in place
-            np.negative(rz, out=rz)
+            if i:  # step i = 0 has h_prev = 0: no U terms
+                np.matmul(h_prev, U, out=u)
+                rz += u[1:]
+            # rz = sigmoid(-rz), the r and z gates, in place
             np.exp(rz, out=rz)
             rz += 1.0
             np.reciprocal(rz, out=rz)
             c = a[2]
-            np.multiply(a[0], u[0], out=u[1])
-            c += u[1]
+            if i:
+                np.multiply(a[0], u[0], out=u[1])
+                c += u[1]
             np.tanh(c, out=c)
             if tape is not None:
-                tape.gates[0, s] = u[0]
+                tape.gates[0, s] = u[0] if i else 0.0
                 tape.h_prev[s] = h_prev
             # h = (1 - z) * h_prev + z * c, written over h_prev
             z = a[1]
-            keep = np.subtract(1.0, z, out=u[1])
-            keep *= h_prev
+            if i:
+                keep = np.subtract(1.0, z, out=u[1])
+                keep *= h_prev
             np.multiply(z, c, out=h_prev)
-            h_prev += keep
+            if i:
+                h_prev += keep
     return h
 
 
@@ -309,10 +319,15 @@ def forward_batch(
 
 
 def predict_batch(m: Model, ids: np.ndarray, lengths: np.ndarray, chunk: int = 512) -> np.ndarray:
-    """Scores for the rows of an (N, T) id array, in row order, `chunk` rows per batch."""
+    """Scores for the rows of an (N, T) id array, in row order, `chunk` rows per batch.
+
+    Rows are batched longest first (stable in row order), so each step of a
+    batch runs on nearly all of its rows; the scores go back to row order.
+    """
+    by_length = np.argsort(-np.minimum(lengths, ids.shape[1]), kind="stable")
     out = np.empty(len(ids), dtype=np.float64)
     for start in range(0, len(ids), chunk):
-        part = slice(start, start + chunk)
+        part = by_length[start : start + chunk]
         preds, _ = forward_batch(m, ids[part], lengths[part])
         out[part] = preds
     return out

@@ -19,6 +19,7 @@ judgment level found by a nearest-level search (`naive_snap_to_level`), each
 class by calling the `Label` enum, each record built by keyword. They build
 the package's record types, so results compare with `==`. They predate the
 lone-surrogate rule, so they accept text that `ingest.read_objects` rejects.
+Like it, they accept only a string or a non-bool integer id.
 """
 
 import json
@@ -173,7 +174,7 @@ def naive_tokenize(text: str) -> list[str]:
 
 def naive_read_objects(stream):
     """(line number, object) for each non-blank line; ParseError for a line
-    that is not a JSON object with an "id"."""
+    that is not a JSON object with a string or non-bool integer "id"."""
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line:
@@ -186,6 +187,10 @@ def naive_read_objects(stream):
             raise ParseError(f"expected a JSON object, got {type(obj).__name__}", line=lineno)
         if "id" not in obj:
             raise ParseError("missing 'id'", line=lineno)
+        if isinstance(obj["id"], bool) or not isinstance(obj["id"], (str, int)):
+            raise ParseError(
+                f"id must be a string or an integer, got {type(obj['id']).__name__}", line=lineno
+            )
         yield lineno, obj
 
 

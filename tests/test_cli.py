@@ -477,6 +477,49 @@ class TestPredict:
         assert row["id"] == "77"
         assert 0.0 < row["clickbaitScore"] < 1.0
 
+    def test_lines_are_pinned_byte_for_byte(self, work, tmp_path, capsys):
+        """One line per post, as json.dumps writes the {"id", "clickbaitScore"}
+        object: ASCII-escaped ids, scores in float repr."""
+        with open(work / "run" / "model.ckpt", "rb") as f:
+            model, vocab, meta = load_model(f)
+        cfg = TrainConfig(max_len=meta["max_len"], text_field=meta["text_field"])
+        zero_head = {**model, "head.w": np.zeros_like(model["head.w"]),
+                     "head.b": np.zeros_like(model["head.b"])}
+        ckpt = tmp_path / "model.ckpt"
+        with open(ckpt, "wb") as f:
+            save_model(zero_head, vocab, cfg, f)
+        instances = tmp_path / "instances.jsonl"
+        instances.write_text('{"id": "q\\"\u00e9", "postText": ["wow"]}\n', encoding="utf-8")
+        out = tmp_path / "preds.jsonl"
+        code, _, _ = run(
+            capsys, "predict", str(ckpt), "--instances", str(instances), "--out", str(out)
+        )
+        assert code == 0
+        assert out.read_bytes() == b'{"id": "q\\"\\u00e9", "clickbaitScore": 0.5}\n'
+
+        code, _, _ = run(
+            capsys,
+            "predict", str(work / "run" / "model.ckpt"),
+            "--instances", str(work / "data" / "instances.jsonl"), "--out", str(out),
+        )
+        assert code == 0
+        for line in out.read_text(encoding="utf-8").splitlines():
+            assert line == json.dumps(json.loads(line))
+
+    @pytest.mark.parametrize("subcommand", ["predict", "evaluate", "analyze"])
+    def test_id_of_another_type_is_data_error(self, work, tmp_path, capsys, subcommand):
+        _, truth = dataset_paths(work / "data")
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"id": null, "postText": ["x"], "clickbaitScore": 0.5}\n')
+        argv = {
+            "predict": ["predict", str(work / "run" / "model.ckpt"), "--instances", str(bad)],
+            "evaluate": ["evaluate", str(bad), "--truth", truth],
+            "analyze": ["analyze", "--instances", str(bad), "--truth", truth],
+        }[subcommand]
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err == "data error: line 1: id must be a string or an integer, got NoneType\n"
+
     def test_missing_checkpoint(self, work, tmp_path, capsys):
         code, _, err = run(
             capsys,

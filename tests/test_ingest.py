@@ -323,6 +323,41 @@ class TestAgainstReference:
                 parse_truth(io.StringIO(text))
 
 
+class TestFiniteNumber:
+    def test_ints_floats_and_the_rest(self):
+        one = finite_number(1)
+        assert one == 1.0 and type(one) is float
+        assert finite_number(0.5) == 0.5
+        assert finite_number(10**400) is None  # past the float range
+        assert finite_number(True) is None
+        assert finite_number(math.inf) is None
+        assert finite_number("1") is None
+
+
+class TestIdRule:
+    """Only a string or a non-bool integer is an id, in every input file."""
+
+    ODD_IDS = {"null": "NoneType", "true": "bool", "1.0": "float", "[1, 2]": "list",
+               '{"a": 1}': "dict"}
+
+    @pytest.mark.parametrize("raw", sorted(ODD_IDS))
+    def test_other_json_types_rejected_with_line_and_type(self, raw):
+        expect = f"^line 2: id must be a string or an integer, got {self.ODD_IDS[raw]}$"
+        instance = '{"id": ' + raw + ', "postText": ["x"]}'
+        with pytest.raises(ParseError, match=expect):
+            parse_instances(io.StringIO(instance_line("a") + "\n" + instance + "\n"))
+        truth = '{"id": ' + raw + truth_line()[len('{"id": "i1"'):]
+        with pytest.raises(ParseError, match=expect):
+            parse_truth(io.StringIO(truth_line("a") + "\n" + truth + "\n"))
+        result = '{"id": ' + raw + ', "clickbaitScore": 0.5}'
+        with pytest.raises(ParseError, match=expect):
+            _parse_results(io.StringIO('{"id": "a", "clickbaitScore": 0.5}\n' + result))
+
+    def test_integer_id_reads_as_its_decimal_string(self):
+        assert parse_instances(io.StringIO('{"id": 7, "postText": ["x"]}'))[0].id == "7"
+        assert _parse_results(io.StringIO('{"id": -3, "clickbaitScore": 1}')) == {"-3": 1.0}
+
+
 class TestLoneSurrogate:
     """A JSON escape of half a surrogate pair names its line in every input file."""
 

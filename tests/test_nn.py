@@ -264,6 +264,46 @@ class TestForwardBatch:
             chunked = predict_batch(m, ids[:, :width], lengths, chunk=5)
             np.testing.assert_array_equal(all_at_once, chunked)
 
+    @pytest.mark.parametrize("chunk", [3, 512])
+    def test_predict_batch_every_length_matches_oracle(self, chunk):
+        """Rows of every length from 0 to one past the width, scored longest
+        first, come back in input order with the scalar oracle's scores."""
+        rng = np.random.default_rng(12)
+        m = tiny_model(seed=12)
+        width = 5
+        lengths = rng.permutation(np.repeat(np.arange(width + 2), 2))
+        ids = rng.integers(1, 10, size=(len(lengths), width)).astype(np.int32)
+        preds = predict_batch(m, ids, lengths, chunk=chunk)
+        singles = [naive_predict(m, row, min(n, width)) for row, n in zip(ids, lengths)]
+        np.testing.assert_allclose(preds, singles, rtol=0, atol=1e-12)
+
+    def test_predict_batch_chunks_run_longest_first(self, monkeypatch):
+        """Each `forward_batch` call gets at most `chunk` rows, the clipped
+        lengths never rise from one call to the next, and every row is scored
+        once, its score returned at its own index."""
+        rng = np.random.default_rng(13)
+        m = tiny_model(seed=13)
+        width, chunk = 4, 4
+        lengths = rng.integers(0, width + 3, size=23)
+        ids = rng.integers(1, 10, size=(23, width)).astype(np.int32)
+        assert len({row.tobytes() for row in ids}) == len(ids)  # rows are told apart by ids
+        calls = []
+
+        def spy(m, ids, lengths, masks=None):
+            calls.append((ids.copy(), np.minimum(lengths, ids.shape[1])))
+            return forward_batch(m, ids, lengths, masks)
+
+        monkeypatch.setattr("clickbait_gru.nn.forward_batch", spy)
+        preds = predict_batch(m, ids, lengths, chunk=chunk)
+        assert all(len(batch) <= chunk for batch, _ in calls)
+        clipped = np.concatenate([batch_lengths for _, batch_lengths in calls])
+        assert np.all(np.diff(clipped) <= 0)
+        scored = [row.tobytes() for batch, _ in calls for row in batch]
+        assert sorted(scored) == sorted(row.tobytes() for row in ids)
+        for i in range(len(ids)):
+            alone, _ = forward_batch(m, ids[i : i + 1], lengths[i : i + 1])
+            assert abs(preds[i] - alone[0]) < 1e-12
+
     @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 9), width=st.integers(1, 7))
     @settings(max_examples=60, deadline=None)
     def test_packing_invariance(self, seed, batch, width):
