@@ -46,8 +46,7 @@ def synth_corpus(n: int, seed: int) -> LabeledDataset:
         judgment = Judgment(
             scores=scores, mean=sum(scores) / 5.0, median=median, class_label=label
         )
-        # a post with no timestamp, media or linked article, as parse_instances reads one
-        record = PostRecord(str(i), [" ".join(words)], "", [], "", "", "", [], [])
+        record = PostRecord(str(i), " ".join(words), "", "")  # no linked article
         records.append((record, judgment))
     return records
 

@@ -8,6 +8,7 @@ the same flags produce byte-identical artifacts.
 
 import argparse
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -17,8 +18,11 @@ import numpy as np
 from .analytics import write_analytics
 from .errors import DataError, NumericError, ParseError
 from .ingest import (
+    INSTANCES_FILENAME,
     TEXT_FIELDS,
+    TRUTH_FILENAME,
     atomic_open,
+    build_dataset,
     finite_number,
     index_by_id,
     load_dataset,
@@ -27,7 +31,6 @@ from .ingest import (
     read_dataset,
     read_objects,
     stratified_split,
-    write_dataset,
 )
 from .metrics import evaluate
 from .nn import load_model, predict_batch, save_model
@@ -112,11 +115,36 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _lines_by_id(ids, lines: list[str]) -> dict[str, str]:
+    """Each id's line, newline-ended; `ids` follow the non-blank lines `read_objects` keeps."""
+    kept = (line if line.endswith("\n") else line + "\n" for line in lines if line.strip())
+    return dict(zip(ids, kept))
+
+
 def cmd_split(args) -> int:
-    ds = load_dataset(args.dataset_dir)
-    train, test = stratified_split(ds, args.fraction, args.seed)
-    write_dataset(train, args.train_out)
-    write_dataset(test, args.test_out)
+    """Each part holds its posts' input lines as read, in truth-file order; all
+    four files are rendered before either directory is made."""
+    with open(os.path.join(args.dataset_dir, INSTANCES_FILENAME), encoding="utf-8") as f:
+        instance_lines = f.readlines()
+    records = parse_instances(instance_lines)
+    with open(os.path.join(args.dataset_dir, TRUTH_FILENAME), encoding="utf-8") as f:
+        truth_lines = f.readlines()
+    truths = parse_truth(truth_lines)
+    train, test = stratified_split(build_dataset(records, truths), args.fraction, args.seed)
+    by_file = {
+        INSTANCES_FILENAME: _lines_by_id((rec.id for rec in records), instance_lines),
+        TRUTH_FILENAME: _lines_by_id((rec_id for rec_id, _ in truths), truth_lines),
+    }
+    outputs = [
+        (os.path.join(directory, name), "".join(lines[rec.id] for rec, _ in part))
+        for directory, part in ((args.train_out, train), (args.test_out, test))
+        for name, lines in by_file.items()
+    ]
+    for directory in (args.train_out, args.test_out):
+        os.makedirs(directory, exist_ok=True)
+    for path, text in outputs:
+        with atomic_open(path) as f:
+            f.write(text)
     print(f"train: {len(train)} records, test: {len(test)} records")
     return EXIT_OK
 
@@ -156,11 +184,13 @@ def cmd_train(args) -> int:
         embeddings, matched = load_glove(f, vocab, cfg.d, seed=cfg.seed)
     model, history = fit(train_ds, valid_ds, cfg, vocab, embeddings)
 
+    history_csv = io.StringIO()  # rendered first, so a failure here writes neither file
+    write_history(history, history_csv)
     os.makedirs(args.out, exist_ok=True)
     with atomic_open(os.path.join(args.out, CHECKPOINT_FILENAME), binary=True) as f:
         save_model(model, vocab, cfg, f)
     with atomic_open(os.path.join(args.out, HISTORY_FILENAME)) as f:
-        write_history(history, f)
+        f.write(history_csv.getvalue())
 
     best = min(history, key=lambda row: row.valid_mse)
     print(f"embeddings matched: {matched}/{vocab.size - 2}")

@@ -36,22 +36,12 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 
 class PostRecord(NamedTuple):
-    """One post with its linked-article fields (media files are never opened)."""
+    """A post's id and the three texts a model can be trained on ("" for null or absent)."""
 
     id: str
-    post_text: list[str]
-    post_timestamp: str
-    post_media: list[str]
+    text: str  # postText's segments joined with single spaces
     target_title: str
     target_description: str
-    target_keywords: str
-    target_paragraphs: list[str]
-    target_captions: list[str]
-
-    @property
-    def text(self) -> str:
-        """Modeling text: post segments joined with single spaces."""
-        return " ".join(self.post_text)
 
     def field_text(self, field_name: str) -> str:
         """Text of one of the three trainable fields (challenge field names)."""
@@ -126,41 +116,49 @@ def finite_number(value) -> float | None:
     return None
 
 
-def _as_str_list(obj: dict, key: str, lineno: int) -> list[str]:
+# the JSON types a post field may hold; postMedia and the target* lists are never kept
+_SEGMENTS = (str, list, type(None))
+_TEXT = (str, type(None))
+
+
+def _field(obj: dict, key: str, allowed: tuple, lineno: int):
     value = obj.get(key)
-    if value is None:
-        return []
-    if isinstance(value, str):
-        return [value]
-    if isinstance(value, list):
-        return list(map(str, value))
-    raise ParseError(
-        f"{key} must be a string, a list or null, got {type(value).__name__}", line=lineno
-    )
+    if type(value) not in allowed:
+        wanted = "a string, a list or null" if list in allowed else "a string or null"
+        raise ParseError(f"{key} must be {wanted}, got {type(value).__name__}", line=lineno)
+    return value
 
 
-def _as_str(value) -> str:
-    if value is None:
-        return ""
-    return str(value)
+def _post_text(obj: dict, lineno: int) -> str:
+    value = _field(obj, "postText", _SEGMENTS, lineno)
+    if type(value) is not list:
+        return value or ""
+    try:
+        return " ".join(value)
+    except TypeError:
+        bad = next(v for v in value if type(v) is not str)
+        raise ParseError(
+            f"postText items must be strings, got {type(bad).__name__}", line=lineno
+        ) from None
 
 
 def parse_instances(stream: Iterable[str]) -> list[PostRecord]:
-    """Parse an instances.jsonl stream, one PostRecord per non-empty line."""
-    return [
-        PostRecord(
-            str(obj["id"]),
-            _as_str_list(obj, "postText", lineno),
-            _as_str(obj.get("postTimestamp")),
-            _as_str_list(obj, "postMedia", lineno),
-            _as_str(obj.get("targetTitle")),
-            _as_str(obj.get("targetDescription")),
-            _as_str(obj.get("targetKeywords")),
-            _as_str_list(obj, "targetParagraphs", lineno),
-            _as_str_list(obj, "targetCaptions", lineno),
-        )
-        for lineno, obj in read_objects(stream)
-    ]
+    """Parse an instances.jsonl stream, one PostRecord per non-empty line.
+
+    Text values must be strings: postText is a string, a list of strings or
+    null, targetTitle and targetDescription a string or null. postMedia,
+    targetParagraphs and targetCaptions must be a string, a list or null.
+    """
+    records = []
+    for lineno, obj in read_objects(stream):
+        text = _post_text(obj, lineno)
+        _field(obj, "postMedia", _SEGMENTS, lineno)
+        title = _field(obj, "targetTitle", _TEXT, lineno) or ""
+        description = _field(obj, "targetDescription", _TEXT, lineno) or ""
+        _field(obj, "targetParagraphs", _SEGMENTS, lineno)
+        _field(obj, "targetCaptions", _SEGMENTS, lineno)
+        records.append(PostRecord(str(obj["id"]), text, title, description))
+    return records
 
 
 def snap_to_level(value: float) -> float:
@@ -392,20 +390,16 @@ def atomic_open(path: str, binary: bool = False):
 
 def write_dataset(ds: LabeledDataset, directory: str) -> None:
     """Write a dataset as the standard two-file directory layout: in each
-    file one JSON line per post, in dataset order, non-ASCII text unescaped."""
+    file one JSON line per post, in dataset order, non-ASCII text unescaped.
+    A post is written as its id and its three texts, postText as one segment."""
     os.makedirs(directory, exist_ok=True)
     with atomic_open(os.path.join(directory, INSTANCES_FILENAME)) as f:
         for rec, _ in ds:
             f.write(json.dumps({
                 "id": rec.id,
-                "postText": rec.post_text,
-                "postTimestamp": rec.post_timestamp,
-                "postMedia": rec.post_media,
+                "postText": [rec.text],
                 "targetTitle": rec.target_title,
                 "targetDescription": rec.target_description,
-                "targetKeywords": rec.target_keywords,
-                "targetParagraphs": rec.target_paragraphs,
-                "targetCaptions": rec.target_captions,
             }, ensure_ascii=False) + "\n")
     with atomic_open(os.path.join(directory, TRUTH_FILENAME)) as f:
         for rec, judgment in ds:

@@ -39,13 +39,10 @@ WORDS = [
 
 
 def make_record(rec_id: str, text: str, **kwargs) -> PostRecord:
-    """A one-segment post; fields not given are empty, as `parse_instances` reads
+    """A post; the target texts not given are empty, as `parse_instances` reads
     a line with only "id" and "postText"."""
-    fields = dict(
-        post_timestamp="", post_media=[], target_title="", target_description="",
-        target_keywords="", target_paragraphs=[], target_captions=[],
-    )
-    return PostRecord(id=rec_id, post_text=[text], **{**fields, **kwargs})
+    fields = dict(target_title="", target_description="")
+    return PostRecord(id=rec_id, text=text, **{**fields, **kwargs})
 
 
 def make_judgment(levels) -> Judgment:

@@ -213,22 +213,47 @@ def _as_str(value) -> str:
     return str(value)
 
 
+def _text_segments(obj: dict, lineno: int) -> list[str]:
+    segments = _as_str_list(obj, "postText", lineno)
+    if isinstance(obj.get("postText"), list):
+        for value in obj["postText"]:
+            if not isinstance(value, str):
+                raise ParseError(
+                    f"postText items must be strings, got {type(value).__name__}", line=lineno
+                )
+    return segments
+
+
+def _text(obj: dict, key: str, lineno: int) -> str:
+    value = obj.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ParseError(f"{key} must be a string or null, got {type(value).__name__}", line=lineno)
+    return _as_str(value)
+
+
 def naive_parse_instances(stream) -> list[PostRecord]:
-    """One PostRecord per non-blank instances line."""
-    return [
-        PostRecord(
+    """One PostRecord per non-blank instances line: all nine post fields parsed
+    and checked in the challenge's field order, then the four kept. Text values
+    must be strings: postText a string, a list of strings or null, targetTitle
+    and targetDescription a string or null; postMedia, targetParagraphs and
+    targetCaptions a string, a list or null."""
+    records = []
+    for lineno, obj in naive_read_objects(stream):
+        post_text = _text_segments(obj, lineno)
+        _post_timestamp = _as_str(obj.get("postTimestamp"))
+        _post_media = _as_str_list(obj, "postMedia", lineno)
+        target_title = _text(obj, "targetTitle", lineno)
+        target_description = _text(obj, "targetDescription", lineno)
+        _target_keywords = _as_str(obj.get("targetKeywords"))
+        _target_paragraphs = _as_str_list(obj, "targetParagraphs", lineno)
+        _target_captions = _as_str_list(obj, "targetCaptions", lineno)
+        records.append(PostRecord(
             id=str(obj["id"]),
-            post_text=_as_str_list(obj, "postText", lineno),
-            post_timestamp=_as_str(obj.get("postTimestamp")),
-            post_media=_as_str_list(obj, "postMedia", lineno),
-            target_title=_as_str(obj.get("targetTitle")),
-            target_description=_as_str(obj.get("targetDescription")),
-            target_keywords=_as_str(obj.get("targetKeywords")),
-            target_paragraphs=_as_str_list(obj, "targetParagraphs", lineno),
-            target_captions=_as_str_list(obj, "targetCaptions", lineno),
-        )
-        for lineno, obj in naive_read_objects(stream)
-    ]
+            text=" ".join(post_text),
+            target_title=target_title,
+            target_description=target_description,
+        ))
+    return records
 
 
 def naive_snap_to_level(value: float) -> float:

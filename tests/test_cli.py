@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from clickbait_gru import cli
 from clickbait_gru.cli import _train_config, build_parser, main
 from clickbait_gru.ingest import load_dataset, stratified_split, write_dataset
 from clickbait_gru.metrics import evaluate
@@ -215,6 +216,50 @@ class TestSplit:
         assert "line 1: " in err
         assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
+    def test_writes_its_input_lines_verbatim(self, work, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        inputs = {}
+        for name in ("instances.jsonl", "truth.jsonl"):
+            lines = []
+            for i, line in enumerate((work / "data" / name).read_text().splitlines()):
+                obj = json.loads(line)
+                if i % 2:
+                    obj["id"] = int(obj["id"])
+                    obj["extra"] = [i, None]
+                if name == "instances.jsonl":
+                    obj["targetTitle"] = None
+                    if i % 3:
+                        obj["postText"] = obj["postText"][0]
+                lines.append(" " * (i % 3) + json.dumps(obj) + "\t" * (i % 2))
+            lines.insert(5, "  ")
+            inputs[name] = lines
+            (data / name).write_bytes("\r\n".join(lines).encode())  # the last line has no ending
+        parts = [tmp_path / "train", tmp_path / "test"]
+        code, out, _ = run(capsys, "split", str(data), *map(str, parts), "--seed", "4")
+        assert code == 0 and out == "train: 42 records, test: 18 records\n"
+        for name, lines in inputs.items():
+            written = [(part / name).read_bytes().decode() for part in parts]
+            assert all(text.endswith("\n") and "\r" not in text for text in written)
+            got = [text.splitlines() for text in written]
+            assert sorted(got[0] + got[1]) == sorted(line for line in lines if line.strip())
+        for part in parts:
+            ids = [[str(json.loads(line)["id"]) for line in (part / name).read_text().splitlines()]
+                   for name in inputs]
+            assert ids[0] == ids[1]
+
+    def test_output_error_leaves_an_earlier_train_part_unchanged(self, work, tmp_path, capsys):
+        train_out, test_out = tmp_path / "train", tmp_path / "test"
+        assert run(capsys, "split", str(work / "data"), str(train_out), str(test_out),
+                   "--seed", "9")[0] == 0
+        earlier = {p.name: p.read_bytes() for p in train_out.iterdir()}
+        blocked = tmp_path / "blocked"
+        blocked.write_text("a file, not a directory\n")
+        code, _, err = run(capsys, "split", str(work / "data"), str(train_out), str(blocked))
+        assert code == 2
+        assert err.startswith("data error: ") and len(err.strip().splitlines()) == 1
+        assert {p.name: p.read_bytes() for p in train_out.iterdir()} == earlier
+
     def test_bad_fraction_is_usage_error(self, work, tmp_path, capsys):
         code, _, err = run(
             capsys, "split", str(work / "data"), str(tmp_path / "a"), str(tmp_path / "b"),
@@ -267,6 +312,30 @@ class TestTrain:
         assert code == 0
         for name in ARTIFACTS:
             assert (tmp_path / "again" / name).read_bytes() == (work / "run" / name).read_bytes()
+
+    def test_history_error_leaves_an_earlier_pair_unchanged(
+        self, work, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "run"
+        out.mkdir()
+        for name in ARTIFACTS:
+            (out / name).write_bytes((work / "run" / name).read_bytes())
+
+        def fail(history, stream):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(cli, "write_history", fail)
+        code, _, err = run(
+            capsys,
+            "train", str(work / "data"), str(work / "data"),
+            "--glove", str(work / "glove.txt"), "--out", str(out),
+            "--dim", "8", "--hidden", "4", "--epochs", "1", "--seed", "4",
+        )
+        assert code == 2
+        assert err == "data error: no space left on device\n"
+        assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
+        for name in ARTIFACTS:
+            assert (out / name).read_bytes() == (work / "run" / name).read_bytes()
 
     def test_config_file_overridden_by_flags(self, work, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -537,12 +606,15 @@ class TestPredict:
             (b'{"postText": 5}', "line 2: postText must be a string, a list or null"),
             (b'{"postText": {"a": 1}}', "line 2: postText must be"),
             (b'{"targetCaptions": 2.5}', "line 2: targetCaptions must be"),
+            (b'{"postText": [{"x": 1}, [2]]}', "line 2: postText items must be strings, got dict"),
+            (b'{"targetTitle": ["t", "u"]}', "line 2: targetTitle must be a string or null"),
             (b'{"postTimestamp": ' + BIG + b"}", "line 2: invalid JSON"),
             (DEEP, "line 2: invalid JSON"),
             (b'{"postText": "caf\xe9"}', "utf-8"),
         ],
         ids=[
             "not-object", "int-post-text", "object-post-text", "float-captions",
+            "object-post-segment", "list-title",
             "5001-digit-int", "deep-nesting", "not-utf8",
         ],
     )

@@ -62,14 +62,10 @@ class TestParseInstances:
             targetCaptions=["c"],
         )
         (rec,) = parse_instances(io.StringIO(line + "\n"))
-        assert rec.id == "i1"
-        assert rec.post_text == ["Some post"]
-        assert rec.text == "Some post"
-        assert rec.target_paragraphs == ["p1", "p2"]
+        assert rec == ("i1", "Some post", "T", "D")
 
     def test_missing_optional_fields_default_empty(self):
         (rec,) = parse_instances(io.StringIO(json.dumps({"id": "x"}) + "\n"))
-        assert rec.post_text == []
         assert rec.text == ""
         assert rec.target_title == ""
 
@@ -99,6 +95,42 @@ class TestParseInstances:
         assert rec.field_text("targetDescription") == "The Desc"
         with pytest.raises(ValueError):
             rec.field_text("postMedia")
+
+    def test_string_and_null_texts(self):
+        line = json.dumps({"id": 3, "postText": "one", "targetTitle": None})
+        assert parse_instances(io.StringIO(line)) == [("3", "one", "", "")]
+
+    @pytest.mark.parametrize(
+        "fields, expect",
+        [
+            ({"postText": ["a", {"x": 1}]}, "postText items must be strings, got dict"),
+            ({"postText": [["b"]]}, "postText items must be strings, got list"),
+            ({"postText": ["a", 1]}, "postText items must be strings, got int"),
+            ({"postText": [None]}, "postText items must be strings, got NoneType"),
+            ({"postText": 1.5}, "postText must be a string, a list or null, got float"),
+            ({"targetTitle": ["t", "u"]}, "targetTitle must be a string or null, got list"),
+            ({"targetTitle": {"t": 1}}, "targetTitle must be a string or null, got dict"),
+            ({"targetTitle": True}, "targetTitle must be a string or null, got bool"),
+            ({"targetDescription": 7}, "targetDescription must be a string or null, got int"),
+            ({"targetDescription": []}, "targetDescription must be a string or null, got list"),
+            ({"postMedia": 0}, "postMedia must be a string, a list or null, got int"),
+            ({"targetParagraphs": {}}, "targetParagraphs must be a string, a list or null, got dict"),
+        ],
+        ids=[
+            "dict-segment", "list-segment", "int-segment", "null-segment", "float-post-text",
+            "list-title", "dict-title", "bool-title", "int-description", "list-description",
+            "int-media", "dict-paragraphs",
+        ],
+    )
+    def test_text_values_must_be_strings(self, fields, expect):
+        line = instance_line("b", **fields)
+        with pytest.raises(ParseError, match=f"^line 2: {expect}$"):
+            parse_instances(io.StringIO(instance_line("a") + "\n" + line + "\n"))
+
+    def test_post_text_checked_first(self):
+        line = instance_line(postText=[1], targetTitle=[2], targetCaptions=2.5)
+        with pytest.raises(ParseError, match="^line 1: postText items"):
+            parse_instances(io.StringIO(line))
 
 
 class TestParseTruth:
@@ -380,7 +412,7 @@ class TestLoneSurrogate:
     def test_pairs_and_escaped_backslashes_accepted(self):
         line = '{"id": "a", "postText": ["\\ud83d\\ude00", "\\\\ud800", "\\u00e9"]}'
         (rec,) = parse_instances(io.StringIO(line))
-        assert rec.post_text == ["\U0001f600", "\\ud800", "\u00e9"]
+        assert rec.text == "\U0001f600 \\ud800 \u00e9"
 
 
 class TestBuildDataset:
