@@ -19,12 +19,12 @@ from .analytics import write_analytics
 from .errors import DataError, NumericError, ParseError
 from .ingest import (
     INSTANCES_FILENAME,
+    JSON_WHITESPACE,
     TEXT_FIELDS,
     TRUTH_FILENAME,
     atomic_open,
     build_dataset,
     finite_number,
-    index_by_id,
     load_dataset,
     parse_instances,
     parse_truth,
@@ -117,13 +117,17 @@ def cmd_analyze(args) -> int:
 
 def _lines_by_id(ids, lines: list[str]) -> dict[str, str]:
     """Each id's line, newline-ended; `ids` follow the non-blank lines `read_objects` keeps."""
-    kept = (line if line.endswith("\n") else line + "\n" for line in lines if line.strip())
+    kept = (ln if ln.endswith("\n") else ln + "\n" for ln in lines if ln.strip(JSON_WHITESPACE))
     return dict(zip(ids, kept))
 
 
 def cmd_split(args) -> int:
     """Each part holds its posts' input lines as read, in truth-file order; all
-    four files are rendered before either directory is made."""
+    four files are rendered before either directory is made. The three
+    directories must differ, so no output overwrites the input or the other."""
+    dirs = {os.path.realpath(d) for d in (args.dataset_dir, args.train_out, args.test_out)}
+    if len(dirs) < 3:
+        raise ValueError("split needs three different directories: dataset, train and test")
     with open(os.path.join(args.dataset_dir, INSTANCES_FILENAME), encoding="utf-8") as f:
         instance_lines = f.readlines()
     records = parse_instances(instance_lines)
@@ -203,7 +207,6 @@ def cmd_predict(args) -> int:
         model, vocab, meta = load_model(f)
     with open(args.instances, encoding="utf-8") as f:
         records = parse_instances(f)
-    index_by_id(records)  # a repeated id would be scored twice
     ids, lengths = encode_posts(records, vocab, meta["max_len"], meta["text_field"])
     scores = predict_batch(model, ids, lengths)
     bad = np.count_nonzero(~np.isfinite(scores))
@@ -220,12 +223,9 @@ def cmd_predict(args) -> int:
 def _parse_results(stream) -> dict[str, float]:
     """Scores by id; each must be a number in [0, 1], the range of a judgment mean."""
     scores: dict[str, float] = {}
-    for lineno, obj in read_objects(stream):
+    for lineno, rec_id, obj in read_objects(stream):
         if "clickbaitScore" not in obj:
             raise ParseError("missing 'clickbaitScore'", line=lineno)
-        rec_id = str(obj["id"])
-        if rec_id in scores:
-            raise ParseError(f"duplicate result id {rec_id!r}", line=lineno)
         score = finite_number(obj["clickbaitScore"])
         if score is None or not 0.0 <= score <= 1.0:
             raise ParseError(

@@ -22,6 +22,9 @@ LEVEL_TOLERANCE = 1e-3
 INSTANCES_FILENAME = "instances.jsonl"
 TRUTH_FILENAME = "truth.jsonl"
 
+# the four characters JSON allows around a value; a line of only these is blank
+JSON_WHITESPACE = " \t\n\r"
+
 # the post fields a model can be trained on, as `PostRecord.field_text` names them
 TEXT_FIELDS = ("postText", "targetDescription", "targetTitle")
 
@@ -67,15 +70,19 @@ LabeledDataset = list[tuple[PostRecord, Judgment]]
 """Posts paired with their judgments, as `build_dataset` joins them."""
 
 
-def read_objects(stream: Iterable[str]) -> Iterator[tuple[int, dict]]:
-    """(line number, object) for each non-blank line of a JSONL stream.
+def read_objects(stream: Iterable[str]) -> Iterator[tuple[int, str, dict]]:
+    """(line number, id, object) for each non-blank line of a JSONL stream.
 
     A line that is not a JSON object with an "id" that is a string or an
     integer (not a bool), or that escapes a lone surrogate, which UTF-8
-    cannot encode, raises ParseError with its line number.
+    cannot encode, raises ParseError with its line number. An integer id is
+    yielded as its decimal string, so 1 and "1" are one id. A line whose id
+    an earlier line holds raises ParseError once the caller asks for the
+    next line, so the caller's own checks on that line come first.
     """
+    seen = set()
     for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
+        line = raw.strip(JSON_WHITESPACE)
         if not line:
             continue
         try:  # json.loads minus its two whitespace scans, which a stripped line does not need
@@ -91,16 +98,22 @@ def read_objects(stream: Iterable[str]) -> Iterator[tuple[int, dict]]:
             raise ParseError(f"expected a JSON object, got {type(obj).__name__}", line=lineno)
         if "id" not in obj:
             raise ParseError("missing 'id'", line=lineno)
-        if type(obj["id"]) not in (str, int):
+        rec_id = obj["id"]
+        if type(rec_id) is int:
+            rec_id = str(rec_id)
+        elif type(rec_id) is not str:
             raise ParseError(
-                f"id must be a string or an integer, got {type(obj['id']).__name__}", line=lineno
+                f"id must be a string or an integer, got {type(rec_id).__name__}", line=lineno
             )
         if "\\ud" in line or "\\uD" in line:
             try:
                 json.dumps(obj, ensure_ascii=False).encode("utf-8")
             except UnicodeEncodeError as exc:
                 raise ParseError(f"text UTF-8 cannot encode ({exc.reason})", line=lineno) from None
-        yield lineno, obj
+        yield lineno, rec_id, obj
+        if rec_id in seen:
+            raise ParseError(f"duplicate id {rec_id!r}", line=lineno)
+        seen.add(rec_id)
 
 
 def finite_number(value) -> float | None:
@@ -150,14 +163,14 @@ def parse_instances(stream: Iterable[str]) -> list[PostRecord]:
     targetParagraphs and targetCaptions must be a string, a list or null.
     """
     records = []
-    for lineno, obj in read_objects(stream):
+    for lineno, rec_id, obj in read_objects(stream):
         text = _post_text(obj, lineno)
         _field(obj, "postMedia", _SEGMENTS, lineno)
         title = _field(obj, "targetTitle", _TEXT, lineno) or ""
         description = _field(obj, "targetDescription", _TEXT, lineno) or ""
         _field(obj, "targetParagraphs", _SEGMENTS, lineno)
         _field(obj, "targetCaptions", _SEGMENTS, lineno)
-        records.append(PostRecord(str(obj["id"]), text, title, description))
+        records.append(PostRecord(rec_id, text, title, description))
     return records
 
 
@@ -184,8 +197,8 @@ def parse_truth(stream: Iterable[str]) -> list[tuple[str, Judgment]]:
     stored mean and median finite numbers consistent with the scores to 1e-3;
     known class string; an id no earlier line has.
     """
-    out = {}
-    for lineno, obj in read_objects(stream):
+    out = []
+    for lineno, rec_id, obj in read_objects(stream):
         scores = obj.get("truthJudgments")
         if not isinstance(scores, list) or len(scores) != 5:
             raise ParseError(
@@ -219,21 +232,8 @@ def parse_truth(stream: Iterable[str]) -> list[tuple[str, Judgment]]:
         label = LABELS.get(raw_class) if isinstance(raw_class, str) else None
         if label is None:
             raise ParseError(f"unknown truthClass {raw_class!r}", line=lineno)
-        rec_id = str(obj["id"])
-        if rec_id in out:
-            raise ParseError(f"duplicate truth id {rec_id!r}", line=lineno)
-        out[rec_id] = Judgment(scores, mean, median, label)
-    return list(out.items())
-
-
-def index_by_id(records: list[PostRecord]) -> dict[str, PostRecord]:
-    """Records by id; a repeated id raises DataError."""
-    by_id = {}
-    for rec in records:
-        if rec.id in by_id:
-            raise DataError(f"duplicate instance id {rec.id!r}")
-        by_id[rec.id] = rec
-    return by_id
+        out.append((rec_id, Judgment(scores, mean, median, label)))
+    return out
 
 
 def build_dataset(
@@ -241,21 +241,18 @@ def build_dataset(
 ) -> LabeledDataset:
     """Join instances with truth lines on id; both sides must match 1:1.
 
-    `truths` holds each id once, as `parse_truth` returns them.
+    Each side holds an id once, as `parse_instances` and `parse_truth` return them.
     """
-    by_id = index_by_id(records)
-    truth_ids = set()
+    by_id = {rec.id: rec for rec in records}
     joined = []
     for rec_id, judgment in truths:
-        truth_ids.add(rec_id)
-        if rec_id not in by_id:
+        rec = by_id.pop(rec_id, None)
+        if rec is None:
             raise DataError(f"truth id {rec_id!r} has no matching instance")
-        joined.append((by_id[rec_id], judgment))
-    unlabeled = [rec.id for rec in records if rec.id not in truth_ids]
-    if unlabeled:
+        joined.append((rec, judgment))
+    if by_id:
         raise DataError(
-            f"{len(unlabeled)} instance ids have no truth line "
-            f"(first: {unlabeled[0]!r})"
+            f"{len(by_id)} instance ids have no truth line (first: {next(iter(by_id))!r})"
         )
     return joined
 

@@ -19,7 +19,9 @@ judgment level found by a nearest-level search (`naive_snap_to_level`), each
 class by calling the `Label` enum, each record built by keyword. They build
 the package's record types, so results compare with `==`. They predate the
 lone-surrogate rule, so they accept text that `ingest.read_objects` rejects.
-Like it, they accept only a string or a non-bool integer id.
+Like it, they strip only JSON's four whitespace characters from a line, accept
+only a string or a non-bool integer id (an integer read as its decimal
+string), and reject a repeated id after the caller's own checks on its line.
 """
 
 import json
@@ -173,10 +175,12 @@ def naive_tokenize(text: str) -> list[str]:
 
 
 def naive_read_objects(stream):
-    """(line number, object) for each non-blank line; ParseError for a line
-    that is not a JSON object with a string or non-bool integer "id"."""
+    """(line number, id, object) for each non-blank line; ParseError for a line
+    that is not a JSON object with a string or non-bool integer "id", and,
+    once the caller has taken it, for a line repeating an earlier line's id."""
+    seen = []
     for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
+        line = raw.strip(" \t\n\r")
         if not line:
             continue
         try:
@@ -191,7 +195,11 @@ def naive_read_objects(stream):
             raise ParseError(
                 f"id must be a string or an integer, got {type(obj['id']).__name__}", line=lineno
             )
-        yield lineno, obj
+        rec_id = str(obj["id"])
+        yield lineno, rec_id, obj
+        if rec_id in seen:
+            raise ParseError(f"duplicate id {rec_id!r}", line=lineno)
+        seen.append(rec_id)
 
 
 def _as_str_list(obj: dict, key: str, lineno: int) -> list[str]:
@@ -238,7 +246,7 @@ def naive_parse_instances(stream) -> list[PostRecord]:
     and targetDescription a string or null; postMedia, targetParagraphs and
     targetCaptions a string, a list or null."""
     records = []
-    for lineno, obj in naive_read_objects(stream):
+    for lineno, rec_id, obj in naive_read_objects(stream):
         post_text = _text_segments(obj, lineno)
         _post_timestamp = _as_str(obj.get("postTimestamp"))
         _post_media = _as_str_list(obj, "postMedia", lineno)
@@ -248,7 +256,7 @@ def naive_parse_instances(stream) -> list[PostRecord]:
         _target_paragraphs = _as_str_list(obj, "targetParagraphs", lineno)
         _target_captions = _as_str_list(obj, "targetCaptions", lineno)
         records.append(PostRecord(
-            id=str(obj["id"]),
+            id=rec_id,
             text=" ".join(post_text),
             target_title=target_title,
             target_description=target_description,
@@ -266,8 +274,8 @@ def naive_snap_to_level(value: float) -> float:
 
 def naive_parse_truth(stream) -> list[tuple[str, Judgment]]:
     """(id, Judgment) per non-blank truth line, each line validated in full."""
-    out = {}
-    for lineno, obj in naive_read_objects(stream):
+    out = []
+    for lineno, rec_id, obj in naive_read_objects(stream):
         scores = obj.get("truthJudgments")
         if not isinstance(scores, list) or len(scores) != 5:
             raise ParseError(
@@ -302,8 +310,5 @@ def naive_parse_truth(stream) -> list[tuple[str, Judgment]]:
             label = Label(raw_class)
         except ValueError:
             raise ParseError(f"unknown truthClass {raw_class!r}", line=lineno) from None
-        rec_id = str(obj["id"])
-        if rec_id in out:
-            raise ParseError(f"duplicate truth id {rec_id!r}", line=lineno)
-        out[rec_id] = Judgment(scores, mean, median, label)
-    return list(out.items())
+        out.append((rec_id, Judgment(scores, mean, median, label)))
+    return out

@@ -260,6 +260,21 @@ class TestSplit:
         assert err.startswith("data error: ") and len(err.strip().splitlines()) == 1
         assert {p.name: p.read_bytes() for p in train_out.iterdir()} == earlier
 
+    @pytest.mark.parametrize("dirs", [("data", "out", "out"), ("data", "data", "t2"),
+                                      ("data", "t2", "./data/")])
+    def test_an_output_that_is_the_input_or_the_other_is_usage_error(
+        self, work, tmp_path, capsys, monkeypatch, dirs
+    ):
+        data = tmp_path / "data"
+        write_dataset(load_dataset(str(work / "data")), str(data))
+        before = {p.name: p.read_bytes() for p in data.iterdir()}
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "split", *dirs)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: ") and len(err.strip().splitlines()) == 1
+        assert {p.name: p.read_bytes() for p in data.iterdir()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
     def test_bad_fraction_is_usage_error(self, work, tmp_path, capsys):
         code, _, err = run(
             capsys, "split", str(work / "data"), str(tmp_path / "a"), str(tmp_path / "b"),
@@ -645,7 +660,7 @@ class TestPredict:
             "--instances", str(instances), "--out", str(out),
         )
         assert code == 2
-        assert "duplicate instance id '5'" in err
+        assert err == "data error: line 2: duplicate id '5'\n"
         assert not out.exists()
 
     def test_non_finite_scores_are_numeric_failure(self, work, tmp_path, capsys):
@@ -824,7 +839,7 @@ class TestEvaluate:
         repeated.write_text("".join(truth + truth[:1]))
         code, out, err = run(capsys, "evaluate", str(results), "--truth", str(repeated))
         assert code == 2
-        assert err.startswith(f"data error: line {len(truth) + 1}: duplicate truth id")
+        assert err.startswith(f"data error: line {len(truth) + 1}: duplicate id")
         assert len(err.strip().splitlines()) == 1
         assert out == ""
 
@@ -877,6 +892,42 @@ class TestEvaluate:
         assert code == 0
         assert "r2" in err
         assert json.loads(msg)["r2_score"] == 0.0
+
+
+class TestRepeatedId:
+    """In each input file of each command, a line repeating an earlier line's id
+    is a data error naming that line, also when it is the file's last line."""
+
+    @pytest.mark.parametrize("command, name", [
+        ("predict", "instances.jsonl"),
+        ("evaluate", "truth.jsonl"),
+        ("evaluate", "results.jsonl"),
+        ("analyze", "instances.jsonl"),
+        ("analyze", "truth.jsonl"),
+        ("split", "instances.jsonl"),
+        ("split", "truth.jsonl"),
+    ])
+    def test_last_line_repeat_is_data_error(self, work, tmp_path, capsys, command, name):
+        data, out = tmp_path / "data", tmp_path / "out"
+        ds = load_dataset(str(work / "data"))
+        write_dataset(ds, str(data))
+        results_file(data / "results.jsonl", [(rec.id, judgment.mean) for rec, judgment in ds])
+        lines = (data / name).read_text().splitlines(keepends=True)
+        (data / name).write_text("".join(lines + lines[:1]))
+        instances, truth = dataset_paths(data)
+        argv = {
+            "predict": ["predict", str(work / "run" / "model.ckpt"), "--instances", instances],
+            "evaluate": ["evaluate", str(data / "results.jsonl"), "--truth", truth],
+            "analyze": ["analyze", "--instances", instances, "--truth", truth],
+            "split": ["split", str(data), str(out), str(tmp_path / "test")],
+        }[command]
+        if command != "split":
+            argv += ["--out", str(out)]
+        code, stdout, err = run(capsys, *argv)
+        rec_id = str(json.loads(lines[0])["id"])
+        assert code == 2 and stdout == ""
+        assert err == f"data error: line {len(lines) + 1}: duplicate id {rec_id!r}\n"
+        assert not out.exists()
 
 
 class TestArgumentErrors:

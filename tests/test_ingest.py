@@ -173,7 +173,7 @@ class TestParseTruth:
 
     def test_repeated_id_rejected_at_its_second_line(self):
         lines = [truth_line("i1"), truth_line("i2"), truth_line("i1")]
-        with pytest.raises(ParseError, match="line 3: duplicate truth id 'i1'"):
+        with pytest.raises(ParseError, match="line 3: duplicate id 'i1'"):
             parse_truth(io.StringIO("\n".join(lines)))
 
     def test_missing_mean_rejected(self):
@@ -300,7 +300,7 @@ def jsonl(objects, draw) -> str:
     for obj in objects:
         if draw(st.sampled_from(range(15))) == 0:
             lines.append(draw(ODD_LINES))
-        pad = draw(st.sampled_from(["", " ", "\t "]))
+        pad = draw(st.sampled_from(["", " ", "\t ", "\u00a0", "\u2028"]))  # the last two not JSON's
         lines.append(pad + json.dumps(obj) + pad)
     return "\n".join(lines) + "\n"
 
@@ -367,7 +367,8 @@ class TestFiniteNumber:
 
 
 class TestIdRule:
-    """Only a string or a non-bool integer is an id, in every input file."""
+    """In every input file, only a string or a non-bool integer is an id, and
+    no two lines hold the same one."""
 
     ODD_IDS = {"null": "NoneType", "true": "bool", "1.0": "float", "[1, 2]": "list",
                '{"a": 1}': "dict"}
@@ -388,6 +389,40 @@ class TestIdRule:
     def test_integer_id_reads_as_its_decimal_string(self):
         assert parse_instances(io.StringIO('{"id": 7, "postText": ["x"]}'))[0].id == "7"
         assert _parse_results(io.StringIO('{"id": -3, "clickbaitScore": 1}')) == {"-3": 1.0}
+
+    # each parser: its line for an id (with extra fields), one bad field and its error
+    LINES = {
+        parse_instances: (instance_line, {"postText": 5}, "postText must be"),
+        parse_truth: (truth_line, {"truthClass": "maybe"}, "unknown truthClass"),
+        _parse_results: (
+            lambda rec_id, **extra: json.dumps({"id": rec_id, "clickbaitScore": 0.5, **extra}),
+            {"clickbaitScore": 2},
+            "clickbaitScore must be",
+        ),
+    }
+
+    @pytest.mark.parametrize("parse", list(LINES), ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("lines, expect", [
+        # line 4's bad field is never read: the repeat on line 3 ends the parse
+        ([("a", False), ("b", False), ("a", False), ("c", True)], "line 3: duplicate id 'a'$"),
+        ([("a", False), ("b", False), ("b", False)], "line 3: duplicate id 'b'$"),
+        ([(1, False), ("1", False)], "line 2: duplicate id '1'$"),
+        ([("a", False), ("a", True)], "line 2: {field}"),
+    ], ids=["middle", "last", "integer-then-string", "field-error-first"])
+    def test_repeated_id_rejected_at_its_line(self, parse, lines, expect):
+        make, bad, field = self.LINES[parse]
+        text = "".join(make(rec_id, **(bad if broken else {})) + "\n" for rec_id, broken in lines)
+        with pytest.raises(ParseError, match="^" + expect.format(field=field)):
+            parse(io.StringIO(text))
+
+    def test_only_json_whitespace_pads_a_line(self):
+        (rec,) = parse_instances(io.StringIO(' \t{"id": "a"}\r\n\t \n'))
+        assert rec.id == "a"
+        for pad in ("\u00a0", "\u2028", "\x1c"):
+            with pytest.raises(ParseError, match="^line 2: invalid JSON"):
+                parse_instances(io.StringIO('{"id": "a"}\n' + pad + '{"id": "b"}\n'))
+            with pytest.raises(ParseError, match="^line 1: invalid JSON"):
+                parse_instances(io.StringIO(pad + "\n"))
 
 
 class TestLoneSurrogate:
@@ -423,10 +458,8 @@ class TestBuildDataset:
         assert len(ds) == 1
 
     def test_duplicate_instance_id_rejected(self):
-        records = parse_instances(io.StringIO(instance_line() + "\n" + instance_line()))
-        truths = parse_truth(io.StringIO(truth_line()))
-        with pytest.raises(DataError, match="duplicate instance"):
-            build_dataset(records, truths)
+        with pytest.raises(ParseError, match="^line 2: duplicate id 'i1'$"):
+            parse_instances(io.StringIO(instance_line() + "\n" + instance_line()))
 
     def test_truth_without_instance_rejected(self):
         records = parse_instances(io.StringIO(instance_line("a")))
