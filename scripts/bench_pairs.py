@@ -9,9 +9,11 @@ alternates. Reads the JSON line each run prints last, then prints, for every
 end-to-end metric `BENCHMARK.json` lists, the median and quartiles of both
 sides, the relative change of the medians, in how many pairs the change was
 better (the direction is the metric's `better`; ties count for neither side),
-and whether the medians differ by more than the parent's interquartile range. It also prints each side's
-failed operation counts. Writes to standard output only; each benchmark run
-keeps its own input cache in its checkout.
+whether the medians differ by more than the parent's interquartile range, and
+whether the change's median is worse than the parent's by more than the
+metric's relative `bound` (what a change that claims no gain is held to). It
+also prints each side's failed operation counts. Writes to standard output
+only; each benchmark run keeps its own input cache in its checkout.
 """
 
 import argparse
@@ -68,7 +70,7 @@ def main() -> int:
 
     print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs, {seconds:g} s per run")
     print(f"{'metric':<22} {'parent median [q1, q3]':>32} {'change median [q1, q3]':>32}"
-          f" {'change':>8} {'wins':>6} {'past parent IQR':>16}")
+          f" {'change':>8} {'wins':>6} {'past parent IQR':>16} {'worse past bound':>17}")
     for metric in spec["end_to_end"]:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
         pairs = [(value(p, name), value(c, name))
@@ -81,9 +83,11 @@ def main() -> int:
         wins = sum(sign * (c - p) > 0 for p, c in pairs)
         rel = f"{(change[0] - parent[0]) / parent[0]:+.1%}" if parent[0] else "n/a"
         past_iqr = abs(change[0] - parent[0]) > parent[2] - parent[1]
+        past_bound = sign * (parent[0] - change[0]) > metric["bound"] * abs(parent[0])
         print(f"{name:<22} {parent[0]:>12.6g} [{parent[1]:.6g}, {parent[2]:.6g}]"
               f" {change[0]:>12.6g} [{change[1]:.6g}, {change[2]:.6g}]"
-              f" {rel:>8} {wins:>3}/{len(pairs)} {'yes' if past_iqr else 'no':>16}")
+              f" {rel:>8} {wins:>3}/{len(pairs)} {'yes' if past_iqr else 'no':>16}"
+              f" {'yes' if past_bound else 'no':>17}")
     for side, runs in results.items():
         print(f"{side} failed: {[r['failed'] for r in runs]} of {[r['attempted'] for r in runs]}")
     return 0

@@ -254,11 +254,11 @@ def cmd_evaluate(args) -> int:
     if report.r2_degenerate:
         print("warning: constant truth means, r2 reported as 0", file=sys.stderr)
     text = report.to_json()
-    print(text)
     if args.out:
         with atomic_open(args.out) as f:
             f.write(text)
             f.write("\n")
+    print(text)
     return EXIT_OK
 
 

@@ -292,8 +292,10 @@ def stratified_split(
 ) -> tuple[LabeledDataset, LabeledDataset]:
     """Split into train/test preserving class proportions.
 
-    Global test size is round-half-up of test_fraction * len(ds), allocated
-    across classes by largest remainder. Deterministic given the seed.
+    Global test size is round-half-up of test_fraction * len(ds); the
+    clickbait class's share of it is round-half-up of its proportional
+    quota, and the other class takes the rest (largest remainder, ties to
+    clickbait). Deterministic given the seed.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
@@ -311,19 +313,8 @@ def stratified_split(
     n_test = int(math.floor(test_fraction * n + 0.5))
     n_test = min(max(n_test, 1), n - 1)
 
-    # Largest-remainder allocation of the test quota across classes.
-    quotas = {label: n_test * len(members) / n for label, members in by_class.items()}
-    alloc = {label: int(math.floor(q)) for label, q in quotas.items()}
-    leftover = n_test - sum(alloc.values())
-    order = sorted(
-        by_class, key=lambda lb: (alloc[lb] - quotas[lb], lb.value)
-    )  # largest remainder first
-    for label in order:
-        if leftover <= 0:
-            break
-        if alloc[label] < len(by_class[label]):
-            alloc[label] += 1
-            leftover -= 1
+    n_cb = int(math.floor(n_test * len(by_class[Label.CLICKBAIT]) / n + 0.5))
+    alloc = {Label.CLICKBAIT: n_cb, Label.NO_CLICKBAIT: n_test - n_cb}
 
     rng = named_rng(seed, "split")
     test_idx: set[int] = set()
@@ -371,12 +362,18 @@ def atomic_open(path: str, binary: bool = False):
     The data goes to a temporary file beside `path`, which replaces `path`
     (`os.replace`) when the block ends normally. When the block raises, the
     temporary file is removed and `path` is left as it was. Text mode is
-    UTF-8 and writes newlines untranslated.
+    UTF-8 and writes newlines untranslated. When the temporary file cannot
+    be made, the OSError names `path`, as `open(path, "w")` would.
     """
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="") as f:
+        f = open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="")
+    except OSError as e:
+        e.filename = path
+        raise
+    try:
+        with f:
             yield f
         os.replace(tmp, path)
     except BaseException:

@@ -43,10 +43,8 @@ from .text import Vocabulary
 CHECKPOINT_MAGIC = b"CBGRUCKPT1\n"
 CHECKPOINT_FORMAT = "cbgru-checkpoint"
 CHECKPOINT_VERSION = 1
-HEADER_KEYS = (
-    "d", "h", "max_len", "text_field", "dropout_embed", "dropout_gru_in", "dropout_gru_out",
-    "trainable_embedding", "vocab_tokens", "arrays",
-)
+# the training settings a header records, beside its vocabulary and array manifest
+SETTINGS = ("d", "h", "max_len", "text_field", "dropout_embed", "dropout_gru_in", "dropout_gru_out")
 # a header is the vocabulary plus about 2 KiB; a corrupt length must not size a read
 MAX_HEADER_BYTES = 1 << 28
 # longest token cutoff; the (N, max_len) id arrays scale with it (the paper uses 32)
@@ -340,39 +338,19 @@ def save_model(m: Model, vocab: Vocabulary, cfg, out: BinaryIO) -> None:
     """Write a self-describing binary checkpoint with deterministic bytes.
 
     `cfg` is the `train.TrainConfig` the model was trained with; the header
-    records its max_len, text_field and dropout rates. The arrays go out in
-    `_array_shapes` order, whatever the order of `m`.
+    (`_header`) records its max_len, text_field and dropout rates, and d and
+    h as the model's arrays have them. The arrays go out in `_array_shapes`
+    order, whatever the order of `m`, in the embedding's dtype.
     """
     h, d = m["fwd.W_r"].shape
-    arrays = [(name, m[name]) for name in _array_shapes(len(m["embedding"]), d, h)]
-    manifest = [
-        {
-            "name": name,
-            "dtype": arr.dtype.newbyteorder("<").str,
-            "shape": list(arr.shape),
-        }
-        for name, arr in arrays
-    ]
-    header = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "d": d,
-        "h": h,
-        "max_len": cfg.max_len,
-        "text_field": cfg.text_field,
-        "dropout_embed": cfg.dropout_embed,
-        "dropout_gru_in": cfg.dropout_gru_in,
-        "dropout_gru_out": cfg.dropout_gru_out,
-        "trainable_embedding": True,
-        "vocab_tokens": vocab.id_to_token[2:],
-        "arrays": manifest,
-    }
+    dtype = m["embedding"].dtype.newbyteorder("<").str
+    header = _header(vars(cfg) | {"d": d, "h": h}, vocab.id_to_token[2:], dtype)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     out.write(CHECKPOINT_MAGIC)
     out.write(struct.pack("<Q", len(blob)))
     out.write(blob)
-    for _, arr in arrays:
-        out.write(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes())
+    for entry in header["arrays"]:
+        out.write(np.ascontiguousarray(m[entry["name"]], dtype=dtype).tobytes())
 
 
 def _array_shapes(vocab_size: int, d: int, h: int) -> dict[str, tuple[int, ...]]:
@@ -387,8 +365,26 @@ def _array_shapes(vocab_size: int, d: int, h: int) -> dict[str, tuple[int, ...]]
     return shapes
 
 
+def _header(settings, tokens: list[str], dtype: str) -> dict:
+    """The whole v1 header: the `SETTINGS` of `settings`, the vocabulary after
+    PAD and UNK, and every array's name, `dtype` and shape. save_model writes
+    it; load_model requires each of its keys equal in the file's header,
+    rebuilt from that header's settings, tokens and first dtype."""
+    shapes = _array_shapes(len(tokens) + 2, settings["d"], settings["h"])
+    return {
+        "format": CHECKPOINT_FORMAT,
+        "version": CHECKPOINT_VERSION,
+        **{key: settings[key] for key in SETTINGS},
+        "trainable_embedding": True,
+        "vocab_tokens": tokens,
+        "arrays": [
+            {"name": name, "dtype": dtype, "shape": list(shape)} for name, shape in shapes.items()
+        ],
+    }
+
+
 def _read_header(inp: BinaryIO) -> dict:
-    """The JSON header after the magic bytes, with every key load_model reads."""
+    """The JSON header after the magic bytes, as `_header` rebuilds it."""
     prefix = inp.read(8)
     if len(prefix) != 8:
         raise DataError("checkpoint truncated in its header length")
@@ -409,7 +405,8 @@ def _read_header(inp: BinaryIO) -> dict:
             f"unsupported checkpoint format/version: "
             f"{header.get('format')!r} v{header.get('version')!r}"
         )
-    missing = [key for key in HEADER_KEYS if key not in header]
+    # the keys `_header` is rebuilt from, then the values it can be built from
+    missing = [key for key in (*SETTINGS, "vocab_tokens", "arrays") if key not in header]
     if missing:
         raise DataError(f"checkpoint header lacks {', '.join(missing)}")
     if not all(type(header[key]) is int and header[key] >= 1 for key in ("d", "h", "max_len")):
@@ -423,9 +420,28 @@ def _read_header(inp: BinaryIO) -> dict:
         raise DataError(
             f"checkpoint text_field {header['text_field']!r} is not one of {TEXT_FIELDS}"
         )
-    if header["trainable_embedding"] is not True:
-        raise DataError("checkpoint trainable_embedding must be true")
-    return header
+    arrays = header["arrays"]
+    first = arrays[0] if isinstance(arrays, list) and arrays else None
+    dtype = first.get("dtype") if isinstance(first, dict) else None
+    if dtype not in ("<f4", "<f8"):
+        raise DataError(f"checkpoint array dtype {dtype!r} is not <f4 or <f8")
+
+    expected = _header(header, tokens, dtype)
+    for key, want in expected.items():
+        got = header.get(key)
+        if got is want or got == want:  # vocab_tokens is the header's own list
+            continue
+        if key not in header:
+            raise DataError(f"checkpoint header lacks {key}")
+        if key == "arrays" and isinstance(got, list):
+            # name the first entry that differs by the array save_model writes there
+            for i, entry in enumerate(want):
+                listed = got[i] if i < len(got) else None
+                if listed != entry:
+                    key, got, want = f"array {entry['name']!r}", listed, entry
+                    break
+        raise DataError(f"checkpoint {key} is {got!r}, not {want!r}")
+    return expected
 
 
 def load_model(inp: BinaryIO) -> tuple[Model, Vocabulary, dict]:
@@ -434,9 +450,9 @@ def load_model(inp: BinaryIO) -> tuple[Model, Vocabulary, dict]:
     `inp.readinto` fills each array's own buffer in place, with no bytes copy.
 
     A checkpoint that is cut short or runs on past its last array, whose
-    header is not the v1 JSON or repeats a vocabulary token, or whose arrays
-    are not the ones save_model writes for the header's d, h and vocabulary,
-    in one dtype and finite, raises DataError.
+    header is not the one `_header` builds from its own settings, vocabulary
+    and dtype, or repeats a vocabulary token, or whose arrays are not all
+    finite, raises DataError.
     """
     magic = inp.read(len(CHECKPOINT_MAGIC))
     if magic != CHECKPOINT_MAGIC:
@@ -448,35 +464,14 @@ def load_model(inp: BinaryIO) -> tuple[Model, Vocabulary, dict]:
         # the dict keeps a repeated token's last id; its earlier ids could never be looked up
         repeated = next(tok for i, tok in enumerate(tokens, 2) if vocab.token_to_id[tok] != i)
         raise DataError(f"checkpoint vocab_tokens repeat {repeated!r}")
-    shapes = _array_shapes(len(tokens) + 2, header["d"], header["h"])
-    entries = header["arrays"] if isinstance(header["arrays"], list) else []
-    names = [entry.get("name") if isinstance(entry, dict) else None for entry in entries]
-    if names != list(shapes):
-        absent = [name for name in shapes if name not in names]
-        raise DataError(
-            f"checkpoint arrays are not the saved model's in order: "
-            f"{len(names)} listed, missing {absent}"
-        )
     arrays = {}
-    for entry in entries:
-        name, shape = entry["name"], shapes[entry["name"]]
-        if entry.get("shape") != list(shape):
-            raise DataError(
-                f"checkpoint array {name!r} has shape {entry.get('shape')}, not {list(shape)}"
-            )
-        if entry.get("dtype") not in ("<f4", "<f8"):
-            raise DataError(
-                f"checkpoint array {name!r} has dtype {entry.get('dtype')!r}, not <f4 or <f8"
-            )
-        if entry["dtype"] != entries[0]["dtype"]:
-            raise DataError(
-                f"checkpoint array {name!r} has dtype {entry['dtype']!r}, unlike 'embedding'"
-            )
+    for entry in header["arrays"]:
+        name, shape = entry["name"], entry["shape"]
         try:
             arrays[name] = np.empty(shape, dtype=entry["dtype"])
         except (MemoryError, ValueError) as e:  # ValueError: its byte count overflows
             raise DataError(
-                f"checkpoint array {name!r} of shape {list(shape)} is too large to allocate"
+                f"checkpoint array {name!r} of shape {shape} is too large to allocate"
             ) from e
         if inp.readinto(memoryview(arrays[name]).cast("B")) != arrays[name].nbytes:
             raise DataError(f"checkpoint truncated while reading {name!r}")
@@ -485,12 +480,7 @@ def load_model(inp: BinaryIO) -> tuple[Model, Vocabulary, dict]:
     if inp.read(1):
         raise DataError("checkpoint has bytes after its last array")
 
-    meta = {
-        "d": header["d"],
-        "h": header["h"],
-        "max_len": header["max_len"],
-        "text_field": header["text_field"],
-    }
+    meta = {key: header[key] for key in ("d", "h", "max_len", "text_field")}
     return arrays, vocab, meta
 
 

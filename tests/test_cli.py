@@ -930,6 +930,24 @@ class TestRepeatedId:
         assert not out.exists()
 
 
+class TestUnwritableOut:
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_missing_out_directory_is_one_line_data_error(self, work, tmp_path, capsys, command):
+        """Nothing on stdout, and the error names the --out path, not a temporary file."""
+        data, out = work / "data", tmp_path / "missing" / "out.json"
+        results_file(tmp_path / "results.jsonl",
+                     [(rec.id, judgment.mean) for rec, judgment in load_dataset(str(data))])
+        argv = {
+            "predict": ["predict", str(work / "run" / "model.ckpt"),
+                        "--instances", str(data / "instances.jsonl")],
+            "evaluate": ["evaluate", str(tmp_path / "results.jsonl"),
+                         "--truth", str(data / "truth.jsonl")],
+        }[command]
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err == f"data error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+
 class TestArgumentErrors:
     def test_unknown_flag_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -561,6 +561,8 @@ class TestStratifiedSplit:
         n = n_cb + n_ncb
         expected = min(max(int(math.floor(fraction * n + 0.5)), 1), n - 1)
         assert len(test) == expected
+        test_cb = sum(rec_id.startswith("c") for rec_id in test_ids)
+        assert test_cb == math.floor(expected * n_cb / n + 0.5)
 
 
 class TestDuplicates:

@@ -455,8 +455,9 @@ class TestCheckpoint:
         buf.seek(0)
         return buf, load_model(buf)
 
-    def test_bit_exact_roundtrip(self):
-        m = tiny_model(seed=9, dtype=np.float32)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_bit_exact_roundtrip(self, dtype):
+        m = tiny_model(seed=9, dtype=dtype)
         vocab = Vocabulary.from_tokens([f"w{i}" for i in range(8)])
         buf, (back, vocab2, meta) = self.roundtrip(m, vocab, rates(0.2, 0.0, 0.5, max_len=16))
         assert vocab2 == vocab
@@ -527,7 +528,9 @@ class TestCheckpoint:
             (lambda raw: with_header_blob(raw, b'{"d": "\xff"}'), "not UTF-8 JSON"),
             (lambda raw: with_header_blob(raw, b'{"format": "cbgru'), "not UTF-8 JSON"),
             (lambda raw: with_header_blob(raw, b"[1]"), "not a JSON object"),
+            (with_header_edit(lambda h: h.update(version=2)), "unsupported .* format/version"),
             (with_header_edit(lambda h: h.pop("h")), "lacks h$"),
+            (with_header_edit(lambda h: h.pop("dropout_gru_in")), "lacks dropout_gru_in$"),
             (with_header_edit(lambda h: h.update(d="4")), "positive integers"),
             (with_header_edit(lambda h: h.update(max_len=10**9)), "max_len 1000000000 exceeds"),
             # more than the 47-bit user address space, so it fails under any overcommit policy
@@ -535,28 +538,37 @@ class TestCheckpoint:
             (with_dim(2**62), "'embedding' of shape .* is too large"),
             (with_header_edit(lambda h: h["vocab_tokens"].append(3)), "list of strings"),
             (with_header_edit(lambda h: h["vocab_tokens"].__setitem__(5, "w2")), "repeat 'w2'$"),
-            (with_header_edit(lambda h: h["arrays"].pop()), r"missing \['head.b'\]"),
+            (with_header_edit(lambda h: h["arrays"].pop()), "'head.b' is None, not"),
             (with_header_edit(lambda h: h["arrays"][1].update(name="fwd.W_x")), "fwd.W_r"),
-            (with_header_edit(lambda h: h["arrays"][4].update(shape=[3, 4])), "'fwd.U_r' has"),
-            (with_header_edit(lambda h: h["vocab_tokens"].pop()), "'embedding' has shape"),
+            (
+                with_header_edit(lambda h: h["arrays"][4].update(shape=[3, 4])),
+                r"'fwd.U_r' is .*\[3, 4\]",
+            ),
+            (with_header_edit(lambda h: h["vocab_tokens"].pop()), r"'embedding' is .*\[10, 4\]"),
             (with_header_edit(lambda h: h["arrays"][0].update(dtype="|O")), "dtype"),
             (with_header_edit(lambda h: h.update(trainable_embedding=False)), "trainable"),
+            (
+                with_header_edit(lambda h: h.pop("trainable_embedding")),
+                "lacks trainable_embedding$",
+            ),
+            (with_header_edit(lambda h: h["arrays"][2].update(order="C")), "'fwd.W_z' is"),
             (with_header_edit(lambda h: h.update(text_field="postMedia")), "'postMedia'"),
             (lambda raw: raw + b"garbage", "bytes after its last array"),
             (lambda raw: raw[:-4] + struct.pack("<f", math.nan), "'head.b' holds a non-finite"),
             (
                 lambda raw: HEAD_B_AS_F8(raw)[:-4] + struct.pack("<d", 0.5),
-                "'head.b' has dtype '<f8', unlike 'embedding'",
+                "'head.b' is {'dtype': '<f8'",
             ),
         ]
         + [(one_byte_short_in(name), f"truncated while reading '{name}'$") for name in ARRAY_NAMES],
         ids=[
             "short-length-prefix", "cut-header", "huge-header-length", "non-utf8-header",
-            "non-json-header", "header-not-object", "missing-key", "d-not-integer", "huge-max-len",
+            "non-json-header", "header-not-object", "version-2", "missing-key",
+            "missing-dropout-rate", "d-not-integer", "huge-max-len",
             "huge-d", "d-overflows-size",
             "vocab-not-strings", "vocab-repeats-token", "array-omitted", "array-renamed",
             "shape-differs-from-h", "shape-differs-from-vocab", "dtype-not-float",
-            "embedding-not-trainable",
+            "embedding-not-trainable", "missing-trainable-embedding", "array-entry-extra-key",
             "unknown-text-field", "trailing-bytes", "nan-in-head.b", "mixed-dtypes",
         ]
         + [f"cut-in-{name}" for name in ARRAY_NAMES],
