@@ -2,6 +2,7 @@
 """A/B pairs of the benchmark: two checkouts, alternating, end-to-end metrics compared.
 
     python3 scripts/bench_pairs.py --parent ../base --change . --workload score --pairs 10 --seed 1
+    python3 scripts/bench_pairs.py --record BENCH_1.json --change . --seed 1
 
 Runs `bench/run.py --trace 0` in each checkout for `BENCHMARK.json`'s
 `run_seconds`, `--pairs` times each; within a pair the side that runs first
@@ -14,6 +15,16 @@ whether the change's median is worse than the parent's by more than the
 metric's relative `bound` (what a change that claims no gain is held to). It
 also prints each side's failed operation counts. Writes to standard output
 only; each benchmark run keeps its own input cache in its checkout.
+
+With `--record PATH` it measures the `--change` checkout alone and writes a
+JSON record to PATH. For each workload (`--workload`, or every one that
+`BENCHMARK.json` lists) it does one run it throws away, because the first run
+after `bench/run.py` generates its inputs reads a high `peak_rss_mb`; then
+`--runs` runs at `--trace 0` and one at `--trace 1`. The record holds the
+checkout's git revision, and per workload the `environment` line of its first
+kept run, each end-to-end metric's median, quartiles and values, the
+per-layer values and the spans the traced run found missing, and every kept
+run's attempted and failed operation counts.
 """
 
 import argparse
@@ -24,15 +35,23 @@ import subprocess
 import sys
 
 
-def run_bench(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """The result object `bench/run.py` prints last, from one run in `checkout`."""
+def run_bench(checkout: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """The result object `bench/run.py` prints last, from one run in `checkout`,
+    with the `environment` object and `missing_spans` list it prints before."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
         sys.exit(f"{checkout}: bench/run.py exited {proc.returncode}\n{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["missing_spans"] = []
+    for line in lines:
+        if line.startswith("environment "):
+            result["environment"] = json.loads(line.removeprefix("environment "))
+        elif line.startswith("missing spans "):
+            result["missing_spans"] = line.removeprefix("missing spans ").split(", ")
+    return result
 
 
 def value(result: dict, name: str) -> float | None:
@@ -47,16 +66,69 @@ def spread(values: list[float]) -> tuple[float, float, float]:
     return median, q1, q3
 
 
+def revision(checkout: str) -> str | None:
+    """The checkout's git commit, with "-dirty" if tracked files differ from it."""
+    try:
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True,
+                              text=True, check=True).stdout.strip()
+        dirty = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
+                               cwd=checkout, capture_output=True, text=True, check=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return head + ("-dirty" if dirty.strip() else "")
+
+
+def record(args, spec: dict) -> dict:
+    """Warm-up, `args.runs` runs at --trace 0 and one at --trace 1 per workload."""
+    seconds = spec["run_seconds"]
+    workloads = [args.workload] if args.workload else [w["name"] for w in spec["workloads"]]
+    out = {"revision": revision(args.change), "seed": args.seed, "runs": args.runs,
+           "run_seconds": seconds, "workloads": {}}
+    for workload in workloads:
+        run_bench(args.change, workload, args.seed, seconds)  # warm-up, thrown away
+        runs = []
+        for i in range(args.runs):
+            runs.append(run_bench(args.change, workload, args.seed, seconds))
+            print(f"{workload} run {i + 1}/{args.runs}: failed {runs[-1]['failed']}"
+                  f"/{runs[-1]['attempted']}", flush=True)
+        traced = run_bench(args.change, workload, args.seed, seconds, trace=1)
+        end_to_end = {}
+        for metric in spec["end_to_end"]:
+            values = [v for v in (value(r, metric["name"]) for r in runs) if v is not None]
+            median, q1, q3 = spread(values) if values else (None, None, None)
+            end_to_end[metric["name"]] = {"unit": metric["unit"], "median": median, "q1": q1,
+                                          "q3": q3, "values": values}
+        out["workloads"][workload] = {
+            "environment": runs[0]["environment"],
+            "end_to_end": end_to_end,
+            "per_layer": traced["metrics"],
+            "missing_spans": traced["missing_spans"],
+            "attempted": [r["attempted"] for r in runs + [traced]],
+            "failed": [r["failed"] for r in runs + [traced]],
+        }
+    return out
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", required=True, help="checkout measured as the baseline")
-    ap.add_argument("--change", required=True, help="checkout measured against it")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--parent", help="checkout measured as the baseline")
+    ap.add_argument("--change", default=".", help="checkout measured against it, or recorded")
+    ap.add_argument("--workload", help="required for pairs; a record defaults to all")
+    ap.add_argument("--pairs", type=int)
     ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--record", metavar="PATH", help="write a record of --change to PATH")
+    ap.add_argument("--runs", type=int, default=5, help="--trace 0 runs per workload in a record")
     args = ap.parse_args()
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as f:
         spec = json.load(f)
+    if args.record:
+        rec = record(args, spec)
+        with open(args.record, "w", encoding="utf-8") as f:
+            json.dump(rec, f, indent=1, sort_keys=True)
+            f.write("\n")
+        return 0
+    if not (args.parent and args.workload and args.pairs):
+        ap.error("pairs need --parent, --workload and --pairs")
     seconds = spec["run_seconds"]
 
     results: dict[str, list[dict]] = {"parent": [], "change": []}

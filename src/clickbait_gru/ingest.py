@@ -184,6 +184,10 @@ def snap_to_level(value: float) -> float:
     raise DataError(f"judgment value {value!r} is not one of the four score levels")
 
 
+# a line's score types when it may skip the per-score checks; ints and bools never do
+_FLOAT_ONLY = frozenset({float})
+
+
 def derive_label(median: float) -> Label:
     """Binary label from the median judgment score: clickbait iff median >= 0.5."""
     level = snap_to_level(median)
@@ -195,24 +199,38 @@ def parse_truth(stream: Iterable[str]) -> list[tuple[str, Judgment]]:
 
     Validation per line: exactly five scores, each at one of the four levels;
     stored mean and median finite numbers consistent with the scores to 1e-3;
-    known class string; an id no earlier line has.
+    known class string; an id no earlier line has. A line of five floats that
+    earlier lines of the file already passed skips the per-score checks: the
+    checks depend only on the value, so the outcome is the same.
     """
     out = []
+    accepted = set()  # float scores snap_to_level accepted on an earlier line
     for lineno, rec_id, obj in read_objects(stream):
         scores = obj.get("truthJudgments")
-        if not isinstance(scores, list) or len(scores) != 5:
-            raise ParseError(
-                f"expected exactly 5 judgment scores, got {scores!r}", line=lineno
-            )
-        numbers = tuple(map(finite_number, scores))
-        if None in numbers:
-            raise ParseError(f"judgment scores must be finite numbers, got {scores!r}", line=lineno)
-        scores = numbers
-        try:
-            for s in scores:
-                snap_to_level(s)
-        except DataError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
+        if (
+            type(scores) is list
+            and len(scores) == 5
+            and _FLOAT_ONLY.issuperset(map(type, scores))
+            and accepted.issuperset(scores)
+        ):
+            scores = tuple(scores)  # the line's own floats, so -0.0 stays -0.0
+        else:
+            if not isinstance(scores, list) or len(scores) != 5:
+                raise ParseError(
+                    f"expected exactly 5 judgment scores, got {scores!r}", line=lineno
+                )
+            numbers = tuple(map(finite_number, scores))
+            if None in numbers:
+                raise ParseError(
+                    f"judgment scores must be finite numbers, got {scores!r}", line=lineno
+                )
+            scores = numbers
+            try:
+                for s in scores:
+                    snap_to_level(s)
+            except DataError as exc:
+                raise ParseError(str(exc), line=lineno) from exc
+            accepted.update(scores)
 
         mean = finite_number(obj.get("truthMean"))
         median = finite_number(obj.get("truthMedian"))

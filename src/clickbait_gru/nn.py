@@ -44,7 +44,8 @@ CHECKPOINT_MAGIC = b"CBGRUCKPT1\n"
 CHECKPOINT_FORMAT = "cbgru-checkpoint"
 CHECKPOINT_VERSION = 1
 # the training settings a header records, beside its vocabulary and array manifest
-SETTINGS = ("d", "h", "max_len", "text_field", "dropout_embed", "dropout_gru_in", "dropout_gru_out")
+DROPOUT_RATES = ("dropout_embed", "dropout_gru_in", "dropout_gru_out")
+SETTINGS = ("d", "h", "max_len", "text_field", *DROPOUT_RATES)
 # a header is the vocabulary plus about 2 KiB; a corrupt length must not size a read
 MAX_HEADER_BYTES = 1 << 28
 # longest token cutoff; the (N, max_len) id arrays scale with it (the paper uses 32)
@@ -383,6 +384,11 @@ def _header(settings, tokens: list[str], dtype: str) -> dict:
     }
 
 
+def _same_json(a, b) -> bool:
+    """Whether `a` and `b` are the same JSON text: unlike ==, 1, 1.0 and true differ."""
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
 def _read_header(inp: BinaryIO) -> dict:
     """The JSON header after the magic bytes, as `_header` rebuilds it."""
     prefix = inp.read(8)
@@ -420,6 +426,10 @@ def _read_header(inp: BinaryIO) -> dict:
         raise DataError(
             f"checkpoint text_field {header['text_field']!r} is not one of {TEXT_FIELDS}"
         )
+    for key in DROPOUT_RATES:  # `_header` copies them as they are, so check them here
+        rate = header[key]
+        if type(rate) not in (int, float) or not 0.0 <= rate < 1.0:
+            raise DataError(f"checkpoint {key} {rate!r} is not a number in [0, 1)")
     arrays = header["arrays"]
     first = arrays[0] if isinstance(arrays, list) and arrays else None
     dtype = first.get("dtype") if isinstance(first, dict) else None
@@ -429,7 +439,7 @@ def _read_header(inp: BinaryIO) -> dict:
     expected = _header(header, tokens, dtype)
     for key, want in expected.items():
         got = header.get(key)
-        if got is want or got == want:  # vocab_tokens is the header's own list
+        if got is want or _same_json(got, want):  # vocab_tokens is the header's own list
             continue
         if key not in header:
             raise DataError(f"checkpoint header lacks {key}")
@@ -437,7 +447,7 @@ def _read_header(inp: BinaryIO) -> dict:
             # name the first entry that differs by the array save_model writes there
             for i, entry in enumerate(want):
                 listed = got[i] if i < len(got) else None
-                if listed != entry:
+                if not _same_json(listed, entry):
                     key, got, want = f"array {entry['name']!r}", listed, entry
                     break
         raise DataError(f"checkpoint {key} is {got!r}, not {want!r}")

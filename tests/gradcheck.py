@@ -6,8 +6,11 @@ complex-step derivative, Im loss(x + ih) / h, which subtracts nothing and so
 gives the derivative to rounding at any tiny h (Squire & Trapp, SIAM Review
 1998; Martins, Sturdza & Alonso, ACM TOMS 2003). That needs every op on the
 forward path to be analytic: `abs`, `maximum` or `clip` on values would break
-it. `dense` turns a row-sparse embedding gradient into the full (V, d) array
-it stands for, so tests can compare it whole.
+it. Both take one forward pass per element, so they run on tiny models;
+`directional_complex_step_check` takes one per array, Im loss(x + ihv) / h
+against the gradient's inner product with v, and so runs at paper scale.
+`dense` turns a row-sparse embedding gradient into the full (V, d) array it
+stands for, so tests can compare it whole.
 """
 
 from dataclasses import dataclass
@@ -135,4 +138,37 @@ def complex_step_check(
         a = dense(analytic[name])
         rel = np.abs(a - n) / np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-6)
         per_array[name] = float(rel.max())
+    return GradCheckReport(per_array=per_array, tolerance=tolerance)
+
+
+def directional_complex_step_check(
+    m: Model,
+    ids: np.ndarray,
+    lengths: np.ndarray,
+    targets: np.ndarray,
+    masks: DropoutMasks | None = None,
+    tolerance: float = 1e-10,
+    seed: int = 0,
+    analytic: dict | None = None,
+) -> GradCheckReport:
+    """Compare, per array, the inner product of `backprop`'s gradient (or of
+    `analytic`, when given) with a random direction v, standard normal per
+    element and drawn from `seed`, to the directional complex-step
+    derivative Im loss(x + ihv) / h. The relative error is
+    |a - n| / max(|a|, |n|), and 0 when both are 0."""
+    if m["embedding"].dtype != np.float64:
+        raise ValueError("directional_complex_step_check needs a float64 model")
+    if analytic is None:
+        _, analytic = backprop(m, ids, lengths, targets, masks=masks)
+    rng = np.random.default_rng(seed)
+    cm = {name: arr.astype(np.complex128) for name, arr in m.items()}
+    per_array = {}
+    for name, arr in m.items():
+        v = rng.standard_normal(arr.shape)
+        cm[name] = arr + 1j * COMPLEX_STEP * v
+        preds, _ = forward_batch(cm, ids, lengths, masks=masks)
+        cm[name] = arr.astype(np.complex128)
+        n = np.mean((preds - targets) ** 2).imag / COMPLEX_STEP
+        a = float(np.vdot(dense(analytic[name]), v))
+        per_array[name] = abs(a - n) / max(abs(a), abs(n), np.finfo(np.float64).tiny)
     return GradCheckReport(per_array=per_array, tolerance=tolerance)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clickbait_gru import ingest
 from clickbait_gru.cli import _parse_results
 from clickbait_gru.errors import DataError, ParseError
 from clickbait_gru.ingest import (
@@ -313,6 +314,35 @@ def outcome(fn, *args):
         return type(exc), str(exc), getattr(exc, "line", None)
 
 
+THIRD, TWO_THIRDS = 1 / 3, 2 / 3
+# valid score lines in which each value comes back: -0.0 before 0.0 and after it,
+# ints beside floats of the same value, and respellings within the level tolerance
+MEMO_ROWS = [
+    (-0.0, THIRD, TWO_THIRDS, 1.0, 1.0),
+    (0.0, THIRD, TWO_THIRDS, 1.0, 1.0),
+    (0.0, 0.0, THIRD, TWO_THIRDS, 1.0),
+    (-0.0, -0.0, THIRD, THIRD, 1.0),
+    (1, 1.0, 0.0, THIRD, TWO_THIRDS),
+    (1, 1, 1, 1, 1),
+    (1.0, 1.0, 1.0, 1.0, 1.0),
+    (0, 0.0, -0.0, 0, THIRD),
+    (0.0, -0.0, 0.0, -0.0, 0.0),
+    (0.3334, THIRD, TWO_THIRDS, 1.0, 0.0),
+    (0.3334, 0.3334, 0.0, -0.0, 1.0),
+    (0.33333, 0.3334, THIRD, 0.0, 1.0),
+    (0.66667, 0.6667, 1.0, 0.0, THIRD),
+    (0.66667, 0.6667, TWO_THIRDS, TWO_THIRDS, TWO_THIRDS),
+    (1e-3, -1e-3, 0.0, 0.0, -0.0),
+    (-1e-3, 1e-3, 1.001, 0.9991, 1.0),
+    (1.001, 0.9991, 1, 0, -0.0),
+    (THIRD, TWO_THIRDS, 0.33333, 0.66667, 0.6667),
+    (1.0, 0.0, -0.0, 1, 0),
+    (0.0, 0.0, 0.0, 0.0, 0.0),
+    (-0.0, -0.0, -0.0, -0.0, -0.0),
+    (0.9991, 0.9991, 0.9991, 0.9991, 0.9991),
+]
+
+
 class TestAgainstReference:
     """The parsers against the line-by-line references they replaced."""
 
@@ -345,6 +375,58 @@ class TestAgainstReference:
         text = jsonl(data.draw(st.lists(instance_objects(), max_size=6)), data.draw)
         got = outcome(parse_instances, io.StringIO(text))
         assert got == outcome(naive_parse_instances, io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "tail, overrides",
+        [
+            (None, {}),
+            ((True, 1.0, 0.0, THIRD, TWO_THIRDS), {}),
+            ((0.0, False, 0.0, 0.0, 0.0), {}),
+            ((math.nan, THIRD, TWO_THIRDS, 1.0, 0.0), {}),
+            ((math.inf, THIRD, TWO_THIRDS, 1.0, 0.0), {}),
+            ((0.0, 0.0, 1.0, 1.0, -math.inf), {}),
+            ((0.335, THIRD, TWO_THIRDS, 1.0, 0.0), {}),
+            ((0.3334, THIRD, TWO_THIRDS, 1.0), {}),
+            ((0.3334, THIRD, TWO_THIRDS, 1.0, 0.0), {"truthMean": 0.9}),
+            ((0.3334, THIRD, TWO_THIRDS, 1.0, 0.0), {"truthMedian": -0.0}),
+            ((0.3334, THIRD, TWO_THIRDS, 1.0, 0.0), {"truthClass": "maybe"}),
+        ],
+        ids=["valid", "true", "false", "nan", "infinity", "minus-infinity", "off-level",
+             "four-scores", "bad-mean", "bad-median", "bad-class"],
+    )
+    def test_parse_truth_across_repeated_scores(self, tail, overrides):
+        """Every score value comes back on later lines, as a float, an int, a
+        bool, with the other zero sign, respelled within and beyond the level
+        tolerance, and as NaN or an infinity; the last line is the one under test."""
+        rows = MEMO_ROWS + ([] if tail is None else [tail])
+        lines = [truth_line(f"t{i}", scores) for i, scores in enumerate(rows)]
+        if overrides:
+            lines[-1] = truth_line(f"t{len(rows) - 1}", rows[-1], **overrides)
+        text = "\n".join(lines) + "\n"
+        got = outcome(parse_truth, io.StringIO(text))
+        assert got == outcome(naive_parse_truth, io.StringIO(text))
+        if tail is None:
+            assert [s for _, j in got for s in j.scores] == [s for row in rows for s in row]
+            for (_, j), row in zip(got, rows):
+                assert [type(s) for s in j.scores] == [float] * 5  # ints are read as floats
+                assert [math.copysign(1.0, s) for s in j.scores] == [
+                    math.copysign(1.0, s) for s in row
+                ]
+        else:
+            assert got[2] == len(rows)
+
+    def test_parse_truth_checks_a_repeated_float_once(self, monkeypatch):
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return snap_to_level(value)
+
+        monkeypatch.setattr(ingest, "snap_to_level", counted)
+        rows = [(0.0, 0.0, THIRD, TWO_THIRDS, 1.0)] * 8 + [(1, 0.0, 0.0, THIRD, TWO_THIRDS)]
+        text = "\n".join(truth_line(f"t{i}", row) for i, row in enumerate(rows)) + "\n"
+        assert len(parse_truth(io.StringIO(text))) == len(rows)
+        assert len(calls) == 10  # the first line's five, and the int line's five
 
     def test_unhashable_truth_class_is_the_same_parse_error(self):
         for raw in ([1], {"a": 1}, None, 1, 0.5):

@@ -529,6 +529,8 @@ class TestCheckpoint:
             (lambda raw: with_header_blob(raw, b'{"format": "cbgru'), "not UTF-8 JSON"),
             (lambda raw: with_header_blob(raw, b"[1]"), "not a JSON object"),
             (with_header_edit(lambda h: h.update(version=2)), "unsupported .* format/version"),
+            (with_header_edit(lambda h: h.update(version=True)), "version is True, not 1$"),
+            (with_header_edit(lambda h: h.update(version=1.0)), "version is 1.0, not 1$"),
             (with_header_edit(lambda h: h.pop("h")), "lacks h$"),
             (with_header_edit(lambda h: h.pop("dropout_gru_in")), "lacks dropout_gru_in$"),
             (with_header_edit(lambda h: h.update(d="4")), "positive integers"),
@@ -545,8 +547,28 @@ class TestCheckpoint:
                 r"'fwd.U_r' is .*\[3, 4\]",
             ),
             (with_header_edit(lambda h: h["vocab_tokens"].pop()), r"'embedding' is .*\[10, 4\]"),
+            (
+                with_header_edit(lambda h: h["arrays"][1].update(shape=[3.0, 4.0])),
+                r"'fwd.W_r' is .*\[3\.0, 4\.0\]",
+            ),
             (with_header_edit(lambda h: h["arrays"][0].update(dtype="|O")), "dtype"),
             (with_header_edit(lambda h: h.update(trainable_embedding=False)), "trainable"),
+            (
+                with_header_edit(lambda h: h.update(trainable_embedding=1)),
+                "trainable_embedding is 1, not True$",
+            ),
+            (
+                with_header_edit(lambda h: h.update(dropout_embed="x")),
+                r"dropout_embed 'x' is not a number in \[0, 1\)$",
+            ),
+            (
+                with_header_edit(lambda h: h.update(dropout_embed=1.5)),
+                r"dropout_embed 1.5 is not a number in \[0, 1\)$",
+            ),
+            (
+                with_header_edit(lambda h: h.update(dropout_gru_out=False)),
+                r"dropout_gru_out False is not a number in \[0, 1\)$",
+            ),
             (
                 with_header_edit(lambda h: h.pop("trainable_embedding")),
                 "lacks trainable_embedding$",
@@ -563,12 +585,14 @@ class TestCheckpoint:
         + [(one_byte_short_in(name), f"truncated while reading '{name}'$") for name in ARRAY_NAMES],
         ids=[
             "short-length-prefix", "cut-header", "huge-header-length", "non-utf8-header",
-            "non-json-header", "header-not-object", "version-2", "missing-key",
-            "missing-dropout-rate", "d-not-integer", "huge-max-len",
+            "non-json-header", "header-not-object", "version-2", "version-true", "version-float",
+            "missing-key", "missing-dropout-rate", "d-not-integer", "huge-max-len",
             "huge-d", "d-overflows-size",
             "vocab-not-strings", "vocab-repeats-token", "array-omitted", "array-renamed",
-            "shape-differs-from-h", "shape-differs-from-vocab", "dtype-not-float",
-            "embedding-not-trainable", "missing-trainable-embedding", "array-entry-extra-key",
+            "shape-differs-from-h", "shape-differs-from-vocab", "shape-of-floats", "dtype-not-float",
+            "embedding-not-trainable", "trainable-embedding-int", "dropout-not-number",
+            "dropout-out-of-range", "dropout-bool", "missing-trainable-embedding",
+            "array-entry-extra-key",
             "unknown-text-field", "trailing-bytes", "nan-in-head.b", "mixed-dtypes",
         ]
         + [f"cut-in-{name}" for name in ARRAY_NAMES],

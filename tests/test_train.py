@@ -35,7 +35,13 @@ from clickbait_gru.train import (
     write_history,
 )
 from conftest import make_judgment, make_record, synth_dataset, tiny_model
-from gradcheck import complex_step_check, complex_step_gradient, dense, grad_check
+from gradcheck import (
+    complex_step_check,
+    complex_step_gradient,
+    dense,
+    directional_complex_step_check,
+    grad_check,
+)
 
 
 # (ids, lengths, targets), as encode_dataset returns them
@@ -369,6 +375,49 @@ class TestComplexStep:
         m = tiny_model(seed=3, dtype=np.float32)
         with pytest.raises(ValueError, match="float64"):
             complex_step_check(m, *SMALL_BATCH)
+        with pytest.raises(ValueError, match="float64"):
+            directional_complex_step_check(m, *SMALL_BATCH)
+
+
+@pytest.fixture(scope="module")
+def paper_scale_case():
+    """A float64 model at the paper's d = 100 and h = 128 over V = 2000, and
+    one training batch of B = 64 posts at max_len 32 with real dropout masks.
+    Lengths include 0, 1 and 32, and ids come from 50 values, so many
+    embedding rows sum gradients from several tokens."""
+    rng = np.random.default_rng(11)
+    m = init_model(rng.normal(0.0, 0.3, (2000, 100)), 128, seed=11)
+    for name, arr in m.items():
+        if ".b_" in name or name == "head.b":
+            arr[:] = rng.normal(0.0, 0.1, arr.shape)
+    lengths = np.concatenate([[0, 1, 32, 32], rng.integers(0, 33, 60)])
+    ids = rng.choice(rng.choice(np.arange(2, 2000), 50, replace=False), (64, 32))
+    ids[np.arange(32) >= lengths[:, None]] = 0
+    targets = rng.uniform(0.0, 1.0, 64)
+    masks = make_dropout_masks(m, TrainConfig(), lengths, 32, named_rng(11, "dropout"))
+    return m, (ids.astype(np.int32), lengths, targets), masks
+
+
+class TestDirectionalComplexStep:
+    """`backprop` at the shapes the program trains at, one direction per array."""
+
+    def test_paper_scale_gradients(self, paper_scale_case):
+        m, batch, masks = paper_scale_case
+        report = directional_complex_step_check(m, *batch, masks=masks, tolerance=1e-10)
+        assert set(report.per_array) == set(m)
+        assert report.passed, report.per_array
+
+    def test_planted_error_fails(self, paper_scale_case):
+        """An error of 1e-7 of the largest |g| in one element of one array."""
+        m, batch, masks = paper_scale_case
+        _, grads = backprop(m, *batch, masks=masks)
+        g = grads["fwd.U_z"]
+        g.flat[np.argmax(np.abs(g))] += 1e-7 * np.abs(g).max()
+        report = directional_complex_step_check(
+            m, *batch, masks=masks, tolerance=1e-10, analytic=grads
+        )
+        assert not report.passed
+        assert max(report.per_array, key=report.per_array.get) == "fwd.U_z"
 
 
 class TestRmsprop:
