@@ -20,7 +20,7 @@ With `--record PATH` it measures the `--change` checkout alone and writes a
 JSON record to PATH. For each workload (`--workload`, or every one that
 `BENCHMARK.json` lists) it does one run it throws away, because the first run
 after `bench/run.py` generates its inputs reads a high `peak_rss_mb`; then
-`--runs` runs at `--trace 0` and one at `--trace 1`. The record holds the
+`RUNS` runs at `--trace 0` and one at `--trace 1`. The record holds the
 checkout's git revision, and per workload the `environment` line of its first
 kept run, each end-to-end metric's median, quartiles and values, the
 per-layer values and the spans the traced run found missing, and every kept
@@ -34,6 +34,7 @@ import statistics
 import subprocess
 import sys
 
+RUNS = 5  # --trace 0 runs per workload in a record
 
 def run_bench(checkout: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """The result object `bench/run.py` prints last, from one run in `checkout`,
@@ -79,17 +80,17 @@ def revision(checkout: str) -> str | None:
 
 
 def record(args, spec: dict) -> dict:
-    """Warm-up, `args.runs` runs at --trace 0 and one at --trace 1 per workload."""
+    """Warm-up, `RUNS` runs at --trace 0 and one at --trace 1 per workload."""
     seconds = spec["run_seconds"]
     workloads = [args.workload] if args.workload else [w["name"] for w in spec["workloads"]]
-    out = {"revision": revision(args.change), "seed": args.seed, "runs": args.runs,
+    out = {"revision": revision(args.change), "seed": args.seed, "runs": RUNS,
            "run_seconds": seconds, "workloads": {}}
     for workload in workloads:
         run_bench(args.change, workload, args.seed, seconds)  # warm-up, thrown away
         runs = []
-        for i in range(args.runs):
+        for i in range(RUNS):
             runs.append(run_bench(args.change, workload, args.seed, seconds))
-            print(f"{workload} run {i + 1}/{args.runs}: failed {runs[-1]['failed']}"
+            print(f"{workload} run {i + 1}/{RUNS}: failed {runs[-1]['failed']}"
                   f"/{runs[-1]['attempted']}", flush=True)
         traced = run_bench(args.change, workload, args.seed, seconds, trace=1)
         end_to_end = {}
@@ -117,7 +118,6 @@ def main() -> int:
     ap.add_argument("--pairs", type=int)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--record", metavar="PATH", help="write a record of --change to PATH")
-    ap.add_argument("--runs", type=int, default=5, help="--trace 0 runs per workload in a record")
     args = ap.parse_args()
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as f:
         spec = json.load(f)

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import NumericError
 from .ingest import TEXT_FIELDS, LabeledDataset, PostRecord
 from .nn import (
+    DROPOUT_RATES,
     MAX_LEN_LIMIT,
     WIDTH_LIMIT,
     DropoutMasks,
@@ -36,9 +37,7 @@ from .text import PAD_ID, Vocabulary, encode, tokenize
 
 CLIP_LIMIT = 5.0
 INT_FIELDS = ("batch_size", "epochs", "d", "h", "max_len", "seed")
-FLOAT_FIELDS = (
-    "learning_rate", "rho", "epsilon", "dropout_embed", "dropout_gru_in", "dropout_gru_out",
-)
+FLOAT_FIELDS = ("learning_rate", "rho", "epsilon", *DROPOUT_RATES)
 
 
 @dataclass
@@ -83,7 +82,7 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for name in ("dropout_embed", "dropout_gru_in", "dropout_gru_out"):
+        for name in DROPOUT_RATES:
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {rate}")
