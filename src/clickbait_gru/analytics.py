@@ -20,7 +20,7 @@ from .ingest import (
     JUDGMENT_LEVELS,
     Label,
     LabeledDataset,
-    atomic_open,
+    atomic_files,
     find_duplicate_posts,
     snap_to_level,
     validate_label_rule,
@@ -118,7 +118,7 @@ def score_histogram(ds: LabeledDataset, bins: int) -> Histogram:
     return Histogram(bin_edges=edges, per_class=per_class)
 
 
-def length_distribution(ds: LabeledDataset, bin_width: int = 10) -> Histogram:
+def length_distribution(ds: LabeledDataset, bin_width: int) -> Histogram:
     """Post character lengths binned per class, as percentages within the class.
 
     Length is the character count of the joined post text; empty posts land in
@@ -156,7 +156,7 @@ def write_analytics(ds: LabeledDataset, out_dir: str) -> None:
     SCORE_BINS score-histogram bins and LENGTH_BIN_WIDTH-character length bins.
 
     Output bytes are a pure function of the dataset, so reruns are identical;
-    all six are rendered before the first is written, so a data error writes none.
+    all six are written together by `atomic_files`, so an error writes none.
     """
     total, clickbait, non_clickbait = class_counts(ds)
     counts = {
@@ -200,6 +200,6 @@ def write_analytics(ds: LabeledDataset, out_dir: str) -> None:
     ])
 
     os.makedirs(out_dir, exist_ok=True)
-    for name, payload in payloads.items():
-        with atomic_open(os.path.join(out_dir, name), binary=True) as f:
+    with atomic_files(*(os.path.join(out_dir, name) for name in payloads)) as files:
+        for f, payload in zip(files, payloads.values()):
             f.write(payload)

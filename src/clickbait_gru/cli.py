@@ -22,7 +22,7 @@ from .ingest import (
     JSON_WHITESPACE,
     TEXT_FIELDS,
     TRUTH_FILENAME,
-    atomic_open,
+    atomic_files,
     build_dataset,
     finite_number,
     load_dataset,
@@ -123,8 +123,9 @@ def _lines_by_id(ids, lines: list[str]) -> dict[str, str]:
 
 def cmd_split(args) -> int:
     """Each part holds its posts' input lines as read, in truth-file order; all
-    four files are rendered before either directory is made. The three
-    directories must differ, so no output overwrites the input or the other."""
+    four files are rendered before either directory is made, then written all
+    or none. The three directories must differ, so no output overwrites the
+    input or the other."""
     dirs = {os.path.realpath(d) for d in (args.dataset_dir, args.train_out, args.test_out)}
     if len(dirs) < 3:
         raise ValueError("split needs three different directories: dataset, train and test")
@@ -139,16 +140,16 @@ def cmd_split(args) -> int:
         INSTANCES_FILENAME: _lines_by_id((rec.id for rec in records), instance_lines),
         TRUTH_FILENAME: _lines_by_id((rec_id for rec_id, _ in truths), truth_lines),
     }
-    outputs = [
-        (os.path.join(directory, name), "".join(lines[rec.id] for rec, _ in part))
+    outputs = {
+        os.path.join(directory, name): "".join(lines[rec.id] for rec, _ in part)
         for directory, part in ((args.train_out, train), (args.test_out, test))
         for name, lines in by_file.items()
-    ]
+    }
     for directory in (args.train_out, args.test_out):
         os.makedirs(directory, exist_ok=True)
-    for path, text in outputs:
-        with atomic_open(path) as f:
-            f.write(text)
+    with atomic_files(*outputs) as files:
+        for f, text in zip(files, outputs.values()):
+            f.write(text.encode("utf-8"))
     print(f"train: {len(train)} records, test: {len(test)} records")
     return EXIT_OK
 
@@ -188,13 +189,13 @@ def cmd_train(args) -> int:
         embeddings, matched = load_glove(f, vocab, cfg.d, seed=cfg.seed)
     model, history = fit(train_ds, valid_ds, cfg, vocab, embeddings)
 
-    history_csv = io.StringIO()  # rendered first, so a failure here writes neither file
-    write_history(history, history_csv)
     os.makedirs(args.out, exist_ok=True)
-    with atomic_open(os.path.join(args.out, CHECKPOINT_FILENAME), binary=True) as f:
-        save_model(model, vocab, cfg, f)
-    with atomic_open(os.path.join(args.out, HISTORY_FILENAME)) as f:
-        f.write(history_csv.getvalue())
+    paths = (os.path.join(args.out, CHECKPOINT_FILENAME), os.path.join(args.out, HISTORY_FILENAME))
+    with atomic_files(*paths) as (checkpoint, history_file):
+        save_model(model, vocab, cfg, checkpoint)
+        history_csv = io.StringIO()
+        write_history(history, history_csv)
+        history_file.write(history_csv.getvalue().encode("utf-8"))
 
     best = min(history, key=lambda row: row.valid_mse)
     print(f"embeddings matched: {matched}/{vocab.size - 2}")
@@ -212,10 +213,10 @@ def cmd_predict(args) -> int:
     bad = np.count_nonzero(~np.isfinite(scores))
     if bad:
         raise NumericError(f"the model scores {bad} of {len(scores)} posts non-finite")
-    with atomic_open(args.out) as f:
+    with atomic_files(args.out) as (f,):
         # json.dumps writes a float with float.__repr__, so these are its bytes
         for record, score in zip(records, scores.tolist()):
-            f.write(f'{{"id": {json.dumps(record.id)}, "clickbaitScore": {score!r}}}\n')
+            f.write(f'{{"id": {json.dumps(record.id)}, "clickbaitScore": {score!r}}}\n'.encode())
     print(f"scored {len(records)} instances")
     return EXIT_OK
 
@@ -255,9 +256,8 @@ def cmd_evaluate(args) -> int:
         print("warning: constant truth means, r2 reported as 0", file=sys.stderr)
     text = report.to_json()
     if args.out:
-        with atomic_open(args.out) as f:
-            f.write(text)
-            f.write("\n")
+        with atomic_files(args.out) as (f,):
+            f.write((text + "\n").encode("utf-8"))
     print(text)
     return EXIT_OK
 

@@ -374,29 +374,43 @@ def find_duplicate_posts(ds: LabeledDataset) -> list[DuplicateGroup]:
 
 
 @contextlib.contextmanager
-def atomic_open(path: str, binary: bool = False):
-    """A new file to write `path` through, in place of `open(path, "w")`.
+def atomic_files(*paths: str):
+    """New binary files to write `paths` through, all or none, in place of
+    `open(path, "wb")` for each.
 
-    The data goes to a temporary file beside `path`, which replaces `path`
-    (`os.replace`) when the block ends normally. When the block raises, the
-    temporary file is removed and `path` is left as it was. Text mode is
-    UTF-8 and writes newlines untranslated. When the temporary file cannot
-    be made, the OSError names `path`, as `open(path, "w")` would.
+    Yields one file per path, in order, each a temporary file beside its
+    path. When the block ends normally, every file is closed, then each
+    temporary file replaces its path (`os.replace`) in the order given. When
+    the block, a close or the making of a temporary file raises, every
+    temporary file is removed and every path keeps its old contents. One
+    window remains: an `os.replace` that fails after an earlier one succeeded
+    (say, a directory sits at a later path) leaves the earlier paths new and
+    the rest old. An OSError from making a temporary file or from replacing a
+    path names that path, as `open(path, "wb")` would.
     """
-    directory, name = os.path.split(path)
-    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    made = []  # (temporary file, path) for each file opened so far
     try:
-        f = open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="")
-    except OSError as e:
-        e.filename = path
-        raise
-    try:
-        with f:
-            yield f
-        os.replace(tmp, path)
+        with contextlib.ExitStack() as stack:
+            files = []
+            for path in paths:
+                directory, name = os.path.split(path)
+                tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+                try:
+                    files.append(stack.enter_context(open(tmp, "wb")))
+                except OSError as e:
+                    e.filename = path
+                    raise
+                made.append((tmp, path))
+            yield files
+        for tmp, path in made:
+            try:
+                os.replace(tmp, path)
+            except OSError as e:
+                raise OSError(e.errno, e.strerror, path) from None
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
+        for tmp, _ in made:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
         raise
 
 
@@ -405,20 +419,19 @@ def write_dataset(ds: LabeledDataset, directory: str) -> None:
     file one JSON line per post, in dataset order, non-ASCII text unescaped.
     A post is written as its id and its three texts, postText as one segment."""
     os.makedirs(directory, exist_ok=True)
-    with atomic_open(os.path.join(directory, INSTANCES_FILENAME)) as f:
-        for rec, _ in ds:
-            f.write(json.dumps({
+    paths = (os.path.join(directory, INSTANCES_FILENAME), os.path.join(directory, TRUTH_FILENAME))
+    with atomic_files(*paths) as (instances, truth):
+        for rec, judgment in ds:
+            instances.write((json.dumps({
                 "id": rec.id,
                 "postText": [rec.text],
                 "targetTitle": rec.target_title,
                 "targetDescription": rec.target_description,
-            }, ensure_ascii=False) + "\n")
-    with atomic_open(os.path.join(directory, TRUTH_FILENAME)) as f:
-        for rec, judgment in ds:
-            f.write(json.dumps({
+            }, ensure_ascii=False) + "\n").encode("utf-8"))
+            truth.write((json.dumps({
                 "id": rec.id,
                 "truthJudgments": list(judgment.scores),
                 "truthMean": judgment.mean,
                 "truthMedian": judgment.median,
                 "truthClass": judgment.class_label.value,
-            }, ensure_ascii=False) + "\n")
+            }, ensure_ascii=False) + "\n").encode("utf-8"))

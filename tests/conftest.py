@@ -2,9 +2,15 @@
 
 import contextlib
 import json
+import os
 import random
 import struct
 import warnings
+
+# one BLAS thread, as bench/run.py pins it, unless the environment sets its own;
+# the BLAS reads these when numpy is first imported, which is below
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 import numpy as np
 import pytest

@@ -1,8 +1,11 @@
 """End-to-end runs of the command-line pipeline, in process via main()."""
 
 import dataclasses
+import errno
+import io
 import json
 import math
+import os
 import struct
 import subprocess
 import sys
@@ -11,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clickbait_gru import cli
+from clickbait_gru import cli, ingest
 from clickbait_gru.cli import _train_config, build_parser, main
 from clickbait_gru.ingest import load_dataset, stratified_split, write_dataset
 from clickbait_gru.metrics import evaluate
@@ -931,10 +934,24 @@ class TestRepeatedId:
 
 
 class TestUnwritableOut:
-    @pytest.mark.parametrize("command", ["predict", "evaluate"])
-    def test_missing_out_directory_is_one_line_data_error(self, work, tmp_path, capsys, command):
-        """Nothing on stdout, and the error names the --out path, not a temporary file."""
-        data, out = work / "data", tmp_path / "missing" / "out.json"
+    @pytest.mark.parametrize("command, out_name, reason", [
+        pytest.param("predict", "missing/out.json", "[Errno 2] No such file or directory",
+                     id="predict"),
+        pytest.param("evaluate", "missing/out.json", "[Errno 2] No such file or directory",
+                     id="evaluate"),
+        pytest.param("predict", "out", "[Errno 21] Is a directory",
+                     id="predict-out-is-a-directory"),
+        pytest.param("evaluate", "out", "[Errno 21] Is a directory",
+                     id="evaluate-out-is-a-directory"),
+    ])
+    def test_missing_out_directory_is_one_line_data_error(
+        self, work, tmp_path, capsys, command, out_name, reason
+    ):
+        """A --out in a missing directory, or one that is a directory: nothing on
+        stdout, no temporary file left, and the error names the --out path."""
+        data, out = work / "data", tmp_path / out_name
+        if out_name == "out":
+            out.mkdir()
         results_file(tmp_path / "results.jsonl",
                      [(rec.id, judgment.mean) for rec, judgment in load_dataset(str(data))])
         argv = {
@@ -945,7 +962,60 @@ class TestUnwritableOut:
         }[command]
         code, stdout, err = run(capsys, *argv, "--out", str(out))
         assert code == 2 and stdout == ""
-        assert err == f"data error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        assert err == f"data error: {reason}: {str(out)!r}\n"
+        assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+class _FullDisk(io.BufferedWriter):
+    """A file whose every write fails as on a full disk."""
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestFailedWrite:
+    """A write error on the last file of a command's output set leaves the set
+    an earlier run wrote byte-identical, with no temporary file beside it."""
+
+    @pytest.mark.parametrize("command, last, count", [
+        ("analyze", "duplicates.csv", 6), ("split", "truth.jsonl", 4), ("train", "history.csv", 2),
+    ])
+    def test_leaves_an_earlier_set_unchanged(
+        self, work, tmp_path, capsys, monkeypatch, command, last, count
+    ):
+        outs = [tmp_path / "out"] + ([tmp_path / "test"] if command == "split" else [])
+
+        def argv(data):
+            instances, truth = dataset_paths(data)
+            return {
+                "analyze": ["analyze", "--instances", instances, "--truth", truth,
+                            "--out", str(outs[0])],
+                "split": ["split", str(data), *map(str, outs)],
+                "train": ["train", str(data), str(data), "--glove", str(work / "glove.txt"),
+                          "--out", str(outs[0]), "--dim", "8", "--hidden", "4", "--epochs", "1"],
+            }[command]
+
+        def written():
+            return [{p.name: p.read_bytes() for p in out.iterdir()} for out in outs]
+
+        assert run(capsys, *argv(work / "data"))[0] == 0
+        earlier = written()
+        assert sum(map(len, earlier)) == count
+        other = tmp_path / "other"
+        write_dataset(synth_dataset(48, seed=8), str(other))
+
+        failing = str(outs[-1] / f".{last}.")  # the start of atomic_files' temporary name
+
+        def opener(file, mode="r", *args, **kwargs):
+            if str(file).startswith(failing):
+                return _FullDisk(io.FileIO(file, "w"))
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(ingest, "open", opener, raising=False)
+        code, stdout, err = run(capsys, *argv(other))
+        assert code == 2 and stdout == ""
+        assert err == "data error: [Errno 28] No space left on device\n"
+        assert written() == earlier
 
 
 class TestArgumentErrors:

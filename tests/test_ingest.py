@@ -17,7 +17,7 @@ from clickbait_gru.ingest import (
     LEVEL_TOLERANCE,
     Judgment,
     Label,
-    atomic_open,
+    atomic_files,
     build_dataset,
     derive_label,
     finite_number,
@@ -692,25 +692,39 @@ class TestRoundTrip:
             load_dataset(str(tmp_path / "nowhere"))
 
 
-class TestAtomicOpen:
-    def test_raising_writer_leaves_earlier_file_and_no_temp(self, tmp_path):
-        path = tmp_path / "preds.jsonl"
-        path.write_text("earlier\n")
+class TestAtomicFiles:
+    def test_raising_writer_leaves_earlier_files_and_no_temp(self, tmp_path):
+        paths = [tmp_path / "preds.jsonl", tmp_path / "report.json"]
+        for path in paths:
+            path.write_bytes(b"earlier\n")
         with pytest.raises(RuntimeError, match="midway"):
-            with atomic_open(str(path)) as f:
-                f.write("half of a new file")
-                f.flush()
+            with atomic_files(*map(str, paths)) as files:
+                for f in files:
+                    f.write(b"half of a new file")
+                    f.flush()
                 raise RuntimeError("midway")
-        assert path.read_text() == "earlier\n"
-        assert os.listdir(tmp_path) == ["preds.jsonl"]
+        assert all(path.read_bytes() == b"earlier\n" for path in paths)
+        assert sorted(os.listdir(tmp_path)) == ["preds.jsonl", "report.json"]
 
-    def test_replaces_the_file_with_plain_open_permissions(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        path.write_bytes(b"earlier")
-        with atomic_open(str(path), binary=True) as f:
-            f.write(b"new")
-        assert path.read_bytes() == b"new"
+    def test_unopenable_later_path_is_named_and_leaves_no_temp(self, tmp_path):
+        earlier, missing = tmp_path / "model.ckpt", tmp_path / "missing" / "history.csv"
+        earlier.write_bytes(b"earlier")
+        with pytest.raises(FileNotFoundError) as exc:
+            with atomic_files(str(earlier), str(missing)):
+                pass
+        assert exc.value.filename == str(missing)
+        assert earlier.read_bytes() == b"earlier"
         assert os.listdir(tmp_path) == ["model.ckpt"]
+
+    def test_replaces_the_files_with_plain_open_permissions(self, tmp_path):
+        paths = [tmp_path / "model.ckpt", tmp_path / "history.csv"]
+        paths[0].write_bytes(b"earlier")
+        with atomic_files(*map(str, paths)) as (checkpoint, history):
+            checkpoint.write(b"new")
+            history.write(b"epoch\n")
+        assert [path.read_bytes() for path in paths] == [b"new", b"epoch\n"]
+        assert sorted(os.listdir(tmp_path)) == ["history.csv", "model.ckpt"]
         with open(tmp_path / "plain", "wb"):
             pass
-        assert os.stat(path).st_mode == os.stat(tmp_path / "plain").st_mode
+        for path in paths:
+            assert os.stat(path).st_mode == os.stat(tmp_path / "plain").st_mode
