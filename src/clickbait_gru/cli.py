@@ -77,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("valid_dir", help="validation dataset directory")
     p.add_argument("--glove", required=True, help="GloVe text file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", help="JSON file overriding training defaults")
     p.add_argument("--dim", dest="d", type=int, help="embedding dimension (default 100)")
     p.add_argument("--hidden", dest="h", type=int,
                    help="GRU hidden size per direction (default 128)")
@@ -103,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a prediction file against truth")
     p.add_argument("results", help="predictions JSONL (id + clickbaitScore)")
     p.add_argument("--truth", required=True, help="truth.jsonl path")
-    p.add_argument("--threshold", type=float, default=0.5, help="positive-class cutoff")
     p.add_argument("--out", help="also write the report JSON here")
     p.set_defaults(func=cmd_evaluate)
 
@@ -155,23 +153,10 @@ def cmd_split(args) -> int:
 
 
 def _train_config(args) -> TrainConfig:
-    """`TrainConfig` from its defaults, then --config's JSON object, then every
-    flag given; each flag's `dest` is the field it sets."""
-    values = dataclasses.asdict(TrainConfig())
-    if args.config:
-        with open(args.config, encoding="utf-8") as f:
-            try:
-                overrides = json.load(f)
-            except RecursionError:  # json recurses once per nesting level
-                raise ValueError("config file is nested too deeply for JSON") from None
-        if not isinstance(overrides, dict):
-            raise ValueError("config file must hold a JSON object of training fields")
-        unknown = sorted(set(overrides) - set(values))
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        values.update(overrides)
-    values.update({k: v for k, v in vars(args).items() if k in values and v is not None})
-    return TrainConfig(**values)
+    """`TrainConfig` from its defaults, then every flag given; each flag's
+    `dest` is the field it sets."""
+    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    return TrainConfig(**{k: v for k, v in vars(args).items() if k in fields and v is not None})
 
 
 def cmd_train(args) -> int:
@@ -251,7 +236,7 @@ def cmd_evaluate(args) -> int:
         more = f" (and {len(missing) - 20} more)" if len(missing) > 20 else ""
         raise DataError(f"results are missing {len(missing)} truth ids: {shown}{more}")
     preds = [results[rec_id] for rec_id, _ in truths]
-    report = evaluate(preds, [j for _, j in truths], threshold=args.threshold)
+    report = evaluate(preds, [j for _, j in truths])
     if report.r2_degenerate:
         print("warning: constant truth means, r2 reported as 0", file=sys.stderr)
     text = report.to_json()

@@ -18,6 +18,8 @@ from .rng import named_rng
 # The four scores annotators could assign, most-precise encodings first.
 JUDGMENT_LEVELS = (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
 LEVEL_TOLERANCE = 1e-3
+# the challenge's class rule: a score at or above this is clickbait
+CLICKBAIT_CUTOFF = 0.5
 
 INSTANCES_FILENAME = "instances.jsonl"
 TRUTH_FILENAME = "truth.jsonl"
@@ -189,9 +191,9 @@ _FLOAT_ONLY = frozenset({float})
 
 
 def derive_label(median: float) -> Label:
-    """Binary label from the median judgment score: clickbait iff median >= 0.5."""
+    """Binary label from the median judgment score: clickbait iff median >= CLICKBAIT_CUTOFF."""
     level = snap_to_level(median)
-    return Label.CLICKBAIT if level >= 0.5 else Label.NO_CLICKBAIT
+    return Label.CLICKBAIT if level >= CLICKBAIT_CUTOFF else Label.NO_CLICKBAIT
 
 
 def parse_truth(stream: Iterable[str]) -> list[tuple[str, Judgment]]:

@@ -10,7 +10,7 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from .ingest import Judgment, Label
+from .ingest import CLICKBAIT_CUTOFF, Judgment, Label
 
 
 @dataclass
@@ -64,12 +64,12 @@ def confusion(pred_labels, true_labels) -> tuple[int, int, int, int]:
     return tp, fp, fn, tn
 
 
-def evaluate(preds, truth: list[Judgment], threshold: float = 0.5) -> EvalReport:
+def evaluate(preds, truth: list[Judgment]) -> EvalReport:
     """Score predictions against judgments.
 
     Regression metrics compare to the judgment mean. For classification, a
-    prediction is positive when pred >= threshold, and the reference label is
-    the annotated class. Zero-denominator precision, recall, and f1 are
+    prediction is positive when pred >= CLICKBAIT_CUTOFF, and the reference
+    label is the annotated class. Zero-denominator precision, recall, and f1 are
     defined as 0. Constant truth means make R2 meaningless; it is reported as
     0 with r2_degenerate set.
     """
@@ -78,8 +78,6 @@ def evaluate(preds, truth: list[Judgment], threshold: float = 0.5) -> EvalReport
         raise ValueError(f"length mismatch: {len(preds)} preds, {len(truth)} truths")
     if len(preds) < 2:
         raise ValueError("evaluate needs at least 2 examples")
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
 
     start = time.perf_counter()
     n = len(preds)
@@ -89,7 +87,7 @@ def evaluate(preds, truth: list[Judgment], threshold: float = 0.5) -> EvalReport
     mse = ss_res / n
     medae = statistics.median_low(abs(p - m) for p, m in zip(preds, means))
 
-    pred_labels = [Label.CLICKBAIT if p >= threshold else Label.NO_CLICKBAIT for p in preds]
+    pred_labels = [Label.CLICKBAIT if p >= CLICKBAIT_CUTOFF else Label.NO_CLICKBAIT for p in preds]
     tp, fp, fn, tn = confusion(pred_labels, [j.class_label for j in truth])
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0

@@ -55,6 +55,21 @@ MAX_LEN_LIMIT = 1024
 WIDTH_LIMIT = 4096
 
 
+def check_settings(settings) -> None:
+    """Raise ValueError naming the first of the `SETTINGS` in `settings` that
+    no model may have; `train.TrainConfig` and `load_model` both apply it."""
+    for name, limit in (("d", WIDTH_LIMIT), ("h", WIDTH_LIMIT), ("max_len", MAX_LEN_LIMIT)):
+        value = settings[name]
+        if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= limit:
+            raise ValueError(f"{name} must be an integer in [1, {limit}], got {value!r}")
+    if settings["text_field"] not in TEXT_FIELDS:
+        raise ValueError(f"text_field must be one of {TEXT_FIELDS}, got {settings['text_field']!r}")
+    for name in DROPOUT_RATES:
+        rate = settings[name]
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0.0 <= rate < 1.0:
+            raise ValueError(f"{name} must be a number in [0, 1), got {rate!r}")
+
+
 def sigmoid(x):
     # exp overflow for very negative x saturates to inf, giving the exact limit 0
     with np.errstate(over="ignore"):
@@ -415,21 +430,13 @@ def _read_header(inp: BinaryIO) -> dict:
     missing = [key for key in (*SETTINGS, "vocab_tokens", "arrays") if key not in header]
     if missing:
         raise DataError(f"checkpoint header lacks {', '.join(missing)}")
-    if not all(type(header[key]) is int and header[key] >= 1 for key in ("d", "h", "max_len")):
-        raise DataError("checkpoint d, h and max_len must be positive integers")
-    if header["max_len"] > MAX_LEN_LIMIT:
-        raise DataError(f"checkpoint max_len {header['max_len']} exceeds {MAX_LEN_LIMIT}")
+    try:  # `_header` copies the settings as they are, so check them here
+        check_settings(header)
+    except ValueError as e:
+        raise DataError(f"checkpoint {e}") from e
     tokens = header["vocab_tokens"]
     if not isinstance(tokens, list) or set(map(type, tokens)) - {str}:
         raise DataError("checkpoint vocab_tokens must be a list of strings")
-    if header["text_field"] not in TEXT_FIELDS:
-        raise DataError(
-            f"checkpoint text_field {header['text_field']!r} is not one of {TEXT_FIELDS}"
-        )
-    for key in DROPOUT_RATES:  # `_header` copies them as they are, so check them here
-        rate = header[key]
-        if type(rate) not in (int, float) or not 0.0 <= rate < 1.0:
-            raise DataError(f"checkpoint {key} {rate!r} is not a number in [0, 1)")
     arrays = header["arrays"]
     first = arrays[0] if isinstance(arrays, list) and arrays else None
     dtype = first.get("dtype") if isinstance(first, dict) else None

@@ -17,15 +17,13 @@ from typing import IO
 import numpy as np
 
 from .errors import NumericError
-from .ingest import TEXT_FIELDS, LabeledDataset, PostRecord
+from .ingest import LabeledDataset, PostRecord
 from .nn import (
-    DROPOUT_RATES,
-    MAX_LEN_LIMIT,
-    WIDTH_LIMIT,
     DropoutMasks,
     GruTape,
     Model,
     Packing,
+    check_settings,
     copy_model,
     forward_batch,
     init_model,
@@ -36,16 +34,18 @@ from .rng import named_rng
 from .text import PAD_ID, Vocabulary, encode, tokenize
 
 CLIP_LIMIT = 5.0
-INT_FIELDS = ("batch_size", "epochs", "d", "h", "max_len", "seed")
-FLOAT_FIELDS = ("learning_rate", "rho", "epsilon", *DROPOUT_RATES)
+# RMSprop's accumulator decay and denominator guard; the recipe fixes both
+RMSPROP_RHO = 0.9
+RMSPROP_EPSILON = 1e-8
 
 
 @dataclass
 class TrainConfig:
+    """The recipe's settable values; `nn.check_settings` rules on those the
+    checkpoint header records, `__post_init__` on the rest."""
+
     batch_size: int = 64
     learning_rate: float = 1e-3
-    rho: float = 0.9
-    epsilon: float = 1e-8
     epochs: int = 20
     dropout_embed: float = 0.2
     dropout_gru_in: float = 0.2
@@ -57,39 +57,14 @@ class TrainConfig:
     text_field: str = "postText"
 
     def __post_init__(self):
-        for name in INT_FIELDS:
+        check_settings(vars(self))
+        for name, least in (("batch_size", 1), ("epochs", 0), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in FLOAT_FIELDS:
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        for name in ("batch_size", "d", "h", "max_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name, limit in (("d", WIDTH_LIMIT), ("h", WIDTH_LIMIT), ("max_len", MAX_LEN_LIMIT)):
-            if getattr(self, name) > limit:
-                raise ValueError(f"{name} must be <= {limit}, got {getattr(self, name)}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not 0.0 <= self.rho < 1.0:
-            raise ValueError(f"rho must be in [0, 1), got {self.rho}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for name in DROPOUT_RATES:
-            rate = getattr(self, name)
-            if not 0.0 <= rate < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {rate}")
-        if self.text_field not in TEXT_FIELDS:
-            raise ValueError(
-                f"text_field must be one of {TEXT_FIELDS}, got {self.text_field!r}"
-            )
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr < math.inf:
+            raise ValueError(f"learning_rate must be a finite number > 0, got {lr!r}")
 
 
 @dataclass
@@ -298,7 +273,8 @@ def rmsprop_update(
     state: RmsPropState,
     cfg: TrainConfig,
 ) -> None:
-    """In-place RMSprop step: acc <- rho*acc + (1-rho)*g^2, p <- p - lr*g/(sqrt(acc)+eps).
+    """In-place RMSprop step: acc <- rho*acc + (1-rho)*g^2, p <- p - lr*g/(sqrt(acc)+eps),
+    with rho `RMSPROP_RHO`, eps `RMSPROP_EPSILON` and lr `cfg.learning_rate`.
 
     Each gradient element is first clipped, in place, to [-CLIP_LIMIT,
     CLIP_LIMIT], as Keras's `clipvalue` does. A `RowSparseGrad` updates its
@@ -323,15 +299,15 @@ def rmsprop_update(
             elapsed = state.step - last[rows]
             last[rows] = state.step
             a = acc[rows]
-            a *= (cfg.rho ** elapsed).reshape((-1,) + (1,) * (p.ndim - 1))
-            a += (1.0 - cfg.rho) * g * g
+            a *= (RMSPROP_RHO ** elapsed).reshape((-1,) + (1,) * (p.ndim - 1))
+            a += (1.0 - RMSPROP_RHO) * g * g
             acc[rows] = a
-            p[rows] -= cfg.learning_rate * g / (np.sqrt(a) + cfg.epsilon)
+            p[rows] -= cfg.learning_rate * g / (np.sqrt(a) + RMSPROP_EPSILON)
             continue
         np.clip(g, -CLIP_LIMIT, CLIP_LIMIT, out=g)
-        acc *= cfg.rho
-        acc += (1.0 - cfg.rho) * g * g
-        p -= cfg.learning_rate * g / (np.sqrt(acc) + cfg.epsilon)
+        acc *= RMSPROP_RHO
+        acc += (1.0 - RMSPROP_RHO) * g * g
+        p -= cfg.learning_rate * g / (np.sqrt(acc) + RMSPROP_EPSILON)
 
 
 def encode_posts(
@@ -349,7 +325,7 @@ def encode_posts(
 
 
 def encode_dataset(
-    ds: LabeledDataset, vocab: Vocabulary, max_len: int, text_field: str = "postText"
+    ds: LabeledDataset, vocab: Vocabulary, max_len: int, text_field: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`encode_posts` of the dataset's posts plus their (N,) float64
     judgment-mean targets, in dataset order."""

@@ -221,7 +221,7 @@ def test_criterion_5_metrics_oracle():
         truth = (
             [bait] * tp + [plain] * fp + [bait] * fn + [plain] * tn
         )
-        return evaluate(preds, truth, threshold=0.5)
+        return evaluate(preds, truth)
 
     report = from_counts(2, 1, 2, 10)
     assert report.precision == 2.0 / 3.0

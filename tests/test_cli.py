@@ -355,62 +355,27 @@ class TestTrain:
         for name in ARTIFACTS:
             assert (out / name).read_bytes() == (work / "run" / name).read_bytes()
 
-    def test_config_file_overridden_by_flags(self, work, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"epochs": 5, "h": 4, "d": 8, "seed": 3}))
-        code, _, _ = run(
-            capsys,
-            "train", str(work / "data"), str(work / "data"),
-            "--glove", str(work / "glove.txt"),
-            "--out", str(tmp_path / "run"),
-            "--config", str(cfg_path),
-            "--epochs", "1",  # beats the config value
-        )
-        assert code == 0
-        lines = (tmp_path / "run" / "history.csv").read_text().splitlines()
-        assert len(lines) == 3  # header + epochs 0..1
-
-    def test_unknown_config_key(self, work, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"hidden_size": 4}))
-        code, _, err = run(
-            capsys,
-            "train", str(work / "data"), str(work / "data"),
-            "--glove", str(work / "glove.txt"),
-            "--out", str(tmp_path / "run"),
-            "--config", str(cfg_path),
-        )
-        assert code == 1
-        assert "hidden_size" in err
-
     @pytest.mark.parametrize(
-        "config, flags, named",
+        "flags, named",
         [
-            ({"epochs": "2"}, [], "epochs"),
-            ({"rho": 1.5}, [], "rho"),
-            ([4], [], "JSON object"),
-            ({}, ["--hidden", "0"], "h must be"),
-            ({}, ["--max-len", str(10**11)], "max_len must be <= "),
-            ({}, ["--hidden", str(10**9)], "h must be <= 4096"),
-            ({}, ["--dim", str(10**9)], "d must be <= 4096"),
-            # raw text: json.dumps cannot nest this deep
-            pytest.param(b"[" * 200_000 + b"]" * 200_000, [], "nested too deeply", id="deep"),
+            (["--hidden", "0"], "h must be an integer in [1, 4096], got 0"),
+            (["--max-len", str(10**11)], "max_len must be an integer in [1, 1024], got "),
+            (["--hidden", str(10**9)], "h must be an integer in [1, 4096], got "),
+            (["--dim", str(10**9)], "d must be an integer in [1, 4096], got "),
         ],
+        ids=["h-zero", "huge-max-len", "huge-h", "huge-d"],
     )
-    def test_bad_config_value_is_usage_error(self, work, tmp_path, capsys, config, flags, named):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
+    def test_bad_flag_value_is_usage_error(self, work, tmp_path, capsys, flags, named):
         code, _, err = run(
             capsys,
             "train", str(work / "data"), str(work / "data"),
             "--glove", str(work / "glove.txt"),
             "--out", str(tmp_path / "run"),
-            "--config", str(cfg_path),
             "--dim", "8",
             *flags,
         )
         assert code == 1
-        assert err.startswith("usage error") and named in err
+        assert err.startswith(f"usage error: {named}")
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "run").exists()
 
@@ -433,8 +398,7 @@ class TestTrain:
             argv += [flag, str(value)]
         cfg = _train_config(build_parser().parse_args(argv))
         assert cfg == TrainConfig(**dict(flags.values()))
-        # every field has a flag but rho and epsilon, which only --config sets
-        assert {f for f, _ in flags.values()} == set(dataclasses.asdict(cfg)) - {"rho", "epsilon"}
+        assert {f for f, _ in flags.values()} == set(dataclasses.asdict(cfg))
 
     @pytest.mark.parametrize("empty_side", ["train", "valid"])
     def test_empty_dataset_is_data_error(self, work, tmp_path, capsys, empty_side):
@@ -854,18 +818,6 @@ class TestEvaluate:
         )
         assert code == 2
         assert "duplicate" in err
-
-    def test_bad_threshold_is_usage_error(self, work, tmp_path, capsys):
-        results = tmp_path / "results.jsonl"
-        self.perfect_results(work, results)
-        code, _, err = run(
-            capsys,
-            "evaluate", str(results),
-            "--truth", str(work / "data" / "truth.jsonl"),
-            "--threshold", "1.5",
-        )
-        assert code == 1
-        assert "usage error" in err
 
     @pytest.mark.parametrize("n_truth", [0, 1])
     def test_fewer_than_two_truth_lines_is_data_error(self, tmp_path, capsys, n_truth):

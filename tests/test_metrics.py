@@ -116,7 +116,7 @@ class TestEvaluate:
 
     def test_threshold_is_inclusive(self):
         truth = [judgment(0.9, CB), judgment(0.1, NCB)]
-        report = evaluate([0.5, 0.49999], truth, threshold=0.5)
+        report = evaluate([0.5, 0.49999], truth)
         assert report.accuracy == 1.0
 
     def test_runtime_recorded(self):
@@ -126,8 +126,6 @@ class TestEvaluate:
 
     def test_validation_errors(self):
         truth = [judgment(0.2), judgment(0.8)]
-        with pytest.raises(ValueError, match="threshold"):
-            evaluate([0.1, 0.9], truth, threshold=1.5)
         with pytest.raises(ValueError, match="at least 2"):
             evaluate([0.1], truth[:1])
         with pytest.raises(ValueError, match="mismatch"):

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import json
 import math
 import struct
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from clickbait_gru.errors import DataError
 from clickbait_gru.nn import (
+    CHECKPOINT_MAGIC,
     GRU_FIELDS,
     DropoutMasks,
     _array_shapes,
@@ -448,6 +450,24 @@ def one_byte_short_in(name):
     return cut
 
 
+def tiny_checkpoint() -> bytes:
+    """A float32 checkpoint: vocabulary of 10, d = 4, h = 3, max_len = 8."""
+    buf = io.BytesIO()
+    vocab = Vocabulary.from_tokens([f"w{i}" for i in range(8)])
+    save_model(tiny_model(seed=9, dtype=np.float32), vocab, TrainConfig(max_len=8), buf)
+    return buf.getvalue()
+
+
+# each setting at and just past its bounds, and in types JSON tells apart
+SETTINGS_AT_BOUNDS = [
+    *({name: value} for name in ("d", "h") for value in (0, 1, 4096, 4097, True, 1.0)),
+    {"max_len": 1024},
+    {"max_len": 1025},
+    *({"dropout_gru_in": rate} for rate in (0.999, 1.0, math.nan, "x", False)),
+    {"text_field": "postMedia"},
+]
+
+
 class TestCheckpoint:
     def roundtrip(self, m, vocab, cfg=TrainConfig(max_len=16)):
         buf = io.BytesIO()
@@ -533,11 +553,13 @@ class TestCheckpoint:
             (with_header_edit(lambda h: h.update(version=1.0)), "version is 1.0, not 1$"),
             (with_header_edit(lambda h: h.pop("h")), "lacks h$"),
             (with_header_edit(lambda h: h.pop("dropout_gru_in")), "lacks dropout_gru_in$"),
-            (with_header_edit(lambda h: h.update(d="4")), "positive integers"),
-            (with_header_edit(lambda h: h.update(max_len=10**9)), "max_len 1000000000 exceeds"),
-            # more than the 47-bit user address space, so it fails under any overcommit policy
-            (with_dim(10**13), "'embedding' of shape .* is too large"),
-            (with_dim(2**62), "'embedding' of shape .* is too large"),
+            (with_header_edit(lambda h: h.update(d="4")), r"d must be an integer .*, got '4'$"),
+            (
+                with_header_edit(lambda h: h.update(max_len=10**9)),
+                r"max_len must be an integer in \[1, 1024\], got 1000000000$",
+            ),
+            (with_dim(10**13), r"d must be an integer in \[1, 4096\], got 10000000000000$"),
+            (with_dim(2**62), rf"d must be an integer in \[1, 4096\], got {2**62}$"),
             (with_header_edit(lambda h: h["vocab_tokens"].append(3)), "list of strings"),
             (with_header_edit(lambda h: h["vocab_tokens"].__setitem__(5, "w2")), "repeat 'w2'$"),
             (with_header_edit(lambda h: h["arrays"].pop()), "'head.b' is None, not"),
@@ -559,15 +581,15 @@ class TestCheckpoint:
             ),
             (
                 with_header_edit(lambda h: h.update(dropout_embed="x")),
-                r"dropout_embed 'x' is not a number in \[0, 1\)$",
+                r"dropout_embed must be a number in \[0, 1\), got 'x'$",
             ),
             (
                 with_header_edit(lambda h: h.update(dropout_embed=1.5)),
-                r"dropout_embed 1.5 is not a number in \[0, 1\)$",
+                r"dropout_embed must be a number in \[0, 1\), got 1.5$",
             ),
             (
                 with_header_edit(lambda h: h.update(dropout_gru_out=False)),
-                r"dropout_gru_out False is not a number in \[0, 1\)$",
+                r"dropout_gru_out must be a number in \[0, 1\), got False$",
             ),
             (
                 with_header_edit(lambda h: h.pop("trainable_embedding")),
@@ -598,12 +620,45 @@ class TestCheckpoint:
         + [f"cut-in-{name}" for name in ARRAY_NAMES],
     )
     def test_malformed_checkpoint_rejected(self, damage, message):
-        m = tiny_model(seed=9, dtype=np.float32)
-        buf = io.BytesIO()
-        vocab = Vocabulary.from_tokens([f"w{i}" for i in range(8)])
-        save_model(m, vocab, TrainConfig(max_len=8), buf)
         with pytest.raises(DataError, match=message):
-            load_model(io.BytesIO(damage(buf.getvalue())))
+            load_model(io.BytesIO(damage(tiny_checkpoint())))
+
+    @pytest.mark.parametrize("error", [MemoryError, ValueError])
+    def test_unallocatable_array_is_data_error(self, monkeypatch, error):
+        """np.empty raises MemoryError when memory runs out and ValueError when
+        a byte count overflows; no header within the settings rule reaches
+        either, so both are made to happen here."""
+
+        def fail(shape, dtype):
+            raise error("cannot allocate")
+
+        raw = tiny_checkpoint()
+        monkeypatch.setattr(np, "empty", fail)
+        with pytest.raises(
+            DataError,
+            match=r"^checkpoint array 'embedding' of shape \[10, 4\] is too large to allocate$",
+        ):
+            load_model(io.BytesIO(raw))
+
+    @pytest.mark.parametrize("settings", SETTINGS_AT_BOUNDS, ids=repr)
+    def test_train_config_and_header_share_one_settings_rule(self, settings):
+        """`TrainConfig` rejects a setting exactly when `load_model` rejects a
+        header recording it, and with the same message after "checkpoint "."""
+        try:
+            TrainConfig(**settings)
+            want = None
+        except ValueError as e:
+            want = f"checkpoint {e}"
+        header = checkpoint_header(tiny_checkpoint()) | settings
+        shapes = _array_shapes(len(header["vocab_tokens"]) + 2, header["d"], header["h"])
+        for entry in header["arrays"]:
+            entry["shape"] = list(shapes[entry["name"]])
+        blob = json.dumps(header).encode("utf-8")
+        # no array bytes follow, so a header load_model accepts fails at the first array
+        with pytest.raises(DataError) as caught:
+            load_model(io.BytesIO(CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob))
+        got = str(caught.value)
+        assert (None if got == "checkpoint truncated while reading 'embedding'" else got) == want
 
 
 class TestModelInvariants:

@@ -23,6 +23,8 @@ from clickbait_gru.nn import (
 from clickbait_gru.rng import named_rng
 from clickbait_gru.train import (
     CLIP_LIMIT,
+    RMSPROP_EPSILON,
+    RMSPROP_RHO,
     RmsPropState,
     RowSparseGrad,
     TrainConfig,
@@ -441,7 +443,7 @@ class TestRmsprop:
         params, grads, state = self.one_param(grad=g)
         rmsprop_update(params, grads, state, cfg)
         expected = 1.0 - cfg.learning_rate * g / (
-            math.sqrt((1 - cfg.rho) * g * g) + cfg.epsilon
+            math.sqrt((1 - RMSPROP_RHO) * g * g) + RMSPROP_EPSILON
         )
         np.testing.assert_allclose(params["p"], [expected], rtol=1e-12)
 
@@ -561,10 +563,6 @@ class TestTrainConfig:
             {"max_len": 10**11},
             {"d": WIDTH_LIMIT + 1},
             {"h": 10**9},
-            {"rho": 1.5},
-            {"rho": 1.0},
-            {"rho": -0.1},
-            {"epsilon": 0.0},
             {"learning_rate": "1e-3"},
             {"learning_rate": float("nan")},
             {"dropout_gru_out": None},
@@ -625,7 +623,7 @@ class TestFit:
         cfg = self.small_cfg(epochs=4, learning_rate=5e-3)
         model, history = fit(ds, valid, cfg, vocab, emb)
         best = min(row.valid_mse for row in history)
-        ids, lengths, targets = encode_dataset(valid, vocab, cfg.max_len)
+        ids, lengths, targets = encode_dataset(valid, vocab, cfg.max_len, cfg.text_field)
         achieved = mse_loss(predict_batch(model, ids, lengths), targets)
         assert math.isclose(achieved, best, rel_tol=1e-9)
         assert best <= history[0].valid_mse
@@ -654,7 +652,7 @@ class TestFit:
 
     def test_targets_are_judgment_means(self):
         ds, vocab, emb = fit_setup()
-        _, _, targets = encode_dataset(ds, vocab, max_len=12)
+        _, _, targets = encode_dataset(ds, vocab, 12, "postText")
         assert targets.tolist() == [judgment.mean for _, judgment in ds]
 
 
