@@ -18,7 +18,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from clickbait_gru.cli import main as cli
-from clickbait_gru.ingest import Judgment, Label, LabeledDataset, PostRecord, write_dataset
+from clickbait_gru.ingest import Judgment, LabeledDataset, PostRecord, derive_label, write_dataset
 
 PLAIN_WORDS = [
     "council", "approves", "the", "quarterly", "budget", "report", "market",
@@ -42,9 +42,8 @@ def synth_corpus(n: int, seed: int) -> LabeledDataset:
         pool = (2, 3) if bait else (0, 1)
         scores = tuple(sorted(LEVELS[rnd.choice(pool)] for _ in range(5)))
         median = scores[2]
-        label = Label.CLICKBAIT if median >= 0.5 else Label.NO_CLICKBAIT
         judgment = Judgment(
-            scores=scores, mean=sum(scores) / 5.0, median=median, class_label=label
+            scores=scores, mean=sum(scores) / 5.0, median=median, class_label=derive_label(median)
         )
         record = PostRecord(str(i), " ".join(words), "", "")  # no linked article
         records.append((record, judgment))

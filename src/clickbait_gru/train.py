@@ -335,6 +335,12 @@ def encode_dataset(
 
 @dataclass
 class EpochStats:
+    """One epoch's losses. `train_mse` at epoch 0 is the untrained model's
+    MSE on the training posts; from epoch 1 on it is the epoch's loss as it
+    was trained: its batch MSEs, dropout on and each at that step's weights,
+    weighted by batch size. `valid_mse` is always the end-of-epoch model's
+    MSE on the validation posts, and alone chooses the returned model."""
+
     epoch: int
     train_mse: float
     valid_mse: float
@@ -372,31 +378,31 @@ def fit(
     dropout_rng = named_rng(cfg.seed, "dropout")
     opt_state = RmsPropState()
 
-    def checkpoint_row(epoch: int) -> EpochStats:
-        row = EpochStats(
-            epoch,
-            mse_loss(predict_batch(model, train_ids, train_lengths), train_targets),
-            mse_loss(predict_batch(model, valid_ids, valid_lengths), valid_targets),
-        )
-        if not math.isfinite(row.valid_mse):
-            raise NumericError(f"validation MSE non-finite at epoch {epoch}: {row.valid_mse}")
-        return row
+    def checkpoint_row(epoch: int, train_mse: float) -> EpochStats:
+        valid_mse = mse_loss(predict_batch(model, valid_ids, valid_lengths), valid_targets)
+        if not math.isfinite(valid_mse):
+            raise NumericError(f"validation MSE non-finite at epoch {epoch}: {valid_mse}")
+        return EpochStats(epoch, train_mse, valid_mse)
 
-    history = [checkpoint_row(0)]
+    # the training posts are scored this once; later epochs report the losses they trained on
+    initial_train_mse = mse_loss(predict_batch(model, train_ids, train_lengths), train_targets)
+    history = [checkpoint_row(0, initial_train_mse)]
     best = copy_model(model)
     best_valid = history[0].valid_mse
 
     n = len(train_ids)
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n)
+        batch_sums = []
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             masks = make_dropout_masks(model, cfg, train_lengths[batch], cfg.max_len, dropout_rng)
-            _, grads = backprop(
+            loss, grads = backprop(
                 model, train_ids[batch], train_lengths[batch], train_targets[batch], masks=masks
             )
+            batch_sums.append(loss * len(batch))
             rmsprop_update(model, grads, opt_state, cfg)
-        row = checkpoint_row(epoch)
+        row = checkpoint_row(epoch, math.fsum(batch_sums) / n)
         history.append(row)
         if row.valid_mse < best_valid:
             best_valid = row.valid_mse
@@ -405,6 +411,11 @@ def fit(
 
 
 def write_history(history: list[EpochStats], out: IO[str]) -> None:
+    """`history` as CSV rows `epoch,train_mse,valid_mse`, floats as their repr.
+
+    As in `EpochStats`: epoch 0's `train_mse` is the untrained model scored on
+    the training posts, and each later epoch's is the mean of its trained batch
+    losses, with dropout; `valid_mse` is scored after every epoch."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["epoch", "train_mse", "valid_mse"])
     for row in history:

@@ -15,7 +15,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
-from clickbait_gru.ingest import Judgment, Label, LabeledDataset, PostRecord
+from clickbait_gru.ingest import Judgment, LabeledDataset, PostRecord, derive_label
 from clickbait_gru.nn import (
     CHECKPOINT_MAGIC,
     DropoutMasks,
@@ -55,9 +55,8 @@ def make_judgment(levels) -> Judgment:
     """Judgment from five raw level values, median-consistent label."""
     scores = tuple(LEVEL_ENC[lv] for lv in levels)
     median = sorted(scores)[2]
-    label = Label.CLICKBAIT if median >= 0.5 else Label.NO_CLICKBAIT
     return Judgment(
-        scores=scores, mean=sum(scores) / 5.0, median=median, class_label=label
+        scores=scores, mean=sum(scores) / 5.0, median=median, class_label=derive_label(median)
     )
 
 

@@ -20,6 +20,7 @@ from clickbait_gru.nn import (
     predict_batch,
     sigmoid,
 )
+from clickbait_gru import train as train_module
 from clickbait_gru.rng import named_rng
 from clickbait_gru.train import (
     CLIP_LIMIT,
@@ -631,8 +632,50 @@ class TestFit:
     def test_training_reduces_loss(self):
         ds, vocab, emb = fit_setup(n=32)
         cfg = self.small_cfg(epochs=10, learning_rate=1e-2)
-        _, history = fit(ds, ds, cfg, vocab, emb)
-        assert history[-1].train_mse < history[0].train_mse * 0.9
+        model, history = fit(ds, ds, cfg, vocab, emb)
+        # epoch 0's train_mse is scored; later rows hold losses as trained, so score the result
+        ids, lengths, targets = encode_dataset(ds, vocab, cfg.max_len, cfg.text_field)
+        trained = mse_loss(predict_batch(model, ids, lengths), targets)
+        assert trained < history[0].train_mse * 0.9
+
+    def test_train_mse_is_the_epochs_trained_batch_loss(self):
+        ds, vocab, emb = fit_setup(n=30)  # batches of 8, 8, 8 and 6
+        cfg = self.small_cfg(epochs=3, dropout_embed=0.2, dropout_gru_in=0.3, dropout_gru_out=0.4)
+        _, history = fit(ds, synth_dataset(12, seed=9), cfg, vocab, emb)
+
+        ids, lengths, targets = encode_dataset(ds, vocab, cfg.max_len, cfg.text_field)
+        model = init_model(emb.copy(), cfg.h, cfg.seed)
+        assert history[0].train_mse == mse_loss(predict_batch(model, ids, lengths), targets)
+        shuffle_rng = named_rng(cfg.seed, "shuffle")
+        dropout_rng = named_rng(cfg.seed, "dropout")
+        state = RmsPropState()
+        for row in history[1:]:
+            order = shuffle_rng.permutation(len(ids))
+            weighted = []
+            for start in range(0, len(ids), cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
+                masks = make_dropout_masks(model, cfg, lengths[batch], cfg.max_len, dropout_rng)
+                loss, grads = backprop(model, ids[batch], lengths[batch], targets[batch], masks)
+                weighted.append(loss * len(batch))
+                rmsprop_update(model, grads, state, cfg)
+            assert row.train_mse == math.fsum(weighted) / len(ids)
+
+    def test_scores_the_training_posts_once(self, monkeypatch):
+        ds, vocab, emb = fit_setup(n=30)
+        valid = synth_dataset(12, seed=9)
+        cfg = self.small_cfg(epochs=3)
+        train_ids = encode_dataset(ds, vocab, cfg.max_len, cfg.text_field)[0]
+        valid_ids = encode_dataset(valid, vocab, cfg.max_len, cfg.text_field)[0]
+        calls = {"train": 0, "valid": 0}
+
+        def counting(m, ids, lengths):
+            for name, expected in (("train", train_ids), ("valid", valid_ids)):
+                calls[name] += np.array_equal(ids, expected)
+            return predict_batch(m, ids, lengths)
+
+        monkeypatch.setattr(train_module, "predict_batch", counting)
+        fit(ds, valid, cfg, vocab, emb)
+        assert calls == {"train": 1, "valid": 4}
 
     def test_nonfinite_embeddings_abort_with_diagnostic(self):
         ds, vocab, emb = fit_setup()
