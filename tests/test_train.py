@@ -20,7 +20,6 @@ from clickbait_gru.nn import (
     predict_batch,
     sigmoid,
 )
-from clickbait_gru import train as train_module
 from clickbait_gru.rng import named_rng
 from clickbait_gru.train import (
     CLIP_LIMIT,
@@ -673,7 +672,7 @@ class TestFit:
                 calls[name] += np.array_equal(ids, expected)
             return predict_batch(m, ids, lengths)
 
-        monkeypatch.setattr(train_module, "predict_batch", counting)
+        monkeypatch.setattr("clickbait_gru.train.predict_batch", counting)
         fit(ds, valid, cfg, vocab, emb)
         assert calls == {"train": 1, "valid": 4}
 
