@@ -384,9 +384,9 @@ def fit(
             raise NumericError(f"validation MSE non-finite at epoch {epoch}: {valid_mse}")
         return EpochStats(epoch, train_mse, valid_mse)
 
-    # the training posts are scored this once; later epochs report the losses they trained on
-    initial_train_mse = mse_loss(predict_batch(model, train_ids, train_lengths), train_targets)
-    history = [checkpoint_row(0, initial_train_mse)]
+    history = [
+        checkpoint_row(0, mse_loss(predict_batch(model, train_ids, train_lengths), train_targets))
+    ]
     best = copy_model(model)
     best_valid = history[0].valid_mse
 
@@ -411,11 +411,8 @@ def fit(
 
 
 def write_history(history: list[EpochStats], out: IO[str]) -> None:
-    """`history` as CSV rows `epoch,train_mse,valid_mse`, floats as their repr.
-
-    As in `EpochStats`: epoch 0's `train_mse` is the untrained model scored on
-    the training posts, and each later epoch's is the mean of its trained batch
-    losses, with dropout; `valid_mse` is scored after every epoch."""
+    """`history` as CSV rows `epoch,train_mse,valid_mse`, floats as their repr;
+    the columns mean what the `EpochStats` fields of the same names do."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["epoch", "train_mse", "valid_mse"])
     for row in history:

@@ -631,11 +631,9 @@ class TestFit:
     def test_training_reduces_loss(self):
         ds, vocab, emb = fit_setup(n=32)
         cfg = self.small_cfg(epochs=10, learning_rate=1e-2)
-        model, history = fit(ds, ds, cfg, vocab, emb)
-        # epoch 0's train_mse is scored; later rows hold losses as trained, so score the result
-        ids, lengths, targets = encode_dataset(ds, vocab, cfg.max_len, cfg.text_field)
-        trained = mse_loss(predict_batch(model, ids, lengths), targets)
-        assert trained < history[0].train_mse * 0.9
+        _, history = fit(ds, ds, cfg, vocab, emb)
+        # valid is ds and there is no dropout: valid_mse is the last epoch's model scored on ds
+        assert history[-1].valid_mse < history[0].train_mse * 0.9
 
     def test_train_mse_is_the_epochs_trained_batch_loss(self):
         ds, vocab, emb = fit_setup(n=30)  # batches of 8, 8, 8 and 6
