@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """A/B pairs of the benchmark: two checkouts, alternating, end-to-end metrics compared.
 
-    python3 scripts/bench_pairs.py --parent ../base --change . --workload score --pairs 10 --seed 1
+    python3 scripts/bench_pairs.py --parent ../base --change . --workload score --pairs 10 --seed 1 2
     python3 scripts/bench_pairs.py --record BENCH_1.json --change . --seed 1
 
 Runs `bench/run.py --trace 0` in each checkout for `BENCHMARK.json`'s
-`run_seconds`, `--pairs` times each; within a pair the side that runs first
-alternates. Reads the JSON line each run prints last, then prints, for every
+`run_seconds`, `--pairs` times each for each `--seed`, one seed after the
+other; within a seed's pairs the side that runs first alternates. A single
+seed's data cannot resolve a change of a few percent, so several seeds can
+be pooled. Reads the JSON line each run prints last, then prints per seed,
+and pooled over all pairs when there are several seeds, for every
 end-to-end metric `BENCHMARK.json` lists, the median and quartiles of both
 sides, the relative change of the medians, in how many pairs the change was
 better (the direction is the metric's `better`; ties count for neither side),
@@ -16,8 +19,8 @@ metric's relative `bound` (what a change that claims no gain is held to). It
 also prints each side's failed operation counts. Writes to standard output
 only; each benchmark run keeps its own input cache in its checkout.
 
-With `--record PATH` it measures the `--change` checkout alone and writes a
-JSON record to PATH. For each workload (`--workload`, or every one that
+With `--record PATH` it measures the `--change` checkout alone, at the one
+`--seed` given, and writes a JSON record to PATH. For each workload (`--workload`, or every one that
 `BENCHMARK.json` lists) it does one run it throws away, because the first run
 after `bench/run.py` generates its inputs reads a high `peak_rss_mb`; then
 `RUNS` runs at `--trace 0` and one at `--trace 1`. The record holds the
@@ -83,16 +86,17 @@ def record(args, spec: dict) -> dict:
     """Warm-up, `RUNS` runs at --trace 0 and one at --trace 1 per workload."""
     seconds = spec["run_seconds"]
     workloads = [args.workload] if args.workload else [w["name"] for w in spec["workloads"]]
-    out = {"revision": revision(args.change), "seed": args.seed, "runs": RUNS,
+    (seed,) = args.seed
+    out = {"revision": revision(args.change), "seed": seed, "runs": RUNS,
            "run_seconds": seconds, "workloads": {}}
     for workload in workloads:
-        run_bench(args.change, workload, args.seed, seconds)  # warm-up, thrown away
+        run_bench(args.change, workload, seed, seconds)  # warm-up, thrown away
         runs = []
         for i in range(RUNS):
-            runs.append(run_bench(args.change, workload, args.seed, seconds))
+            runs.append(run_bench(args.change, workload, seed, seconds))
             print(f"{workload} run {i + 1}/{RUNS}: failed {runs[-1]['failed']}"
                   f"/{runs[-1]['attempted']}", flush=True)
-        traced = run_bench(args.change, workload, args.seed, seconds, trace=1)
+        traced = run_bench(args.change, workload, seed, seconds, trace=1)
         end_to_end = {}
         for metric in spec["end_to_end"]:
             values = [v for v in (value(r, metric["name"]) for r in runs) if v is not None]
@@ -110,18 +114,47 @@ def record(args, spec: dict) -> dict:
     return out
 
 
+def report(title: str, spec: dict, parent: list[dict], change: list[dict]) -> None:
+    """Print the end-to-end table over the pairs (parent[i], change[i]) and
+    each side's failed operation counts."""
+    print(f"\n{title}")
+    print(f"{'metric':<22} {'parent median [q1, q3]':>32} {'change median [q1, q3]':>32}"
+          f" {'change':>8} {'wins':>6} {'past parent IQR':>16} {'worse past bound':>17}")
+    for metric in spec["end_to_end"]:
+        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+        pairs = [(value(p, name), value(c, name)) for p, c in zip(parent, change)]
+        pairs = [(p, c) for p, c in pairs if p is not None and c is not None]
+        if not pairs:
+            print(f"{name:<22} not reported")
+            continue
+        base, new = spread([p for p, _ in pairs]), spread([c for _, c in pairs])
+        wins = sum(sign * (c - p) > 0 for p, c in pairs)
+        rel = f"{(new[0] - base[0]) / base[0]:+.1%}" if base[0] else "n/a"
+        past_iqr = abs(new[0] - base[0]) > base[2] - base[1]
+        past_bound = sign * (base[0] - new[0]) > metric["bound"] * abs(base[0])
+        print(f"{name:<22} {base[0]:>12.6g} [{base[1]:.6g}, {base[2]:.6g}]"
+              f" {new[0]:>12.6g} [{new[1]:.6g}, {new[2]:.6g}]"
+              f" {rel:>8} {wins:>3}/{len(pairs)} {'yes' if past_iqr else 'no':>16}"
+              f" {'yes' if past_bound else 'no':>17}")
+    for side, runs in (("parent", parent), ("change", change)):
+        print(f"{side} failed: {[r['failed'] for r in runs]} of {[r['attempted'] for r in runs]}")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", help="checkout measured as the baseline")
     ap.add_argument("--change", default=".", help="checkout measured against it, or recorded")
     ap.add_argument("--workload", help="required for pairs; a record defaults to all")
-    ap.add_argument("--pairs", type=int)
-    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--pairs", type=int, help="pairs per seed")
+    ap.add_argument("--seed", type=int, nargs="+", required=True,
+                    help="workload seeds; pairs run each in turn, a record takes one")
     ap.add_argument("--record", metavar="PATH", help="write a record of --change to PATH")
     args = ap.parse_args()
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as f:
         spec = json.load(f)
     if args.record:
+        if len(args.seed) != 1:
+            ap.error("a record takes one --seed")
         rec = record(args, spec)
         with open(args.record, "w", encoding="utf-8") as f:
             json.dump(rec, f, indent=1, sort_keys=True)
@@ -131,37 +164,25 @@ def main() -> int:
         ap.error("pairs need --parent, --workload and --pairs")
     seconds = spec["run_seconds"]
 
-    results: dict[str, list[dict]] = {"parent": [], "change": []}
-    for i in range(args.pairs):
-        sides = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
-        for side in sides:
-            res = run_bench(getattr(args, side), args.workload, args.seed, seconds)
-            results[side].append(res)
-            print(f"pair {i + 1}/{args.pairs} {side}: failed {res['failed']}/{res['attempted']}",
-                  flush=True)
+    results = {seed: {"parent": [], "change": []} for seed in args.seed}
+    for seed, runs in results.items():
+        for i in range(args.pairs):
+            sides = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+            for side in sides:
+                res = run_bench(getattr(args, side), args.workload, seed, seconds)
+                runs[side].append(res)
+                print(f"seed {seed} pair {i + 1}/{args.pairs} {side}: failed {res['failed']}"
+                      f"/{res['attempted']}", flush=True)
 
-    print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs, {seconds:g} s per run")
-    print(f"{'metric':<22} {'parent median [q1, q3]':>32} {'change median [q1, q3]':>32}"
-          f" {'change':>8} {'wins':>6} {'past parent IQR':>16} {'worse past bound':>17}")
-    for metric in spec["end_to_end"]:
-        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
-        pairs = [(value(p, name), value(c, name))
-                 for p, c in zip(results["parent"], results["change"])]
-        pairs = [(p, c) for p, c in pairs if p is not None and c is not None]
-        if not pairs:
-            print(f"{name:<22} not reported")
-            continue
-        parent, change = spread([p for p, _ in pairs]), spread([c for _, c in pairs])
-        wins = sum(sign * (c - p) > 0 for p, c in pairs)
-        rel = f"{(change[0] - parent[0]) / parent[0]:+.1%}" if parent[0] else "n/a"
-        past_iqr = abs(change[0] - parent[0]) > parent[2] - parent[1]
-        past_bound = sign * (parent[0] - change[0]) > metric["bound"] * abs(parent[0])
-        print(f"{name:<22} {parent[0]:>12.6g} [{parent[1]:.6g}, {parent[2]:.6g}]"
-              f" {change[0]:>12.6g} [{change[1]:.6g}, {change[2]:.6g}]"
-              f" {rel:>8} {wins:>3}/{len(pairs)} {'yes' if past_iqr else 'no':>16}"
-              f" {'yes' if past_bound else 'no':>17}")
-    for side, runs in results.items():
-        print(f"{side} failed: {[r['failed'] for r in runs]} of {[r['attempted'] for r in runs]}")
+    for seed, runs in results.items():
+        report(f"{args.workload} seed {seed}, {args.pairs} pairs, {seconds:g} s per run",
+               spec, runs["parent"], runs["change"])
+    if len(results) > 1:
+        seeds = ", ".join(map(str, results))
+        report(f"{args.workload} seeds {seeds} pooled, {args.pairs * len(results)} pairs,"
+               f" {seconds:g} s per run", spec,
+               [r for runs in results.values() for r in runs["parent"]],
+               [r for runs in results.values() for r in runs["change"]])
     return 0
 
 

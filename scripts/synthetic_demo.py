@@ -11,6 +11,7 @@ it reaches on its own toy data are not meaningful beyond that.
 """
 
 import argparse
+import json
 import os
 import random
 import sys
@@ -18,7 +19,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from clickbait_gru.cli import main as cli
-from clickbait_gru.ingest import Judgment, LabeledDataset, PostRecord, derive_label, write_dataset
+from clickbait_gru.ingest import INSTANCES_FILENAME, TRUTH_FILENAME, derive_label
 
 PLAIN_WORDS = [
     "council", "approves", "the", "quarterly", "budget", "report", "market",
@@ -31,23 +32,29 @@ MARKER_WORDS = ["shocking", "unbelievable", "jaw-dropping"]
 LEVELS = {0: 0.0, 1: 0.33333, 2: 0.66667, 3: 1.0}
 
 
-def synth_corpus(n: int, seed: int) -> LabeledDataset:
+def write_corpus(directory: str, n: int, seed: int) -> None:
+    """The labeled corpus as a challenge dataset directory: one JSON line
+    per post in each of its instances and truth files."""
     rnd = random.Random(seed)
-    records = []
-    for i in range(n):
-        bait = i % 3 == 0
-        words = [rnd.choice(PLAIN_WORDS) for _ in range(rnd.randint(4, 10))]
-        if bait:
-            words.insert(rnd.randrange(len(words) + 1), rnd.choice(MARKER_WORDS))
-        pool = (2, 3) if bait else (0, 1)
-        scores = tuple(sorted(LEVELS[rnd.choice(pool)] for _ in range(5)))
-        median = scores[2]
-        judgment = Judgment(
-            scores=scores, mean=sum(scores) / 5.0, median=median, class_label=derive_label(median)
-        )
-        record = PostRecord(str(i), " ".join(words), "", "")  # no linked article
-        records.append((record, judgment))
-    return records
+    os.makedirs(directory, exist_ok=True)
+    with (
+        open(os.path.join(directory, INSTANCES_FILENAME), "w", encoding="utf-8") as instances,
+        open(os.path.join(directory, TRUTH_FILENAME), "w", encoding="utf-8") as truth,
+    ):
+        for i in range(n):
+            bait = i % 3 == 0
+            words = [rnd.choice(PLAIN_WORDS) for _ in range(rnd.randint(4, 10))]
+            if bait:
+                words.insert(rnd.randrange(len(words) + 1), rnd.choice(MARKER_WORDS))
+            pool = (2, 3) if bait else (0, 1)
+            scores = sorted(LEVELS[rnd.choice(pool)] for _ in range(5))
+            median = scores[2]
+            post = {"id": str(i), "postText": [" ".join(words)],
+                    "targetTitle": "", "targetDescription": ""}  # no linked article
+            judgment = {"id": str(i), "truthJudgments": scores, "truthMean": sum(scores) / 5.0,
+                        "truthMedian": median, "truthClass": derive_label(median).value}
+            instances.write(json.dumps(post) + "\n")
+            truth.write(json.dumps(judgment) + "\n")
 
 
 def write_embeddings(path: str, d: int, seed: int) -> None:
@@ -68,7 +75,7 @@ def main() -> int:
 
     base = args.out
     data = os.path.join(base, "data")
-    write_dataset(synth_corpus(args.records, args.seed), data)
+    write_corpus(data, args.records, args.seed)
     glove = os.path.join(base, "glove.txt")
     write_embeddings(glove, d=16, seed=args.seed)
 

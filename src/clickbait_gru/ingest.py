@@ -415,25 +415,3 @@ def atomic_files(*paths: str):
                 os.remove(tmp)
         raise
 
-
-def write_dataset(ds: LabeledDataset, directory: str) -> None:
-    """Write a dataset as the standard two-file directory layout: in each
-    file one JSON line per post, in dataset order, non-ASCII text unescaped.
-    A post is written as its id and its three texts, postText as one segment."""
-    os.makedirs(directory, exist_ok=True)
-    paths = (os.path.join(directory, INSTANCES_FILENAME), os.path.join(directory, TRUTH_FILENAME))
-    with atomic_files(*paths) as (instances, truth):
-        for rec, judgment in ds:
-            instances.write((json.dumps({
-                "id": rec.id,
-                "postText": [rec.text],
-                "targetTitle": rec.target_title,
-                "targetDescription": rec.target_description,
-            }, ensure_ascii=False) + "\n").encode("utf-8"))
-            truth.write((json.dumps({
-                "id": rec.id,
-                "truthJudgments": list(judgment.scores),
-                "truthMean": judgment.mean,
-                "truthMedian": judgment.median,
-                "truthClass": judgment.class_label.value,
-            }, ensure_ascii=False) + "\n").encode("utf-8"))

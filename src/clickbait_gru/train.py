@@ -139,23 +139,21 @@ def mse_loss(preds, targets) -> float:
     return math.fsum((p - t) ** 2 for p, t in zip(preds, targets)) / len(preds)
 
 
-def _gru_backward(m: Model, prefix: str, X, pack: Packing, tape: GruTape, dh, reverse: bool,
-                  grads: GradientSet):
+def _gru_backward(m: Model, prefix: str, X, pack: Packing, tape: GruTape, dh, grads: GradientSet):
     """Reverse accumulation through packed direction `prefix`; sets its
-    gradients in `grads` and returns dX (N, d).
+    gradients in `grads` and returns dX (N, d) in the row order of `X` and
+    `tape`.
 
     `dh` is the gradient of the final states (live rows, h) in sorted row
-    order. Steps run in the reverse of the forward pass's order; the rows a
-    step covers are a prefix of the sorted rows, so rows that are not
-    reading at that step keep their dh untouched. The loop carries only the
-    dh recurrence and turns each token's tape entries into its gate
-    gradients (see `GruTape`); the weight gradients and dX are formed over
-    all tokens at once after it.
+    order. Steps run from the last to step 0; the rows a step covers are a
+    prefix of the sorted rows, so rows that are not reading at that step
+    keep their dh untouched. The loop carries only the dh recurrence and
+    turns each token's tape entries into its gate gradients (see `GruTape`);
+    the weight gradients and dX are formed over all tokens at once after it.
     """
     U = np.stack([m[f"{prefix}.U_{gate}"] for gate in "hrz"])  # the tape's gate order
     dh = dh.copy()
-    order = range(len(pack.counts))
-    for t in order if reverse else reversed(order):
+    for t in reversed(range(len(pack.counts))):
         n = pack.counts[t]
         s = slice(pack.offsets[t], pack.offsets[t] + n)
         dh_t = dh[:n]
@@ -173,15 +171,16 @@ def _gru_backward(m: Model, prefix: str, X, pack: Packing, tape: GruTape, dh, re
         np.multiply(c, uh, out=d_rz[0])
         np.multiply(c, g[1], out=uh)  # d uh
         one_minus = 1.0 - rz
-        dh_t *= one_minus[1]
         # dr, dz -> d a_r, d a_z through the sigmoid
         rz *= d_rz
         rz *= one_minus
-        # dh_t becomes the gradient of h_prev
-        dh_t += np.matmul(g[:3], U).sum(axis=0)
+        if t:  # dh_t becomes the gradient of h_prev; step 0's is the zero start's, unused
+            dh_t *= one_minus[1]
+            dh_t += np.matmul(g[:3], U).sum(axis=0)
     G = tape.gates
+    k = len(dh)  # step 0's packed rows, one per live row; their h_prev is zero
     dW = np.matmul(G[1:].transpose(0, 2, 1), X)
-    dU = np.matmul(G[:3].transpose(0, 2, 1), tape.h_prev)
+    dU = np.matmul(G[:3, k:].transpose(0, 2, 1), tape.h_prev[k:])
     db = G[1:].sum(axis=1)
     for i, gate in enumerate("rzh"):
         grads[f"{prefix}.W_{gate}"] = dW[i]
@@ -240,8 +239,8 @@ def backprop(
     if masks.out is not None:
         du = du * masks.out
     du = du[pack.live]
-    dX = _gru_backward(m, "fwd", cache.X, pack, cache.fwd, du[:, :h], False, grads)
-    dX += _gru_backward(m, "bwd", cache.X, pack, cache.bwd, du[:, h:], True, grads)
+    dX = _gru_backward(m, "fwd", cache.X, pack, cache.fwd, du[:, :h], grads)
+    dX[pack.flip] += _gru_backward(m, "bwd", cache.X[pack.flip], pack, cache.bwd, du[:, h:], grads)
 
     if masks.x is not None:
         dX *= masks.x

@@ -15,7 +15,14 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
-from clickbait_gru.ingest import Judgment, LabeledDataset, PostRecord, derive_label
+from clickbait_gru.ingest import (
+    INSTANCES_FILENAME,
+    TRUTH_FILENAME,
+    Judgment,
+    LabeledDataset,
+    PostRecord,
+    derive_label,
+)
 from clickbait_gru.nn import (
     CHECKPOINT_MAGIC,
     DropoutMasks,
@@ -79,6 +86,31 @@ def synth_dataset(n: int, seed: int = 0, clickbait_every: int = 3) -> LabeledDat
     return records
 
 
+def write_dataset(ds: LabeledDataset, directory: str) -> None:
+    """Write a dataset as the challenge's two-file directory layout: in each
+    file one JSON line per post, in dataset order, non-ASCII text unescaped.
+    A post is written as its id and its three texts, postText as one segment."""
+    os.makedirs(directory, exist_ok=True)
+    with (
+        open(os.path.join(directory, INSTANCES_FILENAME), "w", encoding="utf-8") as instances,
+        open(os.path.join(directory, TRUTH_FILENAME), "w", encoding="utf-8") as truth,
+    ):
+        for rec, judgment in ds:
+            instances.write(json.dumps({
+                "id": rec.id,
+                "postText": [rec.text],
+                "targetTitle": rec.target_title,
+                "targetDescription": rec.target_description,
+            }, ensure_ascii=False) + "\n")
+            truth.write(json.dumps({
+                "id": rec.id,
+                "truthJudgments": list(judgment.scores),
+                "truthMean": judgment.mean,
+                "truthMedian": judgment.median,
+                "truthClass": judgment.class_label.value,
+            }, ensure_ascii=False) + "\n")
+
+
 def write_glove(path, words, d: int, seed: int = 1) -> None:
     rnd = random.Random(seed)
     with open(path, "w", encoding="utf-8") as f:
@@ -115,15 +147,16 @@ def model_of(gru: dict, matrix) -> Model:
 def direction_states(m: Model, ids, length: int):
     """Every state each direction passes through on one post, in reading order.
 
-    Read from the cache of a taped `forward_batch`: the tape holds the state
-    entering each token, the summary the final state. Each result is
+    Read from the cache of a taped `forward_batch`: each tape holds the state
+    entering each token in its direction's reading order, the summary the
+    final state. Each result is
     (length + 1, h), starting with the zero initial state.
     """
     _, cache = forward_batch(m, np.asarray([ids]), np.asarray([length]), DropoutMasks())
     final = cache.u_drop[0]
     h = len(m["fwd.b_r"])
     fwd = np.vstack([cache.fwd.h_prev, final[:h]])
-    bwd = np.vstack([cache.bwd.h_prev[::-1], final[h:]])
+    bwd = np.vstack([cache.bwd.h_prev, final[h:]])
     return fwd, bwd
 
 
@@ -178,8 +211,6 @@ def dataset60() -> LabeledDataset:
 @pytest.fixture
 def challenge_dir(tmp_path, dataset60):
     """Directory with instances.jsonl + truth.jsonl for the synthetic dataset."""
-    from clickbait_gru.ingest import write_dataset
-
     path = tmp_path / "data"
     write_dataset(dataset60, str(path))
     return path

@@ -24,7 +24,6 @@ from clickbait_gru.ingest import (
     find_duplicate_posts,
     load_dataset,
     stratified_split,
-    write_dataset,
 )
 from clickbait_gru.metrics import evaluate
 from clickbait_gru.nn import forward_batch, predict_batch
@@ -46,6 +45,7 @@ from conftest import (
     model_of,
     synth_dataset,
     tiny_model,
+    write_dataset,
     write_glove,
 )
 from gradcheck import complex_step_check, grad_check

@@ -16,7 +16,7 @@ import pytest
 
 from clickbait_gru import cli, ingest
 from clickbait_gru.cli import _train_config, build_parser, main
-from clickbait_gru.ingest import load_dataset, stratified_split, write_dataset
+from clickbait_gru.ingest import load_dataset, stratified_split
 from clickbait_gru.metrics import evaluate
 from clickbait_gru.nn import load_model, predict_batch, save_model
 from clickbait_gru.train import TrainConfig, encode_posts
@@ -29,6 +29,7 @@ from conftest import (
     synth_dataset,
     with_dim,
     with_header_edit,
+    write_dataset,
     write_glove,
 )
 

@@ -13,11 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clickbait_gru.cli import main
-from clickbait_gru.ingest import write_dataset
 from clickbait_gru.nn import load_model, save_model
 from clickbait_gru.train import TrainConfig
 from clickbait_gru.text import build_vocab, tokenize
-from conftest import synth_dataset, tiny_model, write_glove
+from conftest import synth_dataset, tiny_model, write_dataset, write_glove
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),

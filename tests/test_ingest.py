@@ -28,9 +28,8 @@ from clickbait_gru.ingest import (
     snap_to_level,
     stratified_split,
     validate_label_rule,
-    write_dataset,
 )
-from conftest import make_judgment, make_record, synth_dataset
+from conftest import make_judgment, make_record, synth_dataset, write_dataset
 from oracle import naive_parse_instances, naive_parse_truth, naive_snap_to_level
 
 

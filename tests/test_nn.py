@@ -24,6 +24,7 @@ from clickbait_gru.nn import (
     predict_batch,
     save_model,
     sigmoid,
+    stack_gates,
 )
 from clickbait_gru.rng import named_rng
 from clickbait_gru.text import Vocabulary
@@ -367,29 +368,42 @@ class TestForwardBatch:
 
     def test_tape_holds_each_tokens_gates(self):
         """After the forward pass each tape row holds U_h h_prev, r, z and c
-        of its token, recomputed here from the taped h_prev."""
+        of its token, recomputed here from the taped h_prev; the reverse
+        tape's row k is the token at packed row `flip[k]`."""
         m = tiny_model(seed=8)
         ids = np.array([[2, 3, 4, 2], [5, 2, 0, 0], [4, 0, 0, 0]], dtype=np.int32)
         _, cache = forward_batch(m, ids, np.array([4, 2, 1]), DropoutMasks())
-        for prefix, tape in (("fwd", cache.fwd), ("bwd", cache.bwd)):
+        flipped = cache.X[cache.pack.flip]
+        for prefix, tape, X in (("fwd", cache.fwd, cache.X), ("bwd", cache.bwd, flipped)):
             p = {name: m[f"{prefix}.{name}"] for name in GRU_FIELDS}
-            X, hp = cache.X, tape.h_prev
+            hp = tape.h_prev
             uh = hp @ p["U_h"].T
             r = sigmoid(X @ p["W_r"].T + hp @ p["U_r"].T + p["b_r"])
             z = sigmoid(X @ p["W_z"].T + hp @ p["U_z"].T + p["b_z"])
             c = np.tanh(X @ p["W_h"].T + r * uh + p["b_h"])
             np.testing.assert_allclose(tape.gates, [uh, r, z, c], rtol=0, atol=1e-12)
 
+    def test_gate_stacks_are_c_contiguous(self):
+        """Stacked transposes would leave each gate block F-ordered, on which
+        OpenBLAS runs the per-step recurrent products slower."""
+        for W, U, b in (stack_gates(tiny_model(seed=3), prefix) for prefix in ("fwd", "bwd")):
+            assert W.flags.c_contiguous and U.flags.c_contiguous and b.flags.c_contiguous
+
 
 class TestPackBatch:
     def test_time_major_layout(self):
-        pack = pack_batch(np.array([2, 0, 3, 2]), width=4)
+        lengths = np.array([2, 0, 3, 2])
+        pack = pack_batch(lengths, width=4)
         np.testing.assert_array_equal(pack.order, [2, 0, 3, 1])
         assert pack.counts == [3, 3, 1]
         assert pack.offsets == [0, 3, 6, 7]
         np.testing.assert_array_equal(pack.rows, [2, 0, 3, 2, 0, 3, 2])
         np.testing.assert_array_equal(pack.steps, [0, 0, 0, 1, 1, 1, 2])
         np.testing.assert_array_equal(pack.live, [2, 0, 3])
+        np.testing.assert_array_equal(pack.flip, [6, 4, 5, 3, 1, 2, 0])
+        np.testing.assert_array_equal(pack.flip[pack.flip], np.arange(7))
+        np.testing.assert_array_equal(pack.steps[pack.flip], lengths[pack.rows] - 1 - pack.steps)
+        np.testing.assert_array_equal(pack.rows[pack.flip], pack.rows)
 
     def test_lengths_cut_to_width_and_empty_batch(self):
         pack = pack_batch(np.array([9, 1]), width=2)
@@ -397,6 +411,7 @@ class TestPackBatch:
         empty = pack_batch(np.array([0, 0]), width=3)
         assert empty.counts == [] and empty.offsets == [0]
         assert empty.rows.size == 0 and empty.live.size == 0
+        assert empty.flip.size == 0 and empty.flip.dtype.kind == "i"
 
 
 class TestInit:
