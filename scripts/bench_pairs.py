@@ -20,14 +20,15 @@ also prints each side's failed operation counts. Writes to standard output
 only; each benchmark run keeps its own input cache in its checkout.
 
 With `--record PATH` it measures the `--change` checkout alone, at the one
-`--seed` given, and writes a JSON record to PATH. For each workload (`--workload`, or every one that
-`BENCHMARK.json` lists) it does one run it throws away, because the first run
-after `bench/run.py` generates its inputs reads a high `peak_rss_mb`; then
-`RUNS` runs at `--trace 0` and one at `--trace 1`. The record holds the
-checkout's git revision, and per workload the `environment` line of its first
-kept run, each end-to-end metric's median, quartiles and values, the
-per-layer values and the spans the traced run found missing, and every kept
-run's attempted and failed operation counts.
+`--seed` given, and writes a JSON record to PATH. For each workload
+(`--workload`, or every one that `BENCHMARK.json` lists) it does one run it
+throws away, because the first run after `bench/run.py` generates its inputs
+reads a high `peak_rss_mb`; then `RUNS` runs at `--trace 0` and one at
+`--trace 1`. The record holds the checkout's git revision, and per workload
+the `environment` line of its first kept run, each end-to-end metric's
+median, quartiles and values, the per-layer values and the spans the traced
+run found missing, and every kept run's attempted and failed operation
+counts.
 """
 
 import argparse
