@@ -352,8 +352,8 @@ def fit(
     vocab: Vocabulary,
     embeddings: np.ndarray,
 ) -> tuple[Model, list[EpochStats]]:
-    """Mini-batch training from the (V, d) `embeddings`; returns the model
-    from the best-validation epoch.
+    """Mini-batch training of a model around the (V, d) `embeddings`, in place;
+    returns a separate snapshot of the model from the best-validation epoch.
 
     Epoch 0 in the history is the untrained model, so the checkpointing rule
     (return the minimum-validation-MSE state) can never hand back something
@@ -371,8 +371,7 @@ def fit(
         valid, vocab, cfg.max_len, cfg.text_field
     )
 
-    # train on a private copy: updates must never leak into the caller's table
-    model = init_model(embeddings.copy(), cfg.h, cfg.seed)
+    model = init_model(embeddings, cfg.h, cfg.seed)
     shuffle_rng = named_rng(cfg.seed, "shuffle")
     dropout_rng = named_rng(cfg.seed, "dropout")
     opt_state = RmsPropState()
@@ -387,7 +386,6 @@ def fit(
         checkpoint_row(0, mse_loss(predict_batch(model, train_ids, train_lengths), train_targets))
     ]
     best = copy_model(model)
-    best_valid = history[0].valid_mse
 
     n = len(train_ids)
     for epoch in range(1, cfg.epochs + 1):
@@ -402,10 +400,10 @@ def fit(
             batch_sums.append(loss * len(batch))
             rmsprop_update(model, grads, opt_state, cfg)
         row = checkpoint_row(epoch, math.fsum(batch_sums) / n)
+        if row.valid_mse < min(r.valid_mse for r in history):
+            for name, arr in model.items():
+                np.copyto(best[name], arr)
         history.append(row)
-        if row.valid_mse < best_valid:
-            best_valid = row.valid_mse
-            best = copy_model(model)
     return best, history
 
 

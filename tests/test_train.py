@@ -14,6 +14,7 @@ from clickbait_gru.nn import (
     MAX_LEN_LIMIT,
     WIDTH_LIMIT,
     DropoutMasks,
+    copy_model,
     forward_batch,
     init_model,
     pack_batch,
@@ -609,13 +610,30 @@ class TestFit:
     def test_same_seed_reproduces_history_and_params(self):
         ds, vocab, emb = fit_setup()
         cfg = self.small_cfg(epochs=2, dropout_embed=0.2, dropout_gru_out=0.3)
-        m1, h1 = fit(ds, ds, cfg, vocab, emb)
-        m2, h2 = fit(ds, ds, cfg, vocab, emb)
+        m1, h1 = fit(ds, ds, cfg, vocab, emb.copy())
+        m2, h2 = fit(ds, ds, cfg, vocab, emb.copy())
         assert [(r.train_mse, r.valid_mse) for r in h1] == [
             (r.train_mse, r.valid_mse) for r in h2
         ]
         for name, arr in m1.items():
             np.testing.assert_array_equal(arr, m2[name])
+
+    def test_trains_the_table_it_is_handed(self, monkeypatch):
+        ds, vocab, emb = fit_setup()
+        start = emb.copy()
+        copies = []
+
+        def counting(m):
+            copies.append(m)
+            return copy_model(m)
+
+        monkeypatch.setattr("clickbait_gru.train.copy_model", counting)
+        model, history = fit(ds, ds, self.small_cfg(epochs=2), vocab, emb)
+        assert not np.array_equal(emb, start)
+        for name, arr in model.items():
+            assert not np.shares_memory(arr, emb), name
+        # one snapshot, refreshed in place when an epoch beats every earlier one
+        assert len(copies) == 1 and min(r.valid_mse for r in history[1:]) < history[0].valid_mse
 
     def test_returned_model_is_best_validation_epoch(self):
         ds, vocab, emb = fit_setup(n=30)
@@ -638,10 +656,10 @@ class TestFit:
     def test_train_mse_is_the_epochs_trained_batch_loss(self):
         ds, vocab, emb = fit_setup(n=30)  # batches of 8, 8, 8 and 6
         cfg = self.small_cfg(epochs=3, dropout_embed=0.2, dropout_gru_in=0.3, dropout_gru_out=0.4)
-        _, history = fit(ds, synth_dataset(12, seed=9), cfg, vocab, emb)
+        _, history = fit(ds, synth_dataset(12, seed=9), cfg, vocab, emb.copy())
 
         ids, lengths, targets = encode_dataset(ds, vocab, cfg.max_len, cfg.text_field)
-        model = init_model(emb.copy(), cfg.h, cfg.seed)
+        model = init_model(emb, cfg.h, cfg.seed)
         assert history[0].train_mse == mse_loss(predict_batch(model, ids, lengths), targets)
         shuffle_rng = named_rng(cfg.seed, "shuffle")
         dropout_rng = named_rng(cfg.seed, "dropout")
