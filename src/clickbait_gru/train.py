@@ -179,8 +179,8 @@ def _gru_backward(m: Model, prefix: str, X, pack: Packing, tape: GruTape, dh, gr
             dh_t += np.matmul(g[:3], U).sum(axis=0)
     G = tape.gates
     k = len(dh)  # step 0's packed rows, one per live row; their h_prev is zero
-    dW = np.matmul(G[1:].transpose(0, 2, 1), X)
-    dU = np.matmul(G[:3, k:].transpose(0, 2, 1), tape.h_prev[k:])
+    dW = _token_sum(G[1:], X)
+    dU = _token_sum(G[:3, k:], tape.h_prev[k:])
     db = G[1:].sum(axis=1)
     for i, gate in enumerate("rzh"):
         grads[f"{prefix}.W_{gate}"] = dW[i]
@@ -191,6 +191,17 @@ def _gru_backward(m: Model, prefix: str, X, pack: Packing, tape: GruTape, dh, gr
     dX += G[1] @ m[f"{prefix}.W_r"]
     dX += G[2] @ m[f"{prefix}.W_z"]
     return dX
+
+
+def _token_sum(G, X):
+    """G[i].T @ X for each gate i of the (3, n, h) `G` and the (n, d) `X`,
+    summed over the n tokens as two GEMMs split at the last multiple of 64:
+    OpenBLAS sums a token count that is not one in an order that depends on
+    its thread count, which would leak into the checkpoint."""
+    cut = len(X) - len(X) % 64
+    out = np.matmul(G[:, :cut].transpose(0, 2, 1), X[:cut])
+    out += np.matmul(G[:, cut:].transpose(0, 2, 1), X[cut:])
+    return out
 
 
 def _embedding_grad(tokens, dX, vocab_size: int) -> RowSparseGrad:

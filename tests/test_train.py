@@ -2,12 +2,17 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clickbait_gru
 from clickbait_gru.errors import NumericError
 from clickbait_gru.nn import (
     GRU_FIELDS,
@@ -421,6 +426,46 @@ class TestDirectionalComplexStep:
         )
         assert not report.passed
         assert max(report.per_array, key=report.per_array.get) == "fwd.U_z"
+
+
+# Prints a digest of every gradient array `backprop` returns for two paper-shape
+# float32 batches whose token counts, 777 and 1,015, are not multiples of 64
+THREAD_PROBE = """
+import hashlib
+import numpy as np
+from clickbait_gru.nn import init_model
+from clickbait_gru.rng import named_rng
+from clickbait_gru.train import RowSparseGrad, TrainConfig, backprop, make_dropout_masks
+
+rng = np.random.default_rng(5)
+m = init_model(rng.normal(0.0, 0.3, (2000, 100)).astype(np.float32), 128, seed=5)
+for tokens in (777, 1015):
+    lengths = np.full(64, tokens // 64)
+    lengths[: tokens % 64] += 1
+    lengths = rng.permutation(lengths)
+    ids = rng.integers(2, 2000, (64, 32)).astype(np.int32)
+    ids[np.arange(32) >= lengths[:, None]] = 0
+    masks = make_dropout_masks(m, TrainConfig(), lengths, 32, named_rng(5, "dropout"))
+    _, grads = backprop(m, ids, lengths, rng.uniform(0.0, 1.0, 64), masks)
+    for name, g in grads.items():
+        data = g.values if isinstance(g, RowSparseGrad) else g
+        print(tokens, name, hashlib.sha256(data.tobytes()).hexdigest())
+"""
+
+
+def test_gradients_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(clickbait_gru.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = {}
+    for threads in (1, 2, 3, 4):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
+        digests[threads] = subprocess.run(
+            [sys.executable, "-c", THREAD_PROBE], env=env, capture_output=True, text=True,
+            check=True,
+        ).stdout.splitlines()
+    assert len(digests[1]) == 2 * 21
+    for threads in (2, 3, 4):
+        assert digests[threads] == digests[1], threads
 
 
 class TestRmsprop:
