@@ -96,7 +96,7 @@ def load_glove(
 
     Rows for vocabulary tokens present in the stream hold their components
     rounded to float32; the rest (UNK included) are drawn uniformly from the
-    OOV range with a deterministic per-row stream; the PAD row stays zero.
+    OOV range, in id order from one seeded stream; the PAD row stays zero.
     The matrix is fine-tuned with the rest of the model. Returns the matrix
     and the matched-token count.
     """
@@ -108,10 +108,9 @@ def load_glove(
         matrix[ids] = _parse_vectors(lines, linenos, d)
         found[ids] = True
 
+    missing = 1 + np.flatnonzero(~found[1:])  # PAD row stays zero
     rng = named_rng(seed, "glove-oov")
-    for token_id in range(1, vocab.size):  # PAD row stays zero
-        if not found[token_id]:
-            matrix[token_id] = rng.uniform(-OOV_INIT_SCALE, OOV_INIT_SCALE, size=d)
+    matrix[missing] = rng.uniform(-OOV_INIT_SCALE, OOV_INIT_SCALE, size=(len(missing), d))
     return matrix, int(found.sum())
 
 
