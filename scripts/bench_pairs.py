@@ -17,7 +17,13 @@ whether the medians differ by more than the parent's interquartile range, and
 whether the change's median is worse than the parent's by more than the
 metric's relative `bound` (what a change that claims no gain is held to). It
 also prints each side's failed operation counts. Writes to standard output
-only; each benchmark run keeps its own input cache in its checkout.
+only.
+
+Each checkout keeps its own input cache, and every run after the one that
+generated it reuses it, so those runs' `peak_rss_mb` reads the program. The
+run that generates the inputs reads the generator's peak in `bench/run.py`
+on train-short and score (about 145 MiB on score) instead, so generate both
+checkouts' inputs, with a short `bench/run.py` run each, before the pairs.
 
 With `--record PATH` it measures the `--change` checkout alone, at the one
 `--seed` given, and writes a JSON record to PATH. For each workload

@@ -194,10 +194,9 @@ def _gru_backward(m: Model, prefix: str, X, pack: Packing, tape: GruTape, dh, gr
 
 
 def _token_sum(G, X):
-    """G[i].T @ X for each gate i of the (3, n, h) `G` and the (n, d) `X`,
-    summed over the n tokens as two GEMMs split at the last multiple of 64:
-    OpenBLAS sums a token count that is not one in an order that depends on
-    its thread count, which would leak into the checkpoint."""
+    """G[i].T @ X for each gate of the (3, n, h) `G` and the (n, d) `X`, as two
+    GEMMs split at the last multiple of 64 tokens: OpenBLAS sums other token
+    counts in an order that depends on its thread count."""
     cut = len(X) - len(X) % 64
     out = np.matmul(G[:, :cut].transpose(0, 2, 1), X[:cut])
     out += np.matmul(G[:, cut:].transpose(0, 2, 1), X[cut:])
