@@ -15,9 +15,12 @@ sides, the relative change of the medians, in how many pairs the change was
 better (the direction is the metric's `better`; ties count for neither side),
 whether the medians differ by more than the parent's interquartile range, and
 whether the change's median is worse than the parent's by more than the
-metric's relative `bound` (what a change that claims no gain is held to). It
-also prints each side's failed operation counts. Writes to standard output
-only.
+metric's relative `bound` (what a change that claims no gain is held to). A
+metric whose parent runs have a zero interquartile range, such as a
+deterministic `valid_mse`, reads "zero IQR" there when the medians differ at
+all, with its values to 10 significant digits and its relative change in
+e-notation, so a rounding-level move shows as one. It also prints each side's
+failed operation counts. Writes to standard output only.
 
 Each checkout keeps its own input cache, and every run after the one that
 generated it reuses it, so those runs' `peak_rss_mb` reads the program. The
@@ -136,12 +139,15 @@ def report(title: str, spec: dict, parent: list[dict], change: list[dict]) -> No
             continue
         base, new = spread([p for p, _ in pairs]), spread([c for _, c in pairs])
         wins = sum(sign * (c - p) > 0 for p, c in pairs)
-        rel = f"{(new[0] - base[0]) / base[0]:+.1%}" if base[0] else "n/a"
+        zero_iqr = base[2] == base[1]
+        digits, rel_format = (".10g", "+.1e") if zero_iqr else (".6g", "+.1%")
+        rel = format((new[0] - base[0]) / base[0], rel_format) if base[0] else "n/a"
         past_iqr = abs(new[0] - base[0]) > base[2] - base[1]
         past_bound = sign * (base[0] - new[0]) > metric["bound"] * abs(base[0])
-        print(f"{name:<22} {base[0]:>12.6g} [{base[1]:.6g}, {base[2]:.6g}]"
-              f" {new[0]:>12.6g} [{new[1]:.6g}, {new[2]:.6g}]"
-              f" {rel:>8} {wins:>3}/{len(pairs)} {'yes' if past_iqr else 'no':>16}"
+        past = ("zero IQR" if zero_iqr else "yes") if past_iqr else "no"
+        print(f"{name:<22} {base[0]:>12{digits}} [{base[1]:{digits}}, {base[2]:{digits}}]"
+              f" {new[0]:>12{digits}} [{new[1]:{digits}}, {new[2]:{digits}}]"
+              f" {rel:>8} {wins:>3}/{len(pairs)} {past:>16}"
               f" {'yes' if past_bound else 'no':>17}")
     for side, runs in (("parent", parent), ("change", change)):
         print(f"{side} failed: {[r['failed'] for r in runs]} of {[r['attempted'] for r in runs]}")

@@ -10,19 +10,22 @@ Gate algebra per step (elementwise *):
     r = sigmoid(W_r x + U_r h_prev + b_r)
     z = sigmoid(W_z x + U_z h_prev + b_z)
     c = tanh(W_h x + r * (U_h h_prev) + b_h)
-    h = (1 - z) * h_prev + z * c
+    h = (1 - z) * h_prev + z * c = h_prev + z * (c - h_prev)
 
 The new state is a convex combination of h_prev and c, so states stay in
-[-1, 1] from a zero start.
+[-1, 1] from a zero start. A step takes r and z as sigmoid(a) =
+0.5 * tanh(a / 2) + 0.5, which holds exactly and costs one tanh pass in
+place of an exp and a reciprocal; the 1/2 is folded into the gate stacks.
 
 Batches run packed and time-major (`pack_batch`): rows are stable-sorted by
 length, longest first, so the rows still reading at step t are a prefix of
 that order, and each real token owns one packed row; at step t the reverse
 direction reads a row's token length - 1 - t, through `Packing.flip`. The
 three gates are stacked into one input and one recurrent weight stack
-(`stack_gates`). Each direction projects its inputs, x W + b, in one matmul
-before its step loop; at inference, where no dropout applies, it projects
-each distinct token id once. A step then costs one recurrent matmul over the
+(`stack_gates`), built once per `forward_batch` or `predict_batch` call.
+Each direction projects its inputs, x W + b, in one matmul before its step
+loop; at inference, where no dropout applies, it projects each distinct
+token id once. A step then costs one recurrent matmul over the
 rows still reading (none on step 0 of either direction, from h = 0) and no
 PAD work.
 
@@ -136,21 +139,21 @@ class DropoutMasks:
 def stack_gates(m: Model, prefix: str):
     """The gates of direction `prefix` stacked on a leading gate axis for batched GEMMs.
 
-    Returns W (3, d, h) holding -W_r, -W_z, W_h transposed, U (3, h, h)
-    holding U_h, -U_r, -U_z transposed, and b (3, 1, h) holding -b_r,
-    -b_z, b_h. x @ W and h_prev @ U are then one matmul each, with every
+    Returns W (3, d, h) holding W_r / 2, W_z / 2, W_h transposed, U (3, h, h)
+    holding U_h, U_r / 2, U_z / 2 transposed, and b (3, 1, h) holding b_r / 2,
+    b_z / 2, b_h. x @ W and h_prev @ U are then one matmul each, with every
     gate's result a contiguous block; U's gate order is that of
-    `GruTape.gates`. The r and z blocks are negated so that a step takes
-    their sigmoid as 1 / (1 + exp(a)) with no negation pass; negation is
-    exact, so every r and z keeps its value bit for bit. W and U are made
+    `GruTape.gates`. The r and z blocks are halved so that a step takes
+    their sigmoid as 0.5 * tanh(a / 2) + 0.5 with no scaling pass; halving is
+    exact, so the r and z blocks hold a / 2 bit for bit. W and U are made
     C-contiguous: OpenBLAS runs the per-step products up to 2x slower on the
     F-ordered blocks that stacked transposes give.
     """
     W_r, W_z, W_h, U_r, U_z, U_h, b_r, b_z, b_h = (m[f"{prefix}.{n}"] for n in GRU_FIELDS)
     return (
-        np.ascontiguousarray(np.stack([-W_r.T, -W_z.T, W_h.T])),
-        np.ascontiguousarray(np.stack([U_h.T, -U_r.T, -U_z.T])),
-        np.stack([-b_r, -b_z, b_h])[:, None, :],
+        np.ascontiguousarray(np.stack([0.5 * W_r.T, 0.5 * W_z.T, W_h.T])),
+        np.ascontiguousarray(np.stack([U_h.T, 0.5 * U_r.T, 0.5 * U_z.T])),
+        np.stack([0.5 * b_r, 0.5 * b_z, b_h])[:, None, :],
     )
 
 
@@ -206,7 +209,7 @@ class GruTape:
     reverse direction's to packed token `Packing.flip[k]`. `gates` holds
     U_h h_prev, r, z and c for every token, one (N, h) block per gate. The
     forward pass first fills the r, z and c blocks with the input
-    projections of `stack_gates`, x W + b for c and its negation for r and
+    projections of `stack_gates`, x W + b for c and half of it for r and
     z, and each step completes its rows in place. Every row starts step 0
     from h = 0, so step 0's rows have U_h h_prev and h_prev zero. The
     backward pass overwrites the blocks with the gradients d(U_h h_prev),
@@ -239,8 +242,9 @@ class ForwardCache:
     u_drop: np.ndarray  # (B, 2h) summary after output dropout
 
 
-def _run_gru_batch(m: Model, prefix: str, X, pack: Packing, tape: GruTape | None, src):
-    """Final states (live rows, h) of direction `prefix`, in sorted row order.
+def _run_gru_batch(gates, X, pack: Packing, tape: GruTape | None, src):
+    """Final states (live rows, h) of the direction whose `stack_gates` are `gates`,
+    in sorted row order.
 
     All rows of `X` are projected, x W + b, in one matmul before the step
     loop. With `tape`, `X` has one row per packed token, and the projections
@@ -252,47 +256,44 @@ def _run_gru_batch(m: Model, prefix: str, X, pack: Packing, tape: GruTape | None
     order. The rows a step updates are a prefix of the sorted rows, so `h` is
     updated in place on that prefix; every row starts step 0 from h = 0.
     """
-    W, U, b = stack_gates(m, prefix)
+    W, U, b = gates
     h = np.zeros((len(pack.live), U.shape[1]), dtype=X.dtype)
     proj = tape.gates[1:] if tape is not None else np.empty((3, len(X), h.shape[1]), X.dtype)
     np.matmul(X, W, out=proj)
     proj += b
     hu = np.empty((3, *h.shape), dtype=X.dtype)  # U_h h, U_r h, U_z h on the front rows
     picked = np.empty_like(hu) if tape is None else None
-    # exp overflow for very positive negated pre-activations saturates the gate to exactly 0
-    with np.errstate(over="ignore"):
-        for t, n in enumerate(pack.counts):
-            s = slice(pack.offsets[t], pack.offsets[t] + n)
-            if tape is not None:
-                a = proj[:, s]
-            else:  # src is in range; any mode but "raise" writes straight into out
-                a = np.take(proj, src[s], axis=1, out=picked[:, :n], mode="clip")
-            h_prev = h[:n]
-            u = hu[:, :n]
-            rz = a[:2]
-            if t:  # step 0 has h_prev = 0: no U terms
-                np.matmul(h_prev, U, out=u)
-                rz += u[1:]
-            # rz = sigmoid(-rz), the r and z gates, in place
-            np.exp(rz, out=rz)
-            rz += 1.0
-            np.reciprocal(rz, out=rz)
-            c = a[2]
-            if t:
-                np.multiply(a[0], u[0], out=u[1])
-                c += u[1]
-            np.tanh(c, out=c)
-            if tape is not None:
-                tape.gates[0, s] = u[0] if t else 0.0
-                tape.h_prev[s] = h_prev
-            # h = (1 - z) * h_prev + z * c, written over h_prev
-            z = a[1]
-            if t:
-                keep = np.subtract(1.0, z, out=u[1])
-                keep *= h_prev
+    for t, n in enumerate(pack.counts):
+        s = slice(pack.offsets[t], pack.offsets[t] + n)
+        if tape is not None:
+            a = proj[:, s]
+        else:  # src is in range; any mode but "raise" writes straight into out
+            a = np.take(proj, src[s], axis=1, out=picked[:, :n], mode="clip")
+        h_prev = h[:n]
+        u = hu[:, :n]
+        rz = a[:2]
+        if t:  # step 0 has h_prev = 0: no U terms
+            np.matmul(h_prev, U, out=u)
+            rz += u[1:]
+        # rz = sigmoid(2 rz) = 0.5 tanh(rz) + 0.5, the r and z gates, in place
+        np.tanh(rz, out=rz)
+        rz *= 0.5
+        rz += 0.5
+        c = a[2]
+        if t:
+            np.multiply(a[0], u[0], out=u[1])
+            c += u[1]
+        np.tanh(c, out=c)
+        if tape is not None:
+            tape.gates[0, s] = u[0] if t else 0.0
+            tape.h_prev[s] = h_prev
+        z = a[1]
+        if t:  # h = h_prev + z * (c - h_prev), written over h_prev
+            delta = np.subtract(c, h_prev, out=u[1])
+            delta *= z
+            h_prev += delta
+        else:
             np.multiply(z, c, out=h_prev)
-            if t:
-                h_prev += keep
     return h
 
 
@@ -301,6 +302,7 @@ def forward_batch(
     ids: np.ndarray,
     lengths: np.ndarray,
     masks: DropoutMasks | None = None,
+    stacks=None,
 ) -> tuple[np.ndarray, ForwardCache | None]:
     """Predictions for a (B, T) id batch; PAD steps beyond each length are skipped.
 
@@ -310,6 +312,8 @@ def forward_batch(
     `DropoutMasks()` for none, every token is projected into its tape and the
     `ForwardCache` that `train.backprop` reads is returned; `masks.x` multiplies
     the packed inputs row for row, so it must be drawn for these `lengths` and width T.
+    `stacks` is both directions' `stack_gates`, as `predict_batch` builds them once
+    for all its chunks; None builds them here.
     """
     ids = np.asarray(ids)
     B, T = ids.shape
@@ -327,8 +331,10 @@ def forward_batch(
     h = len(m["fwd.b_r"])
     tapes = [GruTape.empty(len(tokens), h, X.dtype) if src is None else None for _ in range(2)]
     u = np.zeros((B, 2 * h), dtype=X.dtype)
-    u[pack.live, :h] = _run_gru_batch(m, "fwd", X, pack, tapes[0], src)
-    u[pack.live, h:] = _run_gru_batch(m, "bwd", X_bwd, pack, tapes[1], src_bwd)
+    if stacks is None:
+        stacks = stack_gates(m, "fwd"), stack_gates(m, "bwd")
+    u[pack.live, :h] = _run_gru_batch(stacks[0], X, pack, tapes[0], src)
+    u[pack.live, h:] = _run_gru_batch(stacks[1], X_bwd, pack, tapes[1], src_bwd)
     if masks is not None and masks.out is not None:
         u = u * masks.out
     preds = sigmoid(u @ m["head.w"] + m["head.b"][0])
@@ -343,13 +349,15 @@ def predict_batch(m: Model, ids: np.ndarray, lengths: np.ndarray, chunk: int = 5
     """Scores for the rows of an (N, T) id array, in row order, `chunk` rows per batch.
 
     Rows are batched longest first (stable in row order), so each step of a
-    batch runs on nearly all of its rows; the scores go back to row order.
+    batch runs on nearly all of its rows; the scores go back to row order. The
+    gate stacks are built once and shared by every batch.
     """
     by_length = np.argsort(-np.minimum(lengths, ids.shape[1]), kind="stable")
     out = np.empty(len(ids), dtype=np.float64)
+    stacks = stack_gates(m, "fwd"), stack_gates(m, "bwd")
     for start in range(0, len(ids), chunk):
         part = by_length[start : start + chunk]
-        preds, _ = forward_batch(m, ids[part], lengths[part])
+        preds, _ = forward_batch(m, ids[part], lengths[part], stacks=stacks)
         out[part] = preds
     return out
 

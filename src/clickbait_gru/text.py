@@ -160,4 +160,5 @@ def encode(tokens: list[str], vocab: Vocabulary, max_len: int) -> list[int]:
     """Ids of the first max_len tokens."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    return [vocab.lookup(tok) for tok in tokens[:max_len]]
+    get = vocab.token_to_id.get
+    return [get(tok, UNK_ID) for tok in tokens[:max_len]]

@@ -1,0 +1,48 @@
+"""The A/B report of `scripts/bench_pairs.py`."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+SPEC = {
+    "end_to_end": [
+        {"name": "valid_mse", "better": "lower", "bound": 0.15},
+        {"name": "predict_posts_per_s", "better": "higher", "bound": 0.25},
+    ]
+}
+
+
+def run(mse: float, posts_per_s: float) -> dict:
+    metrics = {"valid_mse": {"value": mse}, "predict_posts_per_s": {"value": posts_per_s}}
+    return {"metrics": metrics, "failed": 0, "attempted": 3}
+
+
+def rows(capsys, parent, change) -> dict[str, str]:
+    bench_pairs.report("pairs", SPEC, parent, change)
+    names = {metric["name"] for metric in SPEC["end_to_end"]}
+    lines = capsys.readouterr().out.splitlines()
+    return {line.split()[0]: line for line in lines if line and line.split()[0] in names}
+
+
+def test_zero_iqr_metric_shows_a_rounding_level_move(capsys):
+    """A deterministic metric's 9e-9 relative move prints its digits, its
+    relative change in e-notation and "zero IQR", not "+0.0%" and "yes"."""
+    parent = [run(0.05982411335, v) for v in (18000, 18500, 19000, 18200)]
+    change = [run(0.05982411389, v) for v in (20000, 20500, 20100, 19900)]
+    got = rows(capsys, parent, change)
+    assert "0.05982411335" in got["valid_mse"] and "0.05982411389" in got["valid_mse"]
+    assert "+9.0e-09" in got["valid_mse"]
+    assert got["valid_mse"].endswith(" zero IQR                no")
+    assert "+9.3%" in got["predict_posts_per_s"]
+    assert got["predict_posts_per_s"].split()[-2:] == ["yes", "no"]
+
+
+def test_unchanged_zero_iqr_metric_is_not_past_it(capsys):
+    parent = [run(0.05982411335, v) for v in (18000, 18500, 19000, 18200)]
+    got = rows(capsys, parent, parent)
+    assert got["valid_mse"].split()[-2:] == ["no", "no"]
+    assert "+0.0e+00" in got["valid_mse"]

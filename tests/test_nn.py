@@ -292,9 +292,9 @@ class TestForwardBatch:
         assert len({row.tobytes() for row in ids}) == len(ids)  # rows are told apart by ids
         calls = []
 
-        def spy(m, ids, lengths, masks=None):
+        def spy(m, ids, lengths, masks=None, stacks=None):
             calls.append((ids.copy(), np.minimum(lengths, ids.shape[1])))
-            return forward_batch(m, ids, lengths, masks)
+            return forward_batch(m, ids, lengths, masks, stacks)
 
         monkeypatch.setattr("clickbait_gru.nn.forward_batch", spy)
         preds = predict_batch(m, ids, lengths, chunk=chunk)
@@ -388,6 +388,60 @@ class TestForwardBatch:
         OpenBLAS runs the per-step recurrent products slower."""
         for W, U, b in (stack_gates(tiny_model(seed=3), prefix) for prefix in ("fwd", "bwd")):
             assert W.flags.c_contiguous and U.flags.c_contiguous and b.flags.c_contiguous
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gate_stacks_halve_r_and_z(self, dtype):
+        """The r and z blocks are the model's arrays times 0.5 bit for bit, so a
+        step's tanh reads exactly half of each pre-activation; the h blocks are
+        the arrays as they are."""
+        m = tiny_model(seed=5, dtype=dtype)
+        rng = np.random.default_rng(5)
+        for name in ("b_r", "b_z", "b_h"):
+            for prefix in ("fwd", "bwd"):
+                m[f"{prefix}.{name}"] = rng.normal(0.0, 1.0, len(m[f"{prefix}.{name}"])).astype(dtype)
+        for prefix in ("fwd", "bwd"):
+            W, U, b = stack_gates(m, prefix)
+            p = {name: m[f"{prefix}.{name}"] for name in GRU_FIELDS}
+            for got, want in (
+                (W[0], 0.5 * p["W_r"].T), (W[1], 0.5 * p["W_z"].T), (W[2], p["W_h"].T),
+                (U[0], p["U_h"].T), (U[1], 0.5 * p["U_r"].T), (U[2], 0.5 * p["U_z"].T),
+                (b[0, 0], 0.5 * p["b_r"]), (b[1, 0], 0.5 * p["b_z"]), (b[2, 0], p["b_h"]),
+            ):
+                assert got.dtype == dtype
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_saturated_gates_are_exactly_zero_and_one(self, dtype):
+        """r and z at pre-activations of +-40 and +-1e4 come out exactly 1 and
+        0 on every step, and no step raises a floating-point error."""
+        p = zero_params(4, 2)
+        p["b_r"][:] = p["b_z"][:] = [40.0, -40.0, 1e4, -1e4]
+        p["b_h"][:] = 0.3
+        p["U_h"][:] = 0.5
+        m = {name: arr.astype(dtype) for name, arr in model_of(p, [[0.0, 0.0], [1.0, -1.0]]).items()}
+        with np.errstate(all="raise"):
+            _, cache = forward_batch(m, np.array([[1, 1, 1]]), np.array([3]), DropoutMasks())
+        for tape in (cache.fwd, cache.bwd):
+            for gate in tape.gates[1:3]:
+                assert gate.tolist() == [[1.0, 0.0, 1.0, 0.0]] * 3
+        assert np.all(np.abs(cache.u_drop) <= 1.0)
+
+    def test_predict_batch_stacks_gates_once_per_call(self, monkeypatch):
+        """Every chunk runs on the stacks built at the top of the call: one
+        `stack_gates` call per direction, however many chunks there are."""
+        m = tiny_model(seed=6)
+        rng = np.random.default_rng(6)
+        ids = rng.integers(1, 10, size=(23, 5)).astype(np.int32)
+        lengths = rng.integers(0, 7, size=23)
+        calls = []
+
+        def counted(m, prefix):
+            calls.append(prefix)
+            return stack_gates(m, prefix)
+
+        monkeypatch.setattr("clickbait_gru.nn.stack_gates", counted)
+        predict_batch(m, ids, lengths, chunk=4)
+        assert sorted(calls) == ["bwd", "fwd"]
 
 
 class TestPackBatch:
