@@ -428,7 +428,8 @@ class TestForwardBatch:
 
     def test_predict_batch_stacks_gates_once_per_call(self, monkeypatch):
         """Every chunk runs on the stacks built at the top of the call: one
-        `stack_gates` call per direction, however many chunks there are."""
+        `stack_gates` call per direction, however many chunks there are, and
+        none for no rows."""
         m = tiny_model(seed=6)
         rng = np.random.default_rng(6)
         ids = rng.integers(1, 10, size=(23, 5)).astype(np.int32)
@@ -440,6 +441,8 @@ class TestForwardBatch:
             return stack_gates(m, prefix)
 
         monkeypatch.setattr("clickbait_gru.nn.stack_gates", counted)
+        assert len(predict_batch(m, ids[:0], lengths[:0], chunk=4)) == 0
+        assert calls == []
         predict_batch(m, ids, lengths, chunk=4)
         assert sorted(calls) == ["bwd", "fwd"]
 
