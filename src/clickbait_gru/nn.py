@@ -350,13 +350,13 @@ def predict_batch(m: Model, ids: np.ndarray, lengths: np.ndarray, chunk: int = 5
 
     Rows are batched longest first (stable in row order), so each step of a
     batch runs on nearly all of its rows; the scores go back to row order. The
-    gate stacks are built once, and only for a non-empty array, and shared by
-    every batch.
+    gate stacks are built once per call, for a non-empty array only, and
+    shared by every batch.
     """
+    by_length = np.argsort(-np.minimum(lengths, ids.shape[1]), kind="stable")
     out = np.empty(len(ids), dtype=np.float64)
     if not len(ids):
         return out
-    by_length = np.argsort(-np.minimum(lengths, ids.shape[1]), kind="stable")
     stacks = stack_gates(m, "fwd"), stack_gates(m, "bwd")
     for start in range(0, len(ids), chunk):
         part = by_length[start : start + chunk]
