@@ -396,9 +396,8 @@ class TestForwardBatch:
         the arrays as they are."""
         m = tiny_model(seed=5, dtype=dtype)
         rng = np.random.default_rng(5)
-        for name in ("b_r", "b_z", "b_h"):
-            for prefix in ("fwd", "bwd"):
-                m[f"{prefix}.{name}"] = rng.normal(0.0, 1.0, len(m[f"{prefix}.{name}"])).astype(dtype)
+        for name in [name for name in m if ".b_" in name]:  # init_model's biases are zero
+            m[name] = rng.normal(0.0, 1.0, m[name].shape).astype(dtype)
         for prefix in ("fwd", "bwd"):
             W, U, b = stack_gates(m, prefix)
             p = {name: m[f"{prefix}.{name}"] for name in GRU_FIELDS}
@@ -418,7 +417,8 @@ class TestForwardBatch:
         p["b_r"][:] = p["b_z"][:] = [40.0, -40.0, 1e4, -1e4]
         p["b_h"][:] = 0.3
         p["U_h"][:] = 0.5
-        m = {name: arr.astype(dtype) for name, arr in model_of(p, [[0.0, 0.0], [1.0, -1.0]]).items()}
+        m = model_of(p, [[0.0, 0.0], [1.0, -1.0]])
+        m = {name: arr.astype(dtype) for name, arr in m.items()}
         with np.errstate(all="raise"):
             _, cache = forward_batch(m, np.array([[1, 1, 1]]), np.array([3]), DropoutMasks())
         for tape in (cache.fwd, cache.bwd):
