@@ -19,8 +19,10 @@ metric's relative `bound` (what a change that claims no gain is held to). A
 metric whose parent runs have a zero interquartile range, such as a
 deterministic `valid_mse`, reads "zero IQR" there when the medians differ at
 all, with its values to 10 significant digits and its relative change in
-e-notation, so a rounding-level move shows as one. It also prints each side's
-failed operation counts. Writes to standard output only.
+e-notation, so a rounding-level move shows as one, and its wins read "n/a":
+a pair that differs at all counts as won or lost there, so the count would
+not tell a deterministic shift from a resolved change. It also prints each
+side's failed operation counts. Writes to standard output only.
 
 Each checkout keeps its own input cache, and every run after the one that
 generated it reuses it, so those runs' `peak_rss_mb` reads the program. The
@@ -145,9 +147,10 @@ def report(title: str, spec: dict, parent: list[dict], change: list[dict]) -> No
         past_iqr = abs(new[0] - base[0]) > base[2] - base[1]
         past_bound = sign * (base[0] - new[0]) > metric["bound"] * abs(base[0])
         past = ("zero IQR" if zero_iqr else "yes") if past_iqr else "no"
+        won = "n/a" if zero_iqr else f"{wins}/{len(pairs)}"
         print(f"{name:<22} {base[0]:>12{digits}} [{base[1]:{digits}}, {base[2]:{digits}}]"
               f" {new[0]:>12{digits}} [{new[1]:{digits}}, {new[2]:{digits}}]"
-              f" {rel:>8} {wins:>3}/{len(pairs)} {past:>16}"
+              f" {rel:>8} {won:>6} {past:>16}"
               f" {'yes' if past_bound else 'no':>17}")
     for side, runs in (("parent", parent), ("change", change)):
         print(f"{side} failed: {[r['failed'] for r in runs]} of {[r['attempted'] for r in runs]}")

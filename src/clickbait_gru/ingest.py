@@ -8,6 +8,7 @@ import contextlib
 import json
 import math
 import os
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
@@ -186,14 +187,47 @@ def snap_to_level(value: float) -> float:
     raise DataError(f"judgment value {value!r} is not one of the four score levels")
 
 
-# a line's score types when it may skip the per-score checks; ints and bools never do
-_FLOAT_ONLY = frozenset({float})
-
-
 def derive_label(median: float) -> Label:
     """Binary label from the median judgment score: clickbait iff median >= CLICKBAIT_CUTOFF."""
     level = snap_to_level(median)
     return Label.CLICKBAIT if level >= CLICKBAIT_CUTOFF else Label.NO_CLICKBAIT
+
+
+def _judgment(lineno: int, scores, raw_mean, raw_median, raw_class) -> Judgment:
+    """A truth line's Judgment, or ParseError naming the first check it fails."""
+    if not isinstance(scores, list) or len(scores) != 5:
+        raise ParseError(f"expected exactly 5 judgment scores, got {scores!r}", line=lineno)
+    numbers = tuple(map(finite_number, scores))
+    if None in numbers:
+        raise ParseError(f"judgment scores must be finite numbers, got {scores!r}", line=lineno)
+    scores = numbers
+    try:
+        for s in scores:
+            snap_to_level(s)
+    except DataError as exc:
+        raise ParseError(str(exc), line=lineno) from exc
+
+    mean = finite_number(raw_mean)
+    median = finite_number(raw_median)
+    if mean is None or median is None:
+        key, raw = ("truthMean", raw_mean) if mean is None else ("truthMedian", raw_median)
+        raise ParseError(f"{key} must be a finite number, got {raw!r}", line=lineno)
+    if not abs(mean - sum(scores) / 5.0) <= LEVEL_TOLERANCE:
+        raise ParseError(f"truthMean {mean!r} inconsistent with scores {scores!r}", line=lineno)
+    if not abs(median - sorted(scores)[2]) <= LEVEL_TOLERANCE:
+        raise ParseError(
+            f"truthMedian {median!r} inconsistent with scores {scores!r}", line=lineno
+        )
+    label = LABELS.get(raw_class) if isinstance(raw_class, str) else None
+    if label is None:
+        raise ParseError(f"unknown truthClass {raw_class!r}", line=lineno)
+    return Judgment(scores, mean, median, label)
+
+
+# a line's five scores, mean and median as bytes, so -0.0 and 0.0 make two keys; only
+# lines whose seven numbers are all floats get a key, ints and bools take every check
+_pack_numbers = struct.Struct("<7d").pack
+_FLOAT_ONLY = frozenset({float})
 
 
 def parse_truth(stream: Iterable[str]) -> list[tuple[str, Judgment]]:
@@ -201,58 +235,38 @@ def parse_truth(stream: Iterable[str]) -> list[tuple[str, Judgment]]:
 
     Validation per line: exactly five scores, each at one of the four levels;
     stored mean and median finite numbers consistent with the scores to 1e-3;
-    known class string; an id no earlier line has. A line of five floats that
-    earlier lines of the file already passed skips the per-score checks: the
-    checks depend only on the value, so the outcome is the same.
+    known class string; an id no earlier line has. A line whose five scores,
+    mean and median are floats and whose class is a string repeats an earlier
+    line's judgment when all eight values are the same (the floats compared
+    bit for bit, so -0.0 is not 0.0): it skips the checks, which depend only
+    on those values, and shares that line's Judgment object. Every other line
+    is checked in full, in the order above.
     """
     out = []
-    accepted = set()  # float scores snap_to_level accepted on an earlier line
+    accepted: dict[tuple[bytes, str], Judgment] = {}  # judgments of earlier float lines
     for lineno, rec_id, obj in read_objects(stream):
         scores = obj.get("truthJudgments")
+        mean = obj.get("truthMean")
+        median = obj.get("truthMedian")
+        raw_class = obj.get("truthClass")
+        key = None
         if (
             type(scores) is list
             and len(scores) == 5
+            and type(raw_class) is str
+            and type(mean) is float
+            and type(median) is float
             and _FLOAT_ONLY.issuperset(map(type, scores))
-            and accepted.issuperset(scores)
         ):
-            scores = tuple(scores)  # the line's own floats, so -0.0 stays -0.0
-        else:
-            if not isinstance(scores, list) or len(scores) != 5:
-                raise ParseError(
-                    f"expected exactly 5 judgment scores, got {scores!r}", line=lineno
-                )
-            numbers = tuple(map(finite_number, scores))
-            if None in numbers:
-                raise ParseError(
-                    f"judgment scores must be finite numbers, got {scores!r}", line=lineno
-                )
-            scores = numbers
-            try:
-                for s in scores:
-                    snap_to_level(s)
-            except DataError as exc:
-                raise ParseError(str(exc), line=lineno) from exc
-            accepted.update(scores)
-
-        mean = finite_number(obj.get("truthMean"))
-        median = finite_number(obj.get("truthMedian"))
-        if mean is None or median is None:
-            key = "truthMean" if mean is None else "truthMedian"
-            raise ParseError(f"{key} must be a finite number, got {obj.get(key)!r}", line=lineno)
-        if not abs(mean - sum(scores) / 5.0) <= LEVEL_TOLERANCE:
-            raise ParseError(
-                f"truthMean {mean!r} inconsistent with scores {scores!r}", line=lineno
-            )
-        if not abs(median - sorted(scores)[2]) <= LEVEL_TOLERANCE:
-            raise ParseError(
-                f"truthMedian {median!r} inconsistent with scores {scores!r}",
-                line=lineno,
-            )
-        raw_class = obj.get("truthClass")
-        label = LABELS.get(raw_class) if isinstance(raw_class, str) else None
-        if label is None:
-            raise ParseError(f"unknown truthClass {raw_class!r}", line=lineno)
-        out.append((rec_id, Judgment(scores, mean, median, label)))
+            key = (_pack_numbers(*scores, mean, median), raw_class)
+            judgment = accepted.get(key)
+            if judgment is not None:
+                out.append((rec_id, judgment))
+                continue
+        judgment = _judgment(lineno, scores, mean, median, raw_class)
+        if key is not None:
+            accepted[key] = judgment
+        out.append((rec_id, judgment))
     return out
 
 

@@ -6,9 +6,10 @@ example order. Classification treats the clickbait class as positive.
 
 import json
 import math
-import statistics
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from .ingest import CLICKBAIT_CUTOFF, Judgment, Label
 
@@ -42,26 +43,24 @@ class EvalReport:
         )
 
 
-def confusion(pred_labels, true_labels) -> tuple[int, int, int, int]:
-    """(tp, fp, fn, tn) with clickbait as the positive class."""
-    pred_labels = list(pred_labels)
-    true_labels = list(true_labels)
-    if len(pred_labels) != len(true_labels):
+def confusion(pred_clickbait: np.ndarray, true_clickbait: np.ndarray) -> tuple[int, int, int, int]:
+    """(tp, fp, fn, tn) of two boolean arrays that are True where a post is
+    clickbait, the positive class."""
+    if len(pred_clickbait) != len(true_clickbait):
         raise ValueError(
-            f"length mismatch: {len(pred_labels)} predictions, {len(true_labels)} truths"
+            f"length mismatch: {len(pred_clickbait)} predictions, {len(true_clickbait)} truths"
         )
-    tp = fp = fn = tn = 0
-    for pred, true in zip(pred_labels, true_labels):
-        if pred == Label.CLICKBAIT:
-            if true == Label.CLICKBAIT:
-                tp += 1
-            else:
-                fp += 1
-        elif true == Label.CLICKBAIT:
-            fn += 1
-        else:
-            tn += 1
-    return tp, fp, fn, tn
+    tp = int(np.count_nonzero(pred_clickbait & true_clickbait))
+    fp = int(np.count_nonzero(pred_clickbait)) - tp
+    fn = int(np.count_nonzero(true_clickbait)) - tp
+    return tp, fp, fn, len(pred_clickbait) - tp - fp - fn
+
+
+def _fsum_of_squares(values: np.ndarray) -> float:
+    """Exactly-rounded sum of the squares, each rounded as Python's `v ** 2`
+    rounds it: that is libm's pow, which with glibc differs from `v * v` in
+    the last bit for about one value in a thousand."""
+    return math.fsum([v ** 2 for v in values.tolist()])
 
 
 def evaluate(preds, truth: list[Judgment]) -> EvalReport:
@@ -71,9 +70,11 @@ def evaluate(preds, truth: list[Judgment]) -> EvalReport:
     prediction is positive when pred >= CLICKBAIT_CUTOFF, and the reference
     label is the annotated class. Zero-denominator precision, recall, and f1 are
     defined as 0. Constant truth means make R2 meaningless; it is reported as
-    0 with r2_degenerate set.
+    0 with r2_degenerate set. The work runs on float64 and boolean arrays;
+    the median absolute error is the lower of the two middle errors when
+    their count is even (`statistics.median_low`).
     """
-    preds = [float(p) for p in preds]
+    preds = np.fromiter(preds, np.float64)
     if len(preds) != len(truth):
         raise ValueError(f"length mismatch: {len(preds)} preds, {len(truth)} truths")
     if len(preds) < 2:
@@ -81,21 +82,23 @@ def evaluate(preds, truth: list[Judgment]) -> EvalReport:
 
     start = time.perf_counter()
     n = len(preds)
-    means = [j.mean for j in truth]
+    means = np.fromiter((j.mean for j in truth), np.float64, n)
+    errors = preds - means
 
-    ss_res = math.fsum((p - m) ** 2 for p, m in zip(preds, means))
+    ss_res = _fsum_of_squares(errors)
     mse = ss_res / n
-    medae = statistics.median_low(abs(p - m) for p, m in zip(preds, means))
+    middle = (n - 1) // 2
+    medae = float(np.partition(np.abs(errors), middle)[middle])
 
-    pred_labels = [Label.CLICKBAIT if p >= CLICKBAIT_CUTOFF else Label.NO_CLICKBAIT for p in preds]
-    tp, fp, fn, tn = confusion(pred_labels, [j.class_label for j in truth])
+    true_clickbait = np.fromiter((j.class_label is Label.CLICKBAIT for j in truth), bool, n)
+    tp, fp, fn, tn = confusion(preds >= CLICKBAIT_CUTOFF, true_clickbait)
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
     accuracy = (tp + tn) / n
 
-    mean_of_means = math.fsum(means) / n
-    ss_tot = math.fsum((m - mean_of_means) ** 2 for m in means)
+    mean_of_means = math.fsum(means.tolist()) / n
+    ss_tot = _fsum_of_squares(means - mean_of_means)
     degenerate = ss_tot == 0.0
     r2 = 0.0 if degenerate else 1.0 - ss_res / ss_tot
 

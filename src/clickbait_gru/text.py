@@ -59,7 +59,7 @@ class Vocabulary:
     def from_tokens(cls, tokens: list[str]) -> "Vocabulary":
         """Vocabulary whose corpus tokens are `tokens`, in id order from 2."""
         id_to_token = [PAD_TOKEN, UNK_TOKEN] + list(tokens)
-        token_to_id = {tok: i + 2 for i, tok in enumerate(tokens)}
+        token_to_id = dict(zip(tokens, range(2, len(tokens) + 2)))
         return cls(token_to_id=token_to_id, id_to_token=id_to_token)
 
 

@@ -22,16 +22,24 @@ lone-surrogate rule, so they accept text that `ingest.read_objects` rejects.
 Like it, they strip only JSON's four whitespace characters from a line, accept
 only a string or a non-bool integer id (an integer read as its decimal
 string), and reject a repeated id after the caller's own checks on its line.
+
+`naive_evaluate` is the per-example loop that `metrics.evaluate`'s array
+version replaced: Python floats, labels compared one by one, the median
+absolute error from `statistics.median_low`. It builds the package's
+`EvalReport`, so every field but the runtime compares with `==`.
 """
 
 import json
 import math
+import statistics
 import string
+import time
 
 import numpy as np
 
 from clickbait_gru.errors import DataError, ParseError
 from clickbait_gru.ingest import (
+    CLICKBAIT_CUTOFF,
     JUDGMENT_LEVELS,
     LEVEL_TOLERANCE,
     Judgment,
@@ -39,6 +47,7 @@ from clickbait_gru.ingest import (
     PostRecord,
     finite_number,
 )
+from clickbait_gru.metrics import EvalReport
 from clickbait_gru.rng import named_rng
 from clickbait_gru.text import OOV_INIT_SCALE
 
@@ -312,3 +321,54 @@ def naive_parse_truth(stream) -> list[tuple[str, Judgment]]:
             raise ParseError(f"unknown truthClass {raw_class!r}", line=lineno) from None
         out.append((rec_id, Judgment(scores, mean, median, label)))
     return out
+
+
+def naive_evaluate(preds, truth: list[Judgment]) -> EvalReport:
+    """The seven metrics of `metrics.evaluate`, one example at a time."""
+    preds = [float(p) for p in preds]
+    if len(preds) != len(truth):
+        raise ValueError(f"length mismatch: {len(preds)} preds, {len(truth)} truths")
+    if len(preds) < 2:
+        raise ValueError("evaluate needs at least 2 examples")
+
+    start = time.perf_counter()
+    n = len(preds)
+    means = [j.mean for j in truth]
+
+    ss_res = math.fsum((p - m) ** 2 for p, m in zip(preds, means))
+    mse = ss_res / n
+    medae = statistics.median_low(abs(p - m) for p, m in zip(preds, means))
+
+    tp = fp = fn = tn = 0
+    for p, j in zip(preds, truth):
+        pred = Label.CLICKBAIT if p >= CLICKBAIT_CUTOFF else Label.NO_CLICKBAIT
+        if pred == Label.CLICKBAIT:
+            if j.class_label == Label.CLICKBAIT:
+                tp += 1
+            else:
+                fp += 1
+        elif j.class_label == Label.CLICKBAIT:
+            fn += 1
+        else:
+            tn += 1
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
+    accuracy = (tp + tn) / n
+
+    mean_of_means = math.fsum(means) / n
+    ss_tot = math.fsum((m - mean_of_means) ** 2 for m in means)
+    degenerate = ss_tot == 0.0
+    r2 = 0.0 if degenerate else 1.0 - ss_res / ss_tot
+
+    return EvalReport(
+        mse=mse,
+        median_absolute_error=medae,
+        f1=f1,
+        precision=precision,
+        recall=recall,
+        accuracy=accuracy,
+        r2=r2,
+        runtime_seconds=time.perf_counter() - start,
+        r2_degenerate=degenerate,
+    )

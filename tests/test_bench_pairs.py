@@ -46,3 +46,13 @@ def test_unchanged_zero_iqr_metric_is_not_past_it(capsys):
     got = rows(capsys, parent, parent)
     assert got["valid_mse"].split()[-2:] == ["no", "no"]
     assert "+0.0e+00" in got["valid_mse"]
+
+
+def test_zero_iqr_metric_counts_no_wins(capsys):
+    """A deterministic metric's shift is in every pair, so its wins read "n/a",
+    not "4/4"; a metric with spread keeps its count."""
+    parent = [run(0.05982411335, v) for v in (18000, 18500, 19000, 18200)]
+    change = [run(0.05982411300, v) for v in (20000, 18400, 20100, 19900)]
+    got = rows(capsys, parent, change)
+    assert got["valid_mse"].split()[-4:] == ["n/a", "zero", "IQR", "no"]
+    assert got["predict_posts_per_s"].split()[-3] == "3/4"

@@ -427,6 +427,36 @@ class TestAgainstReference:
         assert len(parse_truth(io.StringIO(text))) == len(rows)
         assert len(calls) == 10  # the first line's five, and the int line's five
 
+    @pytest.mark.parametrize(
+        "bad",
+        [None, {"truthMedian": 0.5}, {"truthClass": "Clickbait"}, {"truthMean": False},
+         {"truthJudgments": [0.0, 0.0, False, 0.0, 0.0]},
+         {"truthJudgments": [0.0, 0.0, 0.0, 0.0, 0.5]}, {"id": "t0"}],
+        ids=["none", "bad-median", "bad-class", "bool-mean", "bool-score", "off-level",
+             "repeated-id"],
+    )
+    def test_parse_truth_across_a_repeated_judgment(self, bad):
+        """One judgment comes back as floats, with -0.0 for a 0.0, with an int
+        truthMean, with the other class, then (but for "none") as a bad line."""
+        zeros = {"truthJudgments": [0.0] * 5, "truthMean": 0.0, "truthMedian": 0.0,
+                 "truthClass": "no-clickbait"}
+        variants = [{}, {}, {"truthJudgments": [0.0, -0.0, 0.0, 0.0, 0.0]}, {"truthMean": 0},
+                    {"truthClass": "clickbait"}, {}]
+        if bad is not None:
+            variants.append(bad)
+        objs = [{"id": f"t{i}", **zeros, **v} for i, v in enumerate(variants)]
+        text = "".join(json.dumps(obj) + "\n" for obj in objs)
+        got = outcome(parse_truth, io.StringIO(text))
+        assert got == outcome(naive_parse_truth, io.StringIO(text))
+        if bad is not None:
+            assert got[2] == len(objs)
+            return
+        judgments = [j for _, j in got]
+        assert judgments[1] is judgments[0] and judgments[5] is judgments[0]
+        assert math.copysign(1.0, judgments[2].scores[1]) == -1.0
+        assert judgments[2] is not judgments[0]
+        assert judgments[4].class_label is Label.CLICKBAIT
+
     def test_unhashable_truth_class_is_the_same_parse_error(self):
         for raw in ([1], {"a": 1}, None, 1, 0.5):
             text = truth_line(truthClass=raw)

@@ -1,15 +1,18 @@
 """Evaluation bundle: confusion counts, the seven metrics, JSON shape."""
 
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clickbait_gru.ingest import Judgment, Label
 from clickbait_gru.metrics import EvalReport, confusion, evaluate
 from clickbait_gru.train import mse_loss
+from oracle import naive_evaluate
 
 CB, NCB = Label.CLICKBAIT, Label.NO_CLICKBAIT
 
@@ -39,23 +42,51 @@ def spec_pairs(tp, fp, fn, tn):
     return [(CB, CB)] * tp + [(CB, NCB)] * fp + [(NCB, CB)] * fn + [(NCB, NCB)] * tn
 
 
+# judgment means as five annotators' levels make them, k / 15
+MEANS = st.sampled_from([k / 15 for k in range(16)])
+# any score, and scores that sit on the class cutoff, just below it, or tie errors
+PREDS = st.floats(0.0, 1.0) | st.sampled_from(
+    [0.5, math.nextafter(0.5, 0.0), 0.0, 1.0, 0.25, 0.75, 2 / 15, 8 / 15]
+)
+
+
+@st.composite
+def scored_judgments(draw):
+    """(preds, truth) of 2 to 30 posts; in one draw of four every truth mean is the same."""
+    n = draw(st.integers(2, 30))
+    preds = draw(st.lists(PREDS, min_size=n, max_size=n))
+    if draw(st.integers(0, 3)) == 0:
+        means = [draw(MEANS)] * n
+    else:
+        means = draw(st.lists(MEANS, min_size=n, max_size=n))
+    labels = draw(st.lists(st.sampled_from([CB, NCB]), min_size=n, max_size=n))
+    return preds, [judgment(m, label) for m, label in zip(means, labels)]
+
+
+def clickbait(labels) -> np.ndarray:
+    """The boolean array `confusion` counts: True where a label is clickbait."""
+    return np.array([lb is CB for lb in labels], dtype=bool)
+
+
 class TestConfusion:
     def test_identical_labels_no_errors(self):
-        labels = [CB, NCB, CB, NCB]
+        labels = clickbait([CB, NCB, CB, NCB])
         assert confusion(labels, labels) == (2, 0, 0, 2)
 
     def test_inverted_labels_no_hits(self):
-        pred = [CB, NCB, CB]
-        true = [NCB, CB, NCB]
+        pred = clickbait([CB, NCB, CB])
+        true = clickbait([NCB, CB, NCB])
         assert confusion(pred, true) == (0, 2, 1, 0)
 
     def test_mixed_fixture(self):
         pairs = spec_pairs(2, 1, 1, 6)
-        assert confusion([p for p, _ in pairs], [t for _, t in pairs]) == (2, 1, 1, 6)
+        counts = confusion(clickbait(p for p, _ in pairs), clickbait(t for _, t in pairs))
+        assert counts == (2, 1, 1, 6)
+        assert all(type(c) is int for c in counts)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            confusion([CB], [CB, NCB])
+            confusion(clickbait([CB]), clickbait([CB, NCB]))
 
 
 class TestEvaluate:
@@ -173,6 +204,25 @@ class TestEvaluate:
             assert math.isclose(report.f1, harmonic, rel_tol=1e-12)
         assert 0.0 <= report.f1 <= 1.0
         assert report.mse >= 0.0 and report.r2 <= 1.0
+
+
+class TestAgainstReference:
+    """`evaluate` against the per-example loop it replaced, `oracle.naive_evaluate`."""
+
+    @given(scored_judgments())
+    # 0.343805606955381 ** 2 (libm's pow) and 0.343805606955381 * 0.343805606955381
+    # differ in the last bit where glibc rounds pow so
+    @example(([0.343805606955381, 0.0], [judgment(0.0), judgment(0.0)]))
+    @example(([0.25, 0.75, 0.5, 0.6], [judgment(0.5, CB), judgment(0.5, NCB)] * 2))
+    @example(([0.5, 0.2, 0.9], [judgment(2 / 15), judgment(8 / 15), judgment(1.0)]))
+    @settings(max_examples=200, deadline=None)
+    def test_every_metric_equals_the_loop(self, inputs):
+        preds, truth = inputs
+        got, want = evaluate(preds, truth), naive_evaluate(preds, truth)
+        for field in dataclasses.fields(EvalReport):
+            if field.name != "runtime_seconds":
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                assert (type(a), a) == (type(b), b), field.name
 
 
 class TestReportJson:
