@@ -210,8 +210,8 @@ class TestAgainstReference:
     """`evaluate` against the per-example loop it replaced, `oracle.naive_evaluate`."""
 
     @given(scored_judgments())
-    # 0.343805606955381 ** 2 (libm's pow) and 0.343805606955381 * 0.343805606955381
-    # differ in the last bit where glibc rounds pow so
+    # with glibc, 0.343805606955381 ** 2 (libm's pow) is one bit off
+    # 0.343805606955381 * 0.343805606955381
     @example(([0.343805606955381, 0.0], [judgment(0.0), judgment(0.0)]))
     @example(([0.25, 0.75, 0.5, 0.6], [judgment(0.5, CB), judgment(0.5, NCB)] * 2))
     @example(([0.5, 0.2, 0.9], [judgment(2 / 15), judgment(8 / 15), judgment(1.0)]))
