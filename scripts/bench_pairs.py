@@ -16,13 +16,15 @@ better (the direction is the metric's `better`; ties count for neither side),
 whether the medians differ by more than the parent's interquartile range, and
 whether the change's median is worse than the parent's by more than the
 metric's relative `bound` (what a change that claims no gain is held to). A
-metric whose parent runs have a zero interquartile range, such as a
-deterministic `valid_mse`, reads "zero IQR" there when the medians differ at
-all, with its values to 10 significant digits and its relative change in
-e-notation, so a rounding-level move shows as one, and its wins read "n/a":
-a pair that differs at all counts as won or lost there, so the count would
-not tell a deterministic shift from a resolved change. It also prints each
-side's failed operation counts. Writes to standard output only.
+metric whose parent runs have a zero interquartile range within each seed,
+such as a deterministic `valid_mse`, reads "zero IQR" there when the medians
+differ at all, with its values to 10 significant digits and its relative
+change in e-notation, so a rounding-level move shows as one, and its wins
+read "n/a": a pair that differs at all counts as won or lost there, so the
+count would not tell a deterministic shift from a resolved change. The
+pooled table reads such a metric the same way, though its values differ by
+seed. It also prints each side's failed operation counts. Writes to standard
+output only.
 
 Each checkout keeps its own input cache, and every run after the one that
 generated it reuses it, so those runs' `peak_rss_mb` reads the program. The
@@ -126,25 +128,31 @@ def record(args, spec: dict) -> dict:
     return out
 
 
-def report(title: str, spec: dict, parent: list[dict], change: list[dict]) -> None:
-    """Print the end-to-end table over the pairs (parent[i], change[i]) and
-    each side's failed operation counts."""
+def report(title: str, spec: dict, seeds: list[tuple[list[dict], list[dict]]]) -> None:
+    """Print the end-to-end table over the pairs (parent[i], change[i]) of
+    every seed's (parent, change) run lists in `seeds`, and each side's
+    failed operation counts."""
     print(f"\n{title}")
     print(f"{'metric':<22} {'parent median [q1, q3]':>32} {'change median [q1, q3]':>32}"
           f" {'change':>8} {'wins':>6} {'past parent IQR':>16} {'worse past bound':>17}")
     for metric in spec["end_to_end"]:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
-        pairs = [(value(p, name), value(c, name)) for p, c in zip(parent, change)]
-        pairs = [(p, c) for p, c in pairs if p is not None and c is not None]
+        by_seed = []
+        for parent, change in seeds:
+            values = ((value(p, name), value(c, name)) for p, c in zip(parent, change))
+            by_seed.append([(p, c) for p, c in values if p is not None and c is not None])
+        pairs = [pair for seed_pairs in by_seed for pair in seed_pairs]
         if not pairs:
             print(f"{name:<22} not reported")
             continue
         base, new = spread([p for p, _ in pairs]), spread([c for _, c in pairs])
         wins = sum(sign * (c - p) > 0 for p, c in pairs)
-        zero_iqr = base[2] == base[1]
+        # deterministic when no seed's parent runs spread, though the pooled runs may
+        seed_spreads = [spread([p for p, _ in seed_pairs]) for seed_pairs in by_seed if seed_pairs]
+        zero_iqr = all(q1 == q3 for _, q1, q3 in seed_spreads)
         digits, rel_format = (".10g", "+.1e") if zero_iqr else (".6g", "+.1%")
         rel = format((new[0] - base[0]) / base[0], rel_format) if base[0] else "n/a"
-        past_iqr = abs(new[0] - base[0]) > base[2] - base[1]
+        past_iqr = abs(new[0] - base[0]) > (0.0 if zero_iqr else base[2] - base[1])
         past_bound = sign * (base[0] - new[0]) > metric["bound"] * abs(base[0])
         past = ("zero IQR" if zero_iqr else "yes") if past_iqr else "no"
         won = "n/a" if zero_iqr else f"{wins}/{len(pairs)}"
@@ -152,7 +160,8 @@ def report(title: str, spec: dict, parent: list[dict], change: list[dict]) -> No
               f" {new[0]:>12{digits}} [{new[1]:{digits}}, {new[2]:{digits}}]"
               f" {rel:>8} {won:>6} {past:>16}"
               f" {'yes' if past_bound else 'no':>17}")
-    for side, runs in (("parent", parent), ("change", change)):
+    for i, side in enumerate(("parent", "change")):
+        runs = [r for pair in seeds for r in pair[i]]
         print(f"{side} failed: {[r['failed'] for r in runs]} of {[r['attempted'] for r in runs]}")
 
 
@@ -192,13 +201,12 @@ def main() -> int:
 
     for seed, runs in results.items():
         report(f"{args.workload} seed {seed}, {args.pairs} pairs, {seconds:g} s per run",
-               spec, runs["parent"], runs["change"])
+               spec, [(runs["parent"], runs["change"])])
     if len(results) > 1:
         seeds = ", ".join(map(str, results))
         report(f"{args.workload} seeds {seeds} pooled, {args.pairs * len(results)} pairs,"
                f" {seconds:g} s per run", spec,
-               [r for runs in results.values() for r in runs["parent"]],
-               [r for runs in results.values() for r in runs["change"]])
+               [(runs["parent"], runs["change"]) for runs in results.values()])
     return 0
 
 

@@ -20,7 +20,6 @@ from .errors import DataError, NumericError, ParseError
 from .ingest import (
     INSTANCES_FILENAME,
     JSON_WHITESPACE,
-    TEXT_FIELDS,
     TRUTH_FILENAME,
     atomic_files,
     build_dataset,
@@ -90,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="summary dropout (default 0.5)")
     p.add_argument("--max-len", type=int, help="token cutoff per post (default 32)")
     p.add_argument("--seed", type=int, help="random seed (default 0)")
-    p.add_argument("--text-field", choices=TEXT_FIELDS, help="text source (default postText)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="score instances with a trained checkpoint")
@@ -167,9 +165,7 @@ def cmd_train(args) -> int:
     valid_ds = load_dataset(args.valid_dir)
     if not train_ds or not valid_ds:
         raise DataError("train and valid datasets must be non-empty")
-    vocab = build_vocab(
-        tokenize(record.field_text(cfg.text_field)) for record, _ in train_ds
-    )
+    vocab = build_vocab(tokenize(record.text) for record, _ in train_ds)
     with open(args.glove, encoding="utf-8") as f:
         embeddings, matched = load_glove(f, vocab, cfg.d, seed=cfg.seed)
     model, history = fit(train_ds, valid_ds, cfg, vocab, embeddings)
@@ -193,7 +189,7 @@ def cmd_predict(args) -> int:
         model, vocab, meta = load_model(f)
     with open(args.instances, encoding="utf-8") as f:
         records = parse_instances(f)
-    ids, lengths = encode_posts(records, vocab, meta["max_len"], meta["text_field"])
+    ids, lengths = encode_posts(records, vocab, meta["max_len"])
     scores = predict_batch(model, ids, lengths)
     bad = np.count_nonzero(~np.isfinite(scores))
     if bad:

@@ -28,9 +28,6 @@ TRUTH_FILENAME = "truth.jsonl"
 # the four characters JSON allows around a value; a line of only these is blank
 JSON_WHITESPACE = " \t\n\r"
 
-# the post fields a model can be trained on, as `PostRecord.field_text` names them
-TEXT_FIELDS = ("postText", "targetDescription", "targetTitle")
-
 
 class Label(str, Enum):
     CLICKBAIT = "clickbait"
@@ -42,22 +39,10 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 
 class PostRecord(NamedTuple):
-    """A post's id and the three texts a model can be trained on ("" for null or absent)."""
+    """A post's id and its postText, the one text the model reads."""
 
     id: str
-    text: str  # postText's segments joined with single spaces
-    target_title: str
-    target_description: str
-
-    def field_text(self, field_name: str) -> str:
-        """Text of one of the three trainable fields (challenge field names)."""
-        if field_name == "postText":
-            return self.text
-        if field_name == "targetDescription":
-            return self.target_description
-        if field_name == "targetTitle":
-            return self.target_title
-        raise ValueError(f"unknown text field: {field_name!r}")
+    text: str  # postText's segments joined with single spaces; "" for null or absent
 
 
 class Judgment(NamedTuple):
@@ -132,7 +117,7 @@ def finite_number(value) -> float | None:
     return None
 
 
-# the JSON types a post field may hold; postMedia and the target* lists are never kept
+# the JSON types a post field may hold; of the fields checked, only postText is kept
 _SEGMENTS = (str, list, type(None))
 _TEXT = (str, type(None))
 
@@ -164,16 +149,17 @@ def parse_instances(stream: Iterable[str]) -> list[PostRecord]:
     Text values must be strings: postText is a string, a list of strings or
     null, targetTitle and targetDescription a string or null. postMedia,
     targetParagraphs and targetCaptions must be a string, a list or null.
+    Of these fields only postText is kept; the other five are checked only.
     """
     records = []
     for lineno, rec_id, obj in read_objects(stream):
         text = _post_text(obj, lineno)
         _field(obj, "postMedia", _SEGMENTS, lineno)
-        title = _field(obj, "targetTitle", _TEXT, lineno) or ""
-        description = _field(obj, "targetDescription", _TEXT, lineno) or ""
+        _field(obj, "targetTitle", _TEXT, lineno)
+        _field(obj, "targetDescription", _TEXT, lineno)
         _field(obj, "targetParagraphs", _SEGMENTS, lineno)
         _field(obj, "targetCaptions", _SEGMENTS, lineno)
-        records.append(PostRecord(rec_id, text, title, description))
+        records.append(PostRecord(rec_id, text))
     return records
 
 

@@ -56,7 +56,7 @@ def confusion(pred_clickbait: np.ndarray, true_clickbait: np.ndarray) -> tuple[i
     return tp, fp, fn, len(pred_clickbait) - tp - fp - fn
 
 
-def _fsum_of_squares(values: np.ndarray) -> float:
+def fsum_of_squares(values: np.ndarray) -> float:
     """Exactly-rounded sum of the squares, each rounded as Python's `v ** 2`
     rounds it: that is libm's pow, which with glibc differs from `v * v` in
     the last bit for about one value in a thousand."""
@@ -85,7 +85,7 @@ def evaluate(preds, truth: list[Judgment]) -> EvalReport:
     means = np.fromiter((j.mean for j in truth), np.float64, n)
     errors = preds - means
 
-    ss_res = _fsum_of_squares(errors)
+    ss_res = fsum_of_squares(errors)
     mse = ss_res / n
     middle = (n - 1) // 2
     medae = float(np.partition(np.abs(errors), middle)[middle])
@@ -98,7 +98,7 @@ def evaluate(preds, truth: list[Judgment]) -> EvalReport:
     accuracy = (tp + tn) / n
 
     mean_of_means = math.fsum(means.tolist()) / n
-    ss_tot = _fsum_of_squares(means - mean_of_means)
+    ss_tot = fsum_of_squares(means - mean_of_means)
     degenerate = ss_tot == 0.0
     r2 = 0.0 if degenerate else 1.0 - ss_res / ss_tot
 

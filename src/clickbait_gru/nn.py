@@ -41,7 +41,6 @@ from typing import BinaryIO
 import numpy as np
 
 from .errors import DataError
-from .ingest import TEXT_FIELDS
 from .rng import named_rng
 from .text import Vocabulary
 
@@ -50,7 +49,7 @@ CHECKPOINT_FORMAT = "cbgru-checkpoint"
 CHECKPOINT_VERSION = 1
 # the training settings a header records, beside its vocabulary and array manifest
 DROPOUT_RATES = ("dropout_embed", "dropout_gru_in", "dropout_gru_out")
-SETTINGS = ("d", "h", "max_len", "text_field", *DROPOUT_RATES)
+SETTINGS = ("d", "h", "max_len", *DROPOUT_RATES)
 # a header is the vocabulary plus about 2 KiB; a corrupt length must not size a read
 MAX_HEADER_BYTES = 1 << 28
 # longest token cutoff; the (N, max_len) id arrays scale with it (the paper uses 32)
@@ -67,8 +66,6 @@ def check_settings(settings) -> None:
         value = settings[name]
         if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= limit:
             raise ValueError(f"{name} must be an integer in [1, {limit}], got {value!r}")
-    if settings["text_field"] not in TEXT_FIELDS:
-        raise ValueError(f"text_field must be one of {TEXT_FIELDS}, got {settings['text_field']!r}")
     for name in DROPOUT_RATES:
         rate = settings[name]
         if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0.0 <= rate < 1.0:
@@ -372,9 +369,10 @@ def save_model(m: Model, vocab: Vocabulary, cfg, out: BinaryIO) -> None:
     """Write a self-describing binary checkpoint with deterministic bytes.
 
     `cfg` is the `train.TrainConfig` the model was trained with; the header
-    (`_header`) records its max_len, text_field and dropout rates, and d and
-    h as the model's arrays have them. The arrays go out in `_array_shapes`
-    order, whatever the order of `m`, in the embedding's dtype.
+    (`_header`) records its max_len and dropout rates, d and h as the
+    model's arrays have them, and postText as the text field the model reads.
+    The arrays go out in `_array_shapes` order, whatever the order of `m`, in
+    the embedding's dtype.
     """
     h, d = m["fwd.W_r"].shape
     dtype = m["embedding"].dtype.newbyteorder("<").str
@@ -400,15 +398,17 @@ def _array_shapes(vocab_size: int, d: int, h: int) -> dict[str, tuple[int, ...]]
 
 
 def _header(settings, tokens: list[str], dtype: str) -> dict:
-    """The whole v1 header: the `SETTINGS` of `settings`, the vocabulary after
-    PAD and UNK, and every array's name, `dtype` and shape. save_model writes
-    it; load_model requires each of its keys equal in the file's header,
-    rebuilt from that header's settings, tokens and first dtype."""
+    """The whole v1 header: the `SETTINGS` of `settings`, the text field the
+    model reads (always postText), the vocabulary after PAD and UNK, and every
+    array's name, `dtype` and shape. save_model writes it; load_model requires
+    each of its keys equal in the file's header, rebuilt from that header's
+    settings, tokens and first dtype."""
     shapes = _array_shapes(len(tokens) + 2, settings["d"], settings["h"])
     return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         **{key: settings[key] for key in SETTINGS},
+        "text_field": "postText",
         "trainable_embedding": True,
         "vocab_tokens": tokens,
         "arrays": [
@@ -480,14 +480,14 @@ def _read_header(inp: BinaryIO) -> dict:
 
 
 def load_model(inp: BinaryIO) -> tuple[Model, Vocabulary, dict]:
-    """Read a checkpoint: the model, its vocabulary, and its header's d, h,
-    max_len and text_field. Every array is bit-exact as save_model wrote it:
+    """Read a checkpoint: the model, its vocabulary, and its header's d, h
+    and max_len. Every array is bit-exact as save_model wrote it:
     `inp.readinto` fills each array's own buffer in place, with no bytes copy.
 
     A checkpoint that is cut short or runs on past its last array, whose
     header is not the one `_header` builds from its own settings, vocabulary
-    and dtype, or repeats a vocabulary token, or whose arrays are not all
-    finite, raises DataError.
+    and dtype (a text_field other than postText among them), or repeats a
+    vocabulary token, or whose arrays are not all finite, raises DataError.
     """
     magic = inp.read(len(CHECKPOINT_MAGIC))
     if magic != CHECKPOINT_MAGIC:
@@ -515,7 +515,7 @@ def load_model(inp: BinaryIO) -> tuple[Model, Vocabulary, dict]:
     if inp.read(1):
         raise DataError("checkpoint has bytes after its last array")
 
-    meta = {key: header[key] for key in ("d", "h", "max_len", "text_field")}
+    meta = {key: header[key] for key in ("d", "h", "max_len")}
     return arrays, vocab, meta
 
 

@@ -158,7 +158,5 @@ def _parse_vectors(lines: list[str], linenos: list[int], d: int) -> np.ndarray:
 
 def encode(tokens: list[str], vocab: Vocabulary, max_len: int) -> list[int]:
     """Ids of the first max_len tokens."""
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
     get = vocab.token_to_id.get
     return [get(tok, UNK_ID) for tok in tokens[:max_len]]

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import NumericError
 from .ingest import LabeledDataset, PostRecord
+from .metrics import fsum_of_squares
 from .nn import (
     DropoutMasks,
     GruTape,
@@ -54,7 +55,6 @@ class TrainConfig:
     h: int = 128
     max_len: int = 32
     seed: int = 0
-    text_field: str = "postText"
 
     def __post_init__(self):
         check_settings(vars(self))
@@ -129,14 +129,13 @@ def make_dropout_masks(
 
 
 def mse_loss(preds, targets) -> float:
-    """Mean squared error; exactly-rounded sum, so example order never matters."""
-    preds = list(preds)
-    targets = list(targets)
-    if not preds or len(preds) != len(targets):
+    """Mean squared error, the differences taken in float64; exactly-rounded
+    sum (`metrics.fsum_of_squares`), so example order never matters."""
+    if not len(preds) or len(preds) != len(targets):
         raise ValueError(
             f"need equal, nonzero lengths, got {len(preds)} and {len(targets)}"
         )
-    return math.fsum((p - t) ** 2 for p, t in zip(preds, targets)) / len(preds)
+    return fsum_of_squares(np.subtract(preds, targets, dtype=np.float64)) / len(preds)
 
 
 def _gru_backward(m: Model, prefix: str, X, pack: Packing, tape: GruTape, dh, grads: GradientSet):
@@ -320,25 +319,25 @@ def rmsprop_update(
 
 
 def encode_posts(
-    records: list[PostRecord], vocab: Vocabulary, max_len: int, text_field: str
+    records: list[PostRecord], vocab: Vocabulary, max_len: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The posts' `text_field` as (N, max_len) int32 ids, PAD past each post's
-    first max_len tokens, and their (N,) token counts, in record order."""
+    """The posts' texts as (N, max_len) int32 ids, PAD past each post's first
+    max_len tokens, and their (N,) token counts, in record order."""
     ids = np.full((len(records), max_len), PAD_ID, dtype=np.int32)
     lengths = np.empty(len(records), dtype=np.int64)
     for i, record in enumerate(records):
-        row = encode(tokenize(record.field_text(text_field)), vocab, max_len)
+        row = encode(tokenize(record.text), vocab, max_len)
         ids[i, : len(row)] = row
         lengths[i] = len(row)
     return ids, lengths
 
 
 def encode_dataset(
-    ds: LabeledDataset, vocab: Vocabulary, max_len: int, text_field: str
+    ds: LabeledDataset, vocab: Vocabulary, max_len: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`encode_posts` of the dataset's posts plus their (N,) float64
     judgment-mean targets, in dataset order."""
-    ids, lengths = encode_posts([record for record, _ in ds], vocab, max_len, text_field)
+    ids, lengths = encode_posts([record for record, _ in ds], vocab, max_len)
     return ids, lengths, np.array([judgment.mean for _, judgment in ds], dtype=np.float64)
 
 
@@ -374,12 +373,8 @@ def fit(
     if embeddings.shape[1] != cfg.d:
         raise ValueError(f"embedding dim {embeddings.shape[1]} != configured d {cfg.d}")
 
-    train_ids, train_lengths, train_targets = encode_dataset(
-        train, vocab, cfg.max_len, cfg.text_field
-    )
-    valid_ids, valid_lengths, valid_targets = encode_dataset(
-        valid, vocab, cfg.max_len, cfg.text_field
-    )
+    train_ids, train_lengths, train_targets = encode_dataset(train, vocab, cfg.max_len)
+    valid_ids, valid_lengths, valid_targets = encode_dataset(valid, vocab, cfg.max_len)
 
     model = init_model(embeddings, cfg.h, cfg.seed)
     shuffle_rng = named_rng(cfg.seed, "shuffle")

@@ -51,11 +51,9 @@ WORDS = [
 ]
 
 
-def make_record(rec_id: str, text: str, **kwargs) -> PostRecord:
-    """A post; the target texts not given are empty, as `parse_instances` reads
-    a line with only "id" and "postText"."""
-    fields = dict(target_title="", target_description="")
-    return PostRecord(id=rec_id, text=text, **{**fields, **kwargs})
+def make_record(rec_id: str, text: str) -> PostRecord:
+    """A post, as `parse_instances` reads a line with this "id" and "postText"."""
+    return PostRecord(id=rec_id, text=text)
 
 
 def make_judgment(levels) -> Judgment:
@@ -89,19 +87,16 @@ def synth_dataset(n: int, seed: int = 0, clickbait_every: int = 3) -> LabeledDat
 def write_dataset(ds: LabeledDataset, directory: str) -> None:
     """Write a dataset as the challenge's two-file directory layout: in each
     file one JSON line per post, in dataset order, non-ASCII text unescaped.
-    A post is written as its id and its three texts, postText as one segment."""
+    A post is written as its id and its postText, as one segment."""
     os.makedirs(directory, exist_ok=True)
     with (
         open(os.path.join(directory, INSTANCES_FILENAME), "w", encoding="utf-8") as instances,
         open(os.path.join(directory, TRUTH_FILENAME), "w", encoding="utf-8") as truth,
     ):
         for rec, judgment in ds:
-            instances.write(json.dumps({
-                "id": rec.id,
-                "postText": [rec.text],
-                "targetTitle": rec.target_title,
-                "targetDescription": rec.target_description,
-            }, ensure_ascii=False) + "\n")
+            instances.write(
+                json.dumps({"id": rec.id, "postText": [rec.text]}, ensure_ascii=False) + "\n"
+            )
             truth.write(json.dumps({
                 "id": rec.id,
                 "truthJudgments": list(judgment.scores),

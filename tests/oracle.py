@@ -250,7 +250,7 @@ def _text(obj: dict, key: str, lineno: int) -> str:
 
 def naive_parse_instances(stream) -> list[PostRecord]:
     """One PostRecord per non-blank instances line: all nine post fields parsed
-    and checked in the challenge's field order, then the four kept. Text values
+    and checked in the challenge's field order, then the id and postText kept. Text values
     must be strings: postText a string, a list of strings or null, targetTitle
     and targetDescription a string or null; postMedia, targetParagraphs and
     targetCaptions a string, a list or null."""
@@ -259,17 +259,12 @@ def naive_parse_instances(stream) -> list[PostRecord]:
         post_text = _text_segments(obj, lineno)
         _post_timestamp = _as_str(obj.get("postTimestamp"))
         _post_media = _as_str_list(obj, "postMedia", lineno)
-        target_title = _text(obj, "targetTitle", lineno)
-        target_description = _text(obj, "targetDescription", lineno)
+        _target_title = _text(obj, "targetTitle", lineno)
+        _target_description = _text(obj, "targetDescription", lineno)
         _target_keywords = _as_str(obj.get("targetKeywords"))
         _target_paragraphs = _as_str_list(obj, "targetParagraphs", lineno)
         _target_captions = _as_str_list(obj, "targetCaptions", lineno)
-        records.append(PostRecord(
-            id=rec_id,
-            text=" ".join(post_text),
-            target_title=target_title,
-            target_description=target_description,
-        ))
+        records.append(PostRecord(id=rec_id, text=" ".join(post_text)))
     return records
 
 

@@ -292,14 +292,12 @@ def test_criterion_7_headline_regression_quality():
     train_full, test = stratified_split(ds2, 0.3, seed=0)
     train, valid = stratified_split(train_full, 0.15, seed=0)
     cfg = TrainConfig()  # d 100, h 128, batch 64, dropout 0.2/0.2/0.5, RMSprop
-    vocab = build_vocab(
-        tokenize(record.field_text(cfg.text_field)) for record, _ in train
-    )
+    vocab = build_vocab(tokenize(record.text) for record, _ in train)
     with open(glove_path, encoding="utf-8") as f:
         embeddings, _ = load_glove(f, vocab, cfg.d, seed=cfg.seed)
     model, _ = fit(train, valid, cfg, vocab, embeddings)
 
-    ids, lengths, targets = encode_dataset(test, vocab, cfg.max_len, cfg.text_field)
+    ids, lengths, targets = encode_dataset(test, vocab, cfg.max_len)
     mse = mse_loss(predict_batch(model, ids, lengths), targets)
     assert mse <= 0.040
 

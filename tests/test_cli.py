@@ -392,7 +392,6 @@ class TestTrain:
             "--dropout-out": ("dropout_gru_out", 0.35),
             "--max-len": ("max_len", 20),
             "--seed": ("seed", 6),
-            "--text-field": ("text_field", "targetTitle"),
         }
         argv = ["train", "tr", "va", "--glove", "g.txt", "--out", "run"]
         for flag, (_, value) in flags.items():
@@ -488,9 +487,7 @@ class TestChallengeScript:
         _, test = stratified_split(load_dataset(str(challenge_dir)), 0.3, 0)
         with open(out / "model.ckpt", "rb") as f:
             model, vocab, meta = load_model(f)
-        ids, lengths = encode_posts(
-            [record for record, _ in test], vocab, meta["max_len"], meta["text_field"]
-        )
+        ids, lengths = encode_posts([record for record, _ in test], vocab, meta["max_len"])
         preds = predict_batch(model, ids, lengths)
         expected = json.loads(evaluate(list(preds), [j for _, j in test]).to_json())
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
@@ -534,7 +531,7 @@ class TestPredict:
         object: ASCII-escaped ids, scores in float repr."""
         with open(work / "run" / "model.ckpt", "rb") as f:
             model, vocab, meta = load_model(f)
-        cfg = TrainConfig(max_len=meta["max_len"], text_field=meta["text_field"])
+        cfg = TrainConfig(max_len=meta["max_len"])
         zero_head = {**model, "head.w": np.zeros_like(model["head.w"]),
                      "head.b": np.zeros_like(model["head.b"])}
         ckpt = tmp_path / "model.ckpt"
@@ -642,7 +639,7 @@ class TestPredict:
         model["fwd.b_h"][:] = 3e38
         model["fwd.U_h"][:] = 3e38
         ckpt = tmp_path / "model.ckpt"
-        cfg = TrainConfig(max_len=meta["max_len"], text_field=meta["text_field"])
+        cfg = TrainConfig(max_len=meta["max_len"])
         with open(ckpt, "wb") as f:
             save_model(model, vocab, cfg, f)
         out = tmp_path / "preds.jsonl"
@@ -664,6 +661,8 @@ class TestPredict:
             with_header_edit(lambda h: h["arrays"].pop()),
             lambda raw: raw + b"garbage",
             with_header_edit(lambda h: h.update(text_field="postMedia")),
+            with_header_edit(lambda h: h.update(text_field="targetTitle")),
+            with_header_edit(lambda h: h.pop("text_field")),
             lambda raw: raw[:-4] + struct.pack("<f", math.nan),
             with_header_edit(lambda h: h.update(max_len=10**9)),
             with_dim(10**13),
@@ -672,8 +671,8 @@ class TestPredict:
         ],
         ids=[
             "short-length-prefix", "cut-header", "head.b-omitted", "trailing-bytes",
-            "unknown-text-field", "nan-in-head.b", "huge-max-len", "huge-d", "d-overflows-size",
-            "vocab-repeats-token",
+            "unknown-text-field", "other-text-field", "missing-text-field", "nan-in-head.b",
+            "huge-max-len", "huge-d", "d-overflows-size", "vocab-repeats-token",
         ],
     )
     def test_malformed_checkpoint_is_data_error(self, work, tmp_path, capsys, damage):
@@ -976,6 +975,14 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as exc:
             main(["evaluate", "results.jsonl", "--truth", "t.jsonl", "--frobnicate"])
         assert exc.value.code == 1
+
+    def test_train_has_no_text_field_flag(self, capsys):
+        """The model reads postText; no flag chooses another field."""
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "tr", "va", "--glove", "g.txt", "--out", "run",
+                  "--text-field", "postText"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --text-field postText" in capsys.readouterr().err
 
     def test_missing_subcommand_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

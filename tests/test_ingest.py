@@ -62,12 +62,11 @@ class TestParseInstances:
             targetCaptions=["c"],
         )
         (rec,) = parse_instances(io.StringIO(line + "\n"))
-        assert rec == ("i1", "Some post", "T", "D")
+        assert rec == ("i1", "Some post")
 
     def test_missing_optional_fields_default_empty(self):
         (rec,) = parse_instances(io.StringIO(json.dumps({"id": "x"}) + "\n"))
-        assert rec.text == ""
-        assert rec.target_title == ""
+        assert rec == ("x", "")
 
     def test_multi_segment_post_text_joined_with_spaces(self):
         line = json.dumps({"id": "x", "postText": ["part one", "part two"]})
@@ -87,18 +86,18 @@ class TestParseInstances:
         with pytest.raises(ParseError, match="id"):
             parse_instances(io.StringIO(json.dumps({"postText": ["x"]})))
 
-    def test_field_text_selector(self):
-        line = instance_line(targetTitle="The Title", targetDescription="The Desc")
-        (rec,) = parse_instances(io.StringIO(line))
-        assert rec.field_text("postText") == "Some post"
-        assert rec.field_text("targetTitle") == "The Title"
-        assert rec.field_text("targetDescription") == "The Desc"
-        with pytest.raises(ValueError):
-            rec.field_text("postMedia")
-
     def test_string_and_null_texts(self):
-        line = json.dumps({"id": 3, "postText": "one", "targetTitle": None})
-        assert parse_instances(io.StringIO(line)) == [("3", "one", "", "")]
+        """targetTitle and targetDescription are checked though not kept: a
+        string or null passes, any other type fails with its line number."""
+        lines = [
+            json.dumps({"id": 3, "postText": "one", "targetTitle": None}),
+            instance_line("4", targetTitle="T", targetDescription=None),
+        ]
+        assert parse_instances(io.StringIO("\n".join(lines))) == [("3", "one"), ("4", "Some post")]
+        for field in ("targetTitle", "targetDescription"):
+            bad = instance_line("5", **{field: 7})
+            with pytest.raises(ParseError, match=f"^line 3: {field} must be a string or null"):
+                parse_instances(io.StringIO("\n".join([*lines, bad])))
 
     @pytest.mark.parametrize(
         "fields, expect",

@@ -536,7 +536,6 @@ SETTINGS_AT_BOUNDS = [
     {"max_len": 1024},
     {"max_len": 1025},
     *({"dropout_gru_in": rate} for rate in (0.999, 1.0, math.nan, "x", False)),
-    {"text_field": "postMedia"},
 ]
 
 
@@ -553,7 +552,7 @@ class TestCheckpoint:
         vocab = Vocabulary.from_tokens([f"w{i}" for i in range(8)])
         buf, (back, vocab2, meta) = self.roundtrip(m, vocab, rates(0.2, 0.0, 0.5, max_len=16))
         assert vocab2 == vocab
-        assert meta == {"d": 4, "h": 3, "max_len": 16, "text_field": "postText"}
+        assert meta == {"d": 4, "h": 3, "max_len": 16}
         header = checkpoint_header(buf.getvalue())
         assert header["dropout_embed"] == 0.2 and header["dropout_gru_out"] == 0.5
         assert list(back) == list(m)
@@ -563,7 +562,8 @@ class TestCheckpoint:
 
     def test_v1_bytes_are_pinned(self):
         """Exactly representable arrays, so the bytes do not depend on the numpy
-        build; the digest is that of the v1 writer the format was defined by."""
+        build; the digest is that of the v1 writer the format was defined by,
+        for a model that reads postText."""
         vocab = Vocabulary.from_tokens(["you", "won't", "café"])
         m = {
             name: ((np.arange(math.prod(shape), dtype=np.float32) - 4 * i) / 8).reshape(shape)
@@ -571,12 +571,12 @@ class TestCheckpoint:
         }
         buf = io.BytesIO()
         # written from a dict in reverse order: save_model writes the v1 order
-        cfg = rates(0.25, 0.125, 0.5, max_len=7, text_field="targetTitle")
+        cfg = rates(0.25, 0.125, 0.5, max_len=7)
         save_model(dict(reversed(m.items())), vocab, cfg, buf)
         raw = buf.getvalue()
-        assert len(raw) == 1597
+        assert len(raw) == 1594
         assert hashlib.sha256(raw).hexdigest() == (
-            "2ff13a245735a6c6484993f3fe54e575b3fc4197b835d628ca7f5147c7a65cf9"
+            "1aa343fed9adb61aed31fd56a3da437e5f1ad77df8c5ef34e49db0edc3b4e764"
         )
 
     def test_save_is_deterministic(self):
@@ -668,7 +668,15 @@ class TestCheckpoint:
                 "lacks trainable_embedding$",
             ),
             (with_header_edit(lambda h: h["arrays"][2].update(order="C")), "'fwd.W_z' is"),
-            (with_header_edit(lambda h: h.update(text_field="postMedia")), "'postMedia'"),
+            (
+                with_header_edit(lambda h: h.update(text_field="postMedia")),
+                "^checkpoint text_field is 'postMedia', not 'postText'$",
+            ),
+            (
+                with_header_edit(lambda h: h.update(text_field="targetTitle")),
+                "^checkpoint text_field is 'targetTitle', not 'postText'$",
+            ),
+            (with_header_edit(lambda h: h.pop("text_field")), "^checkpoint header lacks text_field$"),
             (lambda raw: raw + b"garbage", "bytes after its last array"),
             (lambda raw: raw[:-4] + struct.pack("<f", math.nan), "'head.b' holds a non-finite"),
             (
@@ -687,7 +695,8 @@ class TestCheckpoint:
             "embedding-not-trainable", "trainable-embedding-int", "dropout-not-number",
             "dropout-out-of-range", "dropout-bool", "missing-trainable-embedding",
             "array-entry-extra-key",
-            "unknown-text-field", "trailing-bytes", "nan-in-head.b", "mixed-dtypes",
+            "unknown-text-field", "other-text-field", "missing-text-field", "trailing-bytes",
+            "nan-in-head.b", "mixed-dtypes",
         ]
         + [f"cut-in-{name}" for name in ARRAY_NAMES],
     )

@@ -94,7 +94,7 @@ class TestVocabulary:
 def encode_texts(texts, vocab, max_len):
     """encode_posts of one post per text."""
     records = [make_record(str(i), text) for i, text in enumerate(texts)]
-    return encode_posts(records, vocab, max_len, "postText")
+    return encode_posts(records, vocab, max_len)
 
 
 class TestEncode:

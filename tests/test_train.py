@@ -597,7 +597,6 @@ class TestTrainConfig:
             {"learning_rate": 0.0},
             {"epochs": -1},
             {"dropout_embed": 1.0},
-            {"text_field": "postMedia"},
             {"epochs": "2"},
             {"epochs": 2.0},
             {"batch_size": True},
@@ -686,7 +685,7 @@ class TestFit:
         cfg = self.small_cfg(epochs=4, learning_rate=5e-3)
         model, history = fit(ds, valid, cfg, vocab, emb)
         best = min(row.valid_mse for row in history)
-        ids, lengths, targets = encode_dataset(valid, vocab, cfg.max_len, cfg.text_field)
+        ids, lengths, targets = encode_dataset(valid, vocab, cfg.max_len)
         achieved = mse_loss(predict_batch(model, ids, lengths), targets)
         assert math.isclose(achieved, best, rel_tol=1e-9)
         assert best <= history[0].valid_mse
@@ -703,7 +702,7 @@ class TestFit:
         cfg = self.small_cfg(epochs=3, dropout_embed=0.2, dropout_gru_in=0.3, dropout_gru_out=0.4)
         _, history = fit(ds, synth_dataset(12, seed=9), cfg, vocab, emb.copy())
 
-        ids, lengths, targets = encode_dataset(ds, vocab, cfg.max_len, cfg.text_field)
+        ids, lengths, targets = encode_dataset(ds, vocab, cfg.max_len)
         model = init_model(emb, cfg.h, cfg.seed)
         assert history[0].train_mse == mse_loss(predict_batch(model, ids, lengths), targets)
         shuffle_rng = named_rng(cfg.seed, "shuffle")
@@ -724,8 +723,8 @@ class TestFit:
         ds, vocab, emb = fit_setup(n=30)
         valid = synth_dataset(12, seed=9)
         cfg = self.small_cfg(epochs=3)
-        train_ids = encode_dataset(ds, vocab, cfg.max_len, cfg.text_field)[0]
-        valid_ids = encode_dataset(valid, vocab, cfg.max_len, cfg.text_field)[0]
+        train_ids = encode_dataset(ds, vocab, cfg.max_len)[0]
+        valid_ids = encode_dataset(valid, vocab, cfg.max_len)[0]
         calls = {"train": 0, "valid": 0}
 
         def counting(m, ids, lengths):
@@ -755,7 +754,7 @@ class TestFit:
 
     def test_targets_are_judgment_means(self):
         ds, vocab, emb = fit_setup()
-        _, _, targets = encode_dataset(ds, vocab, 12, "postText")
+        _, _, targets = encode_dataset(ds, vocab, 12)
         assert targets.tolist() == [judgment.mean for _, judgment in ds]
 
 
