@@ -11,17 +11,19 @@ seed's data cannot resolve a change of a few percent, so several seeds can
 be pooled. Reads the JSON line each run prints last, then prints per seed,
 and pooled over all pairs when there are several seeds, for every
 end-to-end metric `BENCHMARK.json` lists, the median and quartiles of both
-sides, the relative change of the medians, in how many pairs the change was
-better (the direction is the metric's `better`; ties count for neither side),
-whether the medians differ by more than the parent's interquartile range, and
-whether the change's median is worse than the parent's by more than the
-metric's relative `bound` (what a change that claims no gain is held to). A
-metric whose parent runs have a zero interquartile range within each seed,
+sides, the relative change of the medians, the exact two-sided sign-test p
+of the pairs that are not tied (the chance of wins and losses at least this
+uneven if each such pair were a fair coin toss), in how many pairs the change
+was better (the direction is the metric's `better`; ties count for neither
+side), whether the medians differ by more than the parent's interquartile
+range, and whether the change's median is worse than the parent's by more
+than the metric's relative `bound` (what a change that claims no gain is
+held to). A metric whose parent runs have a zero interquartile range within each seed,
 such as a deterministic `valid_mse`, reads "zero IQR" there when the medians
 differ at all, with its values to 10 significant digits and its relative
-change in e-notation, so a rounding-level move shows as one, and its wins
-read "n/a": a pair that differs at all counts as won or lost there, so the
-count would not tell a deterministic shift from a resolved change. The
+change in e-notation, so a rounding-level move shows as one, and its p and
+wins read "n/a": a pair that differs at all counts as won or lost there, so
+the count would not tell a deterministic shift from a resolved change. The
 pooled table reads such a metric the same way, though its values differ by
 seed. It also prints each side's failed operation counts. Writes to standard
 output only.
@@ -46,6 +48,7 @@ counts.
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -82,6 +85,15 @@ def spread(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return median, q1, q3
+
+
+def sign_test_p(wins: int, losses: int) -> float:
+    """Exact two-sided sign-test p of `wins` against `losses`: twice the chance
+    that a fair coin tossed once per pair gives a side no more than the fewer
+    of them, capped at 1."""
+    n = wins + losses
+    tail = sum(math.comb(n, k) for k in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2**n)
 
 
 def revision(checkout: str) -> str | None:
@@ -134,7 +146,7 @@ def report(title: str, spec: dict, seeds: list[tuple[list[dict], list[dict]]]) -
     failed operation counts."""
     print(f"\n{title}")
     print(f"{'metric':<22} {'parent median [q1, q3]':>32} {'change median [q1, q3]':>32}"
-          f" {'change':>8} {'wins':>6} {'past parent IQR':>16} {'worse past bound':>17}")
+          f" {'change':>8} {'p':>6} {'wins':>6} {'past parent IQR':>16} {'worse past bound':>17}")
     for metric in spec["end_to_end"]:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
         by_seed = []
@@ -147,6 +159,7 @@ def report(title: str, spec: dict, seeds: list[tuple[list[dict], list[dict]]]) -
             continue
         base, new = spread([p for p, _ in pairs]), spread([c for _, c in pairs])
         wins = sum(sign * (c - p) > 0 for p, c in pairs)
+        losses = sum(sign * (c - p) < 0 for p, c in pairs)
         # deterministic when no seed's parent runs spread, though the pooled runs may
         seed_spreads = [spread([p for p, _ in seed_pairs]) for seed_pairs in by_seed if seed_pairs]
         zero_iqr = all(q1 == q3 for _, q1, q3 in seed_spreads)
@@ -156,9 +169,10 @@ def report(title: str, spec: dict, seeds: list[tuple[list[dict], list[dict]]]) -
         past_bound = sign * (base[0] - new[0]) > metric["bound"] * abs(base[0])
         past = ("zero IQR" if zero_iqr else "yes") if past_iqr else "no"
         won = "n/a" if zero_iqr else f"{wins}/{len(pairs)}"
+        p_value = "n/a" if zero_iqr else format(sign_test_p(wins, losses), ".2g")
         print(f"{name:<22} {base[0]:>12{digits}} [{base[1]:{digits}}, {base[2]:{digits}}]"
               f" {new[0]:>12{digits}} [{new[1]:{digits}}, {new[2]:{digits}}]"
-              f" {rel:>8} {won:>6} {past:>16}"
+              f" {rel:>8} {p_value:>6} {won:>6} {past:>16}"
               f" {'yes' if past_bound else 'no':>17}")
     for i, side in enumerate(("parent", "change")):
         runs = [r for pair in seeds for r in pair[i]]

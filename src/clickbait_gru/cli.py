@@ -1,9 +1,10 @@
 """Command-line pipeline: analyze, split, train, predict, evaluate.
 
 Exit codes: 0 success, 1 usage error, 2 data error (parse failures, missing
-ids, bad files), 3 numeric failure (non-finite loss or metrics). One --seed
-flag drives every random component through named substreams, so reruns with
-the same flags produce byte-identical artifacts.
+ids, bad files), 3 a valid input that could not be computed (non-finite loss
+or metrics, or too little memory). One --seed flag drives every random
+component through named substreams, so reruns with the same flags produce
+byte-identical artifacts.
 """
 
 import argparse
@@ -253,6 +254,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as e:
+        print(f"out of memory in {args.command}: {str(e) or 'allocation failed'}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -2,8 +2,9 @@
 
 One GRU reads the token sequence left to right, a second reads it right to
 left, and the final state of each direction is concatenated and fed to a
-single sigmoid unit. All forward code here is shared by inference and by the
-manual backward pass in `train`.
+single sigmoid unit. `forward_batch` is the training forward pass, whose
+tapes the manual backward pass in `train` reads; `predict_batch` scores with
+no tape. Both run their steps in `_run_gru_batch` and score in `_head`.
 
 Gate algebra per step (elementwise *):
 
@@ -16,6 +17,7 @@ The new state is a convex combination of h_prev and c, so states stay in
 [-1, 1] from a zero start. A step takes r and z as sigmoid(a) =
 0.5 * tanh(a / 2) + 0.5, which holds exactly and costs one tanh pass in
 place of an exp and a reciprocal; the 1/2 is folded into the gate stacks.
+The head takes its sigmoid the same way, which cannot overflow.
 
 Batches run packed and time-major (`pack_batch`): rows are stable-sorted by
 length, longest first, so the rows still reading at step t are a prefix of
@@ -24,8 +26,8 @@ direction reads a row's token length - 1 - t, through `Packing.flip`. The
 three gates are stacked into one input and one recurrent weight stack
 (`stack_gates`), built once per `forward_batch` or `predict_batch` call.
 Each direction projects its inputs, x W + b, in one matmul before its step
-loop; at inference, where no dropout applies, it projects each distinct
-token id once. A step then costs one recurrent matmul over the
+loop; `predict_batch`, where no dropout applies, projects each distinct
+token id of a batch once. A step then costs one recurrent matmul over the
 rows still reading (none on step 0 of either direction, from h = 0) and no
 PAD work.
 
@@ -70,12 +72,6 @@ def check_settings(settings) -> None:
         rate = settings[name]
         if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0.0 <= rate < 1.0:
             raise ValueError(f"{name} must be a number in [0, 1), got {rate!r}")
-
-
-def sigmoid(x):
-    # exp overflow for very negative x saturates to inf, giving the exact limit 0
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
 
 
 Model = dict[str, np.ndarray]
@@ -158,24 +154,20 @@ def stack_gates(m: Model, prefix: str):
 class Packing:
     """Time-major packed layout of the real tokens of a (B, T) id batch.
 
-    Sorted row i is batch row order[i]; rows are stable-sorted by length,
-    longest first. Step t covers sorted rows 0..counts[t]-1 (the rows longer
-    than t) and owns packed rows offsets[t] .. offsets[t] + counts[t]. Packed
-    row k holds position steps[k] of batch row rows[k], and packed row flip[k]
-    (flip is its own inverse) position length - 1 - steps[k] of that row.
+    Rows are stable-sorted by length, longest first; sorted row i is batch
+    row live[i], and the rows with no token come last and are not listed.
+    Step t covers sorted rows 0..counts[t]-1 (the rows longer than t) and owns
+    packed rows offsets[t] .. offsets[t] + counts[t]. Packed row k holds
+    position steps[k] of batch row rows[k], and packed row flip[k] (flip is
+    its own inverse) position length - 1 - steps[k] of that row.
     """
 
-    order: np.ndarray  # (B,) batch row of each sorted row
+    live: np.ndarray  # batch rows with at least one token, in sorted order
     counts: list[int]  # per step t < longest length
     offsets: list[int]  # len(counts) + 1 entries; the last is the token count
     rows: np.ndarray  # (N,) batch row of each packed token
     steps: np.ndarray  # (N,) position of each packed token
     flip: np.ndarray  # (N,) packed row the reverse direction reads at each packed row
-
-    @property
-    def live(self) -> np.ndarray:
-        """Batch rows with at least one token, in sorted order."""
-        return self.order[: self.counts[0]] if self.counts else self.order[:0]
 
 
 def pack_batch(lengths: np.ndarray, width: int) -> Packing:
@@ -189,7 +181,7 @@ def pack_batch(lengths: np.ndarray, width: int) -> Packing:
     counts = active.sum(axis=1)
     offsets = np.cumsum([0, *counts])
     return Packing(
-        order=order,
+        live=order[sorted_len > 0],
         counts=counts.tolist(),
         offsets=offsets.tolist(),
         rows=order[sorted_rows],
@@ -294,52 +286,40 @@ def _run_gru_batch(gates, X, pack: Packing, tape: GruTape | None, src):
     return h
 
 
-def forward_batch(
-    m: Model,
-    ids: np.ndarray,
-    lengths: np.ndarray,
-    masks: DropoutMasks | None = None,
-    stacks=None,
-) -> tuple[np.ndarray, ForwardCache | None]:
-    """Predictions for a (B, T) id batch; PAD steps beyond each length are skipped.
+def _head(m: Model, u: np.ndarray) -> np.ndarray:
+    """Scores of the (B, 2h) summaries `u`: sigmoid(u w + b), taken as
+    0.5 * tanh(a / 2) + 0.5 like the gates, which cannot overflow, so a
+    saturated score is exactly 0 or 1."""
+    a = u @ m["head.w"] + m["head.b"][0]
+    return 0.5 * np.tanh(0.5 * a) + 0.5
 
-    With `masks` None this is inference and returns no cache: equal ids give
-    equal inputs, so each direction projects each distinct id once, and
-    `tests/oracle.py` recomputes each row with scalar loops. With `masks`,
-    `DropoutMasks()` for none, every token is projected into its tape and the
-    `ForwardCache` that `train.backprop` reads is returned; `masks.x` multiplies
-    the packed inputs row for row, so it must be drawn for these `lengths` and width T.
-    `stacks` is both directions' `stack_gates`, as `predict_batch` builds them once
-    for all its chunks; None builds them here.
+
+def forward_batch(
+    m: Model, ids: np.ndarray, lengths: np.ndarray, masks: DropoutMasks | None = None
+) -> tuple[np.ndarray, ForwardCache]:
+    """Training predictions for a (B, T) id batch, PAD steps beyond each length
+    skipped, and the `ForwardCache` that `train.backprop` reads.
+
+    Every token is projected into its tape. `masks` None is no dropout;
+    `masks.x` multiplies the packed inputs row for row, so it must be drawn for
+    these `lengths` and width T.
     """
     ids = np.asarray(ids)
     B, T = ids.shape
     pack = pack_batch(lengths, T)
     tokens = ids[pack.rows, pack.steps]
-    if masks is None:
-        rows, src = np.unique(tokens, return_inverse=True)
-        X = m["embedding"][rows]
-        X_bwd, src_bwd = X, src[pack.flip]
-    else:
-        X, src = m["embedding"][tokens], None
-        if masks.x is not None:
-            X *= masks.x
-        X_bwd, src_bwd = X[pack.flip], None
+    masks = masks or DropoutMasks()
+    X = m["embedding"][tokens]
+    if masks.x is not None:
+        X *= masks.x
     h = len(m["fwd.b_r"])
-    tapes = [GruTape.empty(len(tokens), h, X.dtype) if src is None else None for _ in range(2)]
+    fwd, bwd = (GruTape.empty(len(tokens), h, X.dtype) for _ in range(2))
     u = np.zeros((B, 2 * h), dtype=X.dtype)
-    if stacks is None:
-        stacks = stack_gates(m, "fwd"), stack_gates(m, "bwd")
-    u[pack.live, :h] = _run_gru_batch(stacks[0], X, pack, tapes[0], src)
-    u[pack.live, h:] = _run_gru_batch(stacks[1], X_bwd, pack, tapes[1], src_bwd)
-    if masks is not None and masks.out is not None:
+    u[pack.live, :h] = _run_gru_batch(stack_gates(m, "fwd"), X, pack, fwd, None)
+    u[pack.live, h:] = _run_gru_batch(stack_gates(m, "bwd"), X[pack.flip], pack, bwd, None)
+    if masks.out is not None:
         u = u * masks.out
-    preds = sigmoid(u @ m["head.w"] + m["head.b"][0])
-    if masks is None:
-        return preds, None
-    return preds, ForwardCache(
-        pack=pack, tokens=tokens, X=X, fwd=tapes[0], bwd=tapes[1], u_drop=u
-    )
+    return _head(m, u), ForwardCache(pack=pack, tokens=tokens, X=X, fwd=fwd, bwd=bwd, u_drop=u)
 
 
 def predict_batch(m: Model, ids: np.ndarray, lengths: np.ndarray, chunk: int = 512) -> np.ndarray:
@@ -348,17 +328,25 @@ def predict_batch(m: Model, ids: np.ndarray, lengths: np.ndarray, chunk: int = 5
     Rows are batched longest first (stable in row order), so each step of a
     batch runs on nearly all of its rows; the scores go back to row order. The
     gate stacks are built once per call, for a non-empty array only, and
-    shared by every batch.
+    shared by every batch. No dropout applies and no tape is kept, so equal ids
+    give equal inputs: each direction projects each distinct id of a batch
+    once, and `tests/oracle.py` recomputes each row with scalar loops.
     """
     by_length = np.argsort(-np.minimum(lengths, ids.shape[1]), kind="stable")
     out = np.empty(len(ids), dtype=np.float64)
     if not len(ids):
         return out
-    stacks = stack_gates(m, "fwd"), stack_gates(m, "bwd")
+    fwd, bwd = stack_gates(m, "fwd"), stack_gates(m, "bwd")
+    h = len(m["fwd.b_r"])
     for start in range(0, len(ids), chunk):
         part = by_length[start : start + chunk]
-        preds, _ = forward_batch(m, ids[part], lengths[part], stacks=stacks)
-        out[part] = preds
+        pack = pack_batch(lengths[part], ids.shape[1])
+        rows, src = np.unique(ids[part[pack.rows], pack.steps], return_inverse=True)
+        X = m["embedding"][rows]
+        u = np.zeros((len(part), 2 * h), dtype=X.dtype)
+        u[pack.live, :h] = _run_gru_batch(fwd, X, pack, None, src)
+        u[pack.live, h:] = _run_gru_batch(bwd, X, pack, None, src[pack.flip])
+        out[part] = _head(m, u)
     return out
 
 
@@ -401,8 +389,8 @@ def _header(settings, tokens: list[str], dtype: str) -> dict:
     """The whole v1 header: the `SETTINGS` of `settings`, the text field the
     model reads (always postText), the vocabulary after PAD and UNK, and every
     array's name, `dtype` and shape. save_model writes it; load_model requires
-    each of its keys equal in the file's header, rebuilt from that header's
-    settings, tokens and first dtype."""
+    the file's header to have exactly its keys, each equal to its rebuild from
+    that header's settings, tokens and first dtype."""
     shapes = _array_shapes(len(tokens) + 2, settings["d"], settings["h"])
     return {
         "format": CHECKPOINT_FORMAT,
@@ -423,7 +411,8 @@ def _same_json(a, b) -> bool:
 
 
 def _read_header(inp: BinaryIO) -> dict:
-    """The JSON header after the magic bytes, as `_header` rebuilds it."""
+    """The JSON header after the magic bytes, as `_header` rebuilds it; the
+    file's header must hold that rebuild's keys and no other."""
     prefix = inp.read(8)
     if len(prefix) != 8:
         raise DataError("checkpoint truncated in its header length")
@@ -476,6 +465,9 @@ def _read_header(inp: BinaryIO) -> dict:
                     key, got, want = f"array {entry['name']!r}", listed, entry
                     break
         raise DataError(f"checkpoint {key} is {got!r}, not {want!r}")
+    unknown = next((key for key in header if key not in expected), None)
+    if unknown is not None:
+        raise DataError(f"checkpoint header has unknown key {unknown!r}")
     return expected
 
 
@@ -486,8 +478,9 @@ def load_model(inp: BinaryIO) -> tuple[Model, Vocabulary, dict]:
 
     A checkpoint that is cut short or runs on past its last array, whose
     header is not the one `_header` builds from its own settings, vocabulary
-    and dtype (a text_field other than postText among them), or repeats a
-    vocabulary token, or whose arrays are not all finite, raises DataError.
+    and dtype (a text_field other than postText, or a key `_header` does not
+    write, among them), or repeats a vocabulary token, or whose arrays are not
+    all finite, raises DataError.
     """
     magic = inp.read(len(CHECKPOINT_MAGIC))
     if magic != CHECKPOINT_MAGIC:

@@ -25,7 +25,6 @@ from clickbait_gru.ingest import (
 )
 from clickbait_gru.nn import (
     CHECKPOINT_MAGIC,
-    DropoutMasks,
     GRU_FIELDS,
     Model,
     _array_shapes,
@@ -114,6 +113,12 @@ def write_glove(path, words, d: int, seed: int = 1) -> None:
             f.write(f"{w} {vec}\n")
 
 
+def sigmoid(x):
+    """The logistic function in its textbook form, 1 / (1 + exp(-x)): the
+    reference for the tanh form that the gates and the head compute."""
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 def tiny_model(
     vocab_size: int = 10,
     d: int = 4,
@@ -147,7 +152,7 @@ def direction_states(m: Model, ids, length: int):
     final state. Each result is
     (length + 1, h), starting with the zero initial state.
     """
-    _, cache = forward_batch(m, np.asarray([ids]), np.asarray([length]), DropoutMasks())
+    _, cache = forward_batch(m, np.asarray([ids]), np.asarray([length]))
     final = cache.u_drop[0]
     h = len(m["fwd.b_r"])
     fwd = np.vstack([cache.fwd.h_prev, final[:h]])

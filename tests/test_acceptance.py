@@ -26,7 +26,7 @@ from clickbait_gru.ingest import (
     stratified_split,
 )
 from clickbait_gru.metrics import evaluate
-from clickbait_gru.nn import forward_batch, predict_batch
+from clickbait_gru.nn import predict_batch
 from clickbait_gru.text import build_vocab, load_glove, tokenize
 from clickbait_gru.train import (
     RmsPropState,
@@ -103,7 +103,7 @@ def test_criterion_2_forward_pass_matches_naive_oracle():
         for _ in range(10):
             length = int(rng.integers(1, 6))
             ids = rng.integers(0, 10, size=6).astype(np.int32)
-            fast, _ = forward_batch(m, ids[None], np.array([length]))
+            fast = predict_batch(m, ids[None], np.array([length]))
             slow = naive_predict(m, ids, length)
             assert abs(fast[0] - slow) < 1e-10
             checked += 1

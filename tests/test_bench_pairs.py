@@ -78,3 +78,15 @@ def test_pooled_deterministic_metric_reads_like_one_seed(capsys):
     got = rows(capsys, seed_1, shifted_1, (seed_2, shifted_2))
     assert got["valid_mse"].split()[-4:] == ["n/a", "zero", "IQR", "no"]
     assert got["predict_posts_per_s"].split()[-3] == "6/8"
+
+
+def test_sign_test_p_of_the_pairs_that_are_not_tied(capsys):
+    """The p column, before the wins, is the exact two-sided sign-test p of
+    the pairs that are not tied; a zero-IQR metric reads "n/a" there."""
+    parent = [run(0.05982411335, 18000 + 100 * i) for i in range(12)]
+    for won, lost, tied, p in ((6, 2, 0, "0.29"), (9, 1, 2, "0.021"), (10, 0, 0, "0.002")):
+        change = [run(0.05982411300, r["metrics"]["predict_posts_per_s"]["value"] + delta)
+                  for r, delta in zip(parent, [500] * won + [-50] * lost + [0] * tied)]
+        got = rows(capsys, parent[: won + lost + tied], change)
+        assert got["predict_posts_per_s"].split()[-4:-2] == [p, f"{won}/{won + lost + tied}"]
+        assert got["valid_mse"].split()[-5:-3] == ["n/a", "n/a"]

@@ -11,6 +11,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:  # Unix only
+    resource = None
+
 import numpy as np
 import pytest
 
@@ -663,6 +668,7 @@ class TestPredict:
             with_header_edit(lambda h: h.update(text_field="postMedia")),
             with_header_edit(lambda h: h.update(text_field="targetTitle")),
             with_header_edit(lambda h: h.pop("text_field")),
+            with_header_edit(lambda h: h.update(surprise={"anything": [1, 2]})),
             lambda raw: raw[:-4] + struct.pack("<f", math.nan),
             with_header_edit(lambda h: h.update(max_len=10**9)),
             with_dim(10**13),
@@ -671,7 +677,8 @@ class TestPredict:
         ],
         ids=[
             "short-length-prefix", "cut-header", "head.b-omitted", "trailing-bytes",
-            "unknown-text-field", "other-text-field", "missing-text-field", "nan-in-head.b",
+            "unknown-text-field", "other-text-field", "missing-text-field", "unknown-key",
+            "nan-in-head.b",
             "huge-max-len", "huge-d", "d-overflows-size", "vocab-repeats-token",
         ],
     )
@@ -968,6 +975,45 @@ class TestFailedWrite:
         assert code == 2 and stdout == ""
         assert err == "data error: [Errno 28] No space left on device\n"
         assert written() == earlier
+
+
+@pytest.mark.skipif(
+    not hasattr(resource, "RLIMIT_AS") or not os.path.exists("/proc/self/statm"),
+    reason="needs RLIMIT_AS and /proc/self/statm",
+)
+def test_out_of_memory_is_one_line_and_leaves_an_earlier_pair_unchanged(work, tmp_path):
+    """`train` in a child process whose address space is capped 64 MiB above
+    what the interpreter maps once it has imported the CLI: the 128 MiB
+    recurrent weight draw of h = 4096 cannot be allocated, so the run exits 3
+    with one line on stderr that names the command, and the checkpoint and
+    history an earlier run wrote stay byte-identical."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    probe = ("import os, clickbait_gru.cli; "
+             "print(int(open('/proc/self/statm').read().split()[0]) * os.sysconf('SC_PAGE_SIZE'))")
+    mapped = int(subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                                text=True, check=True).stdout)
+    limit = mapped + 64 * 2**20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    out = tmp_path / "run"
+    out.mkdir()
+    earlier = {name: (work / "run" / name).read_bytes() for name in ARTIFACTS}
+    for name, data in earlier.items():
+        (out / name).write_bytes(data)
+    proc = subprocess.run(
+        [sys.executable, "-m", "clickbait_gru.cli", "train", str(work / "data"),
+         str(work / "data"), "--glove", str(work / "glove.txt"), "--out", str(out),
+         "--dim", "8", "--hidden", "4096", "--epochs", "1"],
+        env=env, capture_output=True, text=True, preexec_fn=cap,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("out of memory in train: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
 
 
 class TestArgumentErrors:

@@ -15,7 +15,6 @@ from clickbait_gru.errors import DataError
 from clickbait_gru.nn import (
     CHECKPOINT_MAGIC,
     GRU_FIELDS,
-    DropoutMasks,
     _array_shapes,
     forward_batch,
     init_model,
@@ -23,7 +22,6 @@ from clickbait_gru.nn import (
     pack_batch,
     predict_batch,
     save_model,
-    sigmoid,
     stack_gates,
 )
 from clickbait_gru.rng import named_rng
@@ -33,6 +31,7 @@ from conftest import (
     checkpoint_header,
     direction_states,
     model_of,
+    sigmoid,
     tiny_model,
     with_dim,
     with_header_blob,
@@ -53,7 +52,7 @@ def rates(embed=0.0, gru_in=0.0, out=0.0, **cfg) -> TrainConfig:
 
 def summary(m, ids, lengths, masks=None):
     """The (B, 2h) summary the head reads, after output dropout when masked."""
-    _, cache = forward_batch(m, np.asarray(ids), np.asarray(lengths), masks or DropoutMasks())
+    _, cache = forward_batch(m, np.asarray(ids), np.asarray(lengths), masks)
     return cache.u_drop
 
 
@@ -240,7 +239,7 @@ class TestPredict:
     def test_matches_naive_oracle_spot_checks(self):
         m = tiny_model(seed=11)
         for ids, length in (([2, 3, 4], 3), ([5], 1), ([0], 0), ([9, 2, 9, 2, 9], 5)):
-            fast, _ = forward_batch(m, np.array([ids]), np.array([length]))
+            fast = predict_batch(m, np.array([ids]), np.array([length]))
             slow = naive_predict(m, ids, length)
             assert abs(fast[0] - slow) < 1e-12
 
@@ -252,7 +251,7 @@ class TestForwardBatch:
             [[2, 3, 4, 0, 0], [5, 6, 0, 0, 0], [0, 0, 0, 0, 0], [7, 8, 9, 2, 3]], dtype=np.int32
         )
         lengths = np.array([3, 2, 0, 5])
-        batched, _ = forward_batch(m, ids, lengths)
+        batched = predict_batch(m, ids, lengths)
         singles = [naive_predict(m, row, n) for row, n in zip(ids, lengths)]
         np.testing.assert_allclose(batched, singles, rtol=0, atol=1e-12)
 
@@ -281,38 +280,37 @@ class TestForwardBatch:
         np.testing.assert_allclose(preds, singles, rtol=0, atol=1e-12)
 
     def test_predict_batch_chunks_run_longest_first(self, monkeypatch):
-        """Each `forward_batch` call gets at most `chunk` rows, the clipped
-        lengths never rise from one call to the next, and every row is scored
-        once, its score returned at its own index."""
+        """Each batch `pack_batch` lays out has at most `chunk` rows, the
+        clipped lengths never rise from one batch to the next, every row is
+        packed once, and its score is returned at its own index."""
         rng = np.random.default_rng(13)
         m = tiny_model(seed=13)
         width, chunk = 4, 4
         lengths = rng.integers(0, width + 3, size=23)
         ids = rng.integers(1, 10, size=(23, width)).astype(np.int32)
-        assert len({row.tobytes() for row in ids}) == len(ids)  # rows are told apart by ids
         calls = []
 
-        def spy(m, ids, lengths, masks=None, stacks=None):
-            calls.append((ids.copy(), np.minimum(lengths, ids.shape[1])))
-            return forward_batch(m, ids, lengths, masks, stacks)
+        def spy(lengths, width):
+            calls.append(np.minimum(lengths, width))
+            return pack_batch(lengths, width)
 
-        monkeypatch.setattr("clickbait_gru.nn.forward_batch", spy)
+        monkeypatch.setattr("clickbait_gru.nn.pack_batch", spy)
         preds = predict_batch(m, ids, lengths, chunk=chunk)
-        assert all(len(batch) <= chunk for batch, _ in calls)
-        clipped = np.concatenate([batch_lengths for _, batch_lengths in calls])
+        assert all(len(batch_lengths) <= chunk for batch_lengths in calls)
+        clipped = np.concatenate(calls)
         assert np.all(np.diff(clipped) <= 0)
-        scored = [row.tobytes() for batch, _ in calls for row in batch]
-        assert sorted(scored) == sorted(row.tobytes() for row in ids)
+        np.testing.assert_array_equal(clipped, np.sort(np.minimum(lengths, width))[::-1])
         for i in range(len(ids)):
-            alone, _ = forward_batch(m, ids[i : i + 1], lengths[i : i + 1])
-            assert abs(preds[i] - alone[0]) < 1e-12
+            alone = naive_predict(m, ids[i], min(lengths[i], width))
+            assert abs(preds[i] - alone) < 1e-12
 
     @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 9), width=st.integers(1, 7))
     @settings(max_examples=60, deadline=None)
     def test_packing_invariance(self, seed, batch, width):
         """Any mix and order of lengths, all-empty batches and full rows included,
-        gives the scalar oracle's per-row results, and permuting rows permutes
-        them exactly."""
+        gives the scalar oracle's per-row results through `forward_batch` and
+        through `predict_batch` at any chunk size, and permuting rows permutes
+        the training forward pass's results exactly."""
         rng = np.random.default_rng(seed)
         m = tiny_model(seed=seed % 50)
         ids = rng.integers(1, 10, size=(batch, width)).astype(np.int32)
@@ -325,6 +323,8 @@ class TestForwardBatch:
         preds, _ = forward_batch(m, ids, lengths)
         singles = [naive_predict(m, row, n) for row, n in zip(ids, lengths)]
         np.testing.assert_allclose(preds, singles, rtol=0, atol=1e-12)
+        scores = predict_batch(m, ids, lengths, chunk=int(rng.integers(1, batch + 1)))
+        np.testing.assert_allclose(scores, singles, rtol=0, atol=1e-12)
         perm = rng.permutation(batch)
         permuted, _ = forward_batch(m, ids[perm], lengths[perm])
         np.testing.assert_array_equal(permuted, preds[perm])
@@ -362,7 +362,7 @@ class TestForwardBatch:
         m = tiny_model(seed=4)
         ids = np.array([[2, 2, 3, 0], [3, 2, 0, 0], [1, 1, 1, 1]], dtype=np.int32)
         lengths = np.array([3, 2, 4])
-        _, cache = forward_batch(m, ids, lengths, DropoutMasks())
+        _, cache = forward_batch(m, ids, lengths)
         np.testing.assert_array_equal(cache.tokens, ids[cache.pack.rows, cache.pack.steps])
         np.testing.assert_array_equal(cache.X, m["embedding"][cache.tokens])
 
@@ -372,7 +372,7 @@ class TestForwardBatch:
         tape's row k is the token at packed row `flip[k]`."""
         m = tiny_model(seed=8)
         ids = np.array([[2, 3, 4, 2], [5, 2, 0, 0], [4, 0, 0, 0]], dtype=np.int32)
-        _, cache = forward_batch(m, ids, np.array([4, 2, 1]), DropoutMasks())
+        _, cache = forward_batch(m, ids, np.array([4, 2, 1]))
         flipped = cache.X[cache.pack.flip]
         for prefix, tape, X in (("fwd", cache.fwd, cache.X), ("bwd", cache.bwd, flipped)):
             p = {name: m[f"{prefix}.{name}"] for name in GRU_FIELDS}
@@ -420,7 +420,7 @@ class TestForwardBatch:
         m = model_of(p, [[0.0, 0.0], [1.0, -1.0]])
         m = {name: arr.astype(dtype) for name, arr in m.items()}
         with np.errstate(all="raise"):
-            _, cache = forward_batch(m, np.array([[1, 1, 1]]), np.array([3]), DropoutMasks())
+            _, cache = forward_batch(m, np.array([[1, 1, 1]]), np.array([3]))
         for tape in (cache.fwd, cache.bwd):
             for gate in tape.gates[1:3]:
                 assert gate.tolist() == [[1.0, 0.0, 1.0, 0.0]] * 3
@@ -451,12 +451,11 @@ class TestPackBatch:
     def test_time_major_layout(self):
         lengths = np.array([2, 0, 3, 2])
         pack = pack_batch(lengths, width=4)
-        np.testing.assert_array_equal(pack.order, [2, 0, 3, 1])
+        np.testing.assert_array_equal(pack.live, [2, 0, 3])
         assert pack.counts == [3, 3, 1]
         assert pack.offsets == [0, 3, 6, 7]
         np.testing.assert_array_equal(pack.rows, [2, 0, 3, 2, 0, 3, 2])
         np.testing.assert_array_equal(pack.steps, [0, 0, 0, 1, 1, 1, 2])
-        np.testing.assert_array_equal(pack.live, [2, 0, 3])
         np.testing.assert_array_equal(pack.flip, [6, 4, 5, 3, 1, 2, 0])
         np.testing.assert_array_equal(pack.flip[pack.flip], np.arange(7))
         np.testing.assert_array_equal(pack.steps[pack.flip], lengths[pack.rows] - 1 - pack.steps)
@@ -677,6 +676,10 @@ class TestCheckpoint:
                 "^checkpoint text_field is 'targetTitle', not 'postText'$",
             ),
             (with_header_edit(lambda h: h.pop("text_field")), "^checkpoint header lacks text_field$"),
+            (
+                with_header_edit(lambda h: h.update(surprise={"anything": [1, 2]})),
+                "^checkpoint header has unknown key 'surprise'$",
+            ),
             (lambda raw: raw + b"garbage", "bytes after its last array"),
             (lambda raw: raw[:-4] + struct.pack("<f", math.nan), "'head.b' holds a non-finite"),
             (
@@ -695,8 +698,8 @@ class TestCheckpoint:
             "embedding-not-trainable", "trainable-embedding-int", "dropout-not-number",
             "dropout-out-of-range", "dropout-bool", "missing-trainable-embedding",
             "array-entry-extra-key",
-            "unknown-text-field", "other-text-field", "missing-text-field", "trailing-bytes",
-            "nan-in-head.b", "mixed-dtypes",
+            "unknown-text-field", "other-text-field", "missing-text-field", "unknown-key",
+            "trailing-bytes", "nan-in-head.b", "mixed-dtypes",
         ]
         + [f"cut-in-{name}" for name in ARRAY_NAMES],
     )
@@ -751,6 +754,16 @@ class TestModelInvariants:
         assert {name: arr.shape for name, arr in m.items()} == shapes
 
     def test_sigmoid_saturates_without_warnings(self):
-        with np.errstate(over="raise"):
-            assert sigmoid(np.array([-1000.0]))[0] == 0.0
-            assert sigmoid(np.array([1000.0]))[0] == 1.0
+        """A head pre-activation of -1000 or +1000 scores exactly 0 or 1 in
+        both dtypes, through the training forward pass and through
+        `predict_batch`, and raises no floating-point error."""
+        for dtype in (np.float32, np.float64):
+            m = tiny_model(seed=2, dtype=dtype)
+            m["head.w"][:] = 0.0
+            ids, lengths = np.array([[2, 3, 4], [5, 0, 0]]), np.array([3, 1])
+            for bias, score in ((-1000.0, 0.0), (1000.0, 1.0)):
+                m["head.b"][:] = bias
+                with np.errstate(all="raise"):
+                    preds, _ = forward_batch(m, ids, lengths)
+                    scores = predict_batch(m, ids, lengths)
+                assert preds.tolist() == scores.tolist() == [score, score]

@@ -18,13 +18,11 @@ from clickbait_gru.nn import (
     GRU_FIELDS,
     MAX_LEN_LIMIT,
     WIDTH_LIMIT,
-    DropoutMasks,
     copy_model,
     forward_batch,
     init_model,
     pack_batch,
     predict_batch,
-    sigmoid,
 )
 from clickbait_gru.rng import named_rng
 from clickbait_gru.train import (
@@ -42,7 +40,7 @@ from clickbait_gru.train import (
     rmsprop_update,
     write_history,
 )
-from conftest import make_judgment, make_record, synth_dataset, tiny_model
+from conftest import make_judgment, make_record, sigmoid, synth_dataset, tiny_model
 from gradcheck import (
     complex_step_check,
     complex_step_gradient,
@@ -352,8 +350,7 @@ class TestComplexStep:
         assert report.passed, report.per_array
         assert set(report.per_array) == set(m)
 
-    @pytest.mark.parametrize("masks", [None, DropoutMasks()], ids=["inference", "training"])
-    def test_forward_path_is_analytic(self, masks):
+    def test_forward_path_is_analytic(self):
         """A one-token post has a closed-form gradient: h_prev is 0, so each
         direction's state is z * c. An op on the forward path that is not
         analytic (abs, maximum, clip on values) loses or bends the imaginary
@@ -369,7 +366,7 @@ class TestComplexStep:
             d_u.append((z * (1.0 - c**2), c * z * (1.0 - z)))  # d state / d b_h, d b_z
         pred = sigmoid(m["head.w"] @ np.concatenate(u) + m["head.b"][0])
         d_a = 2.0 * (pred - y) * pred * (1.0 - pred)  # d loss / d head pre-activation
-        got = complex_step_gradient(m, ids, lengths, np.array([y]), masks=masks)
+        got = complex_step_gradient(m, ids, lengths, np.array([y]))
         h = len(m["fwd.b_h"])
         np.testing.assert_allclose(got["head.b"], [d_a], rtol=1e-13)
         np.testing.assert_allclose(got["head.w"], d_a * np.concatenate(u), rtol=1e-13)
